@@ -17,15 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .seqcore import Generator, TokenSeq
+from .seqcore import TokenSeq
 from .turing import (
     BLANK,
-    TMToken,
-    _READ_CODE,
+    TMGenerator,
     _alphabet_states,
     _decode_table,
-    encode_token,
-    tm_alphabet,
+    head_positions,
 )
 
 Vec = tuple[Fraction, ...]
@@ -118,17 +116,25 @@ class TapeView:
         return len(self.pos)
 
 
-def _history_parts(z: TokenSeq):
-    S = _alphabet_states(z.alphabet)
-    decode = _decode_table(S)
-    toks = [decode[t] for t in z.tokens]
-    if not toks:
+_NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first token writes a blank"
+
+
+def _check_begin_marker(tokens: Sequence[int], decode) -> None:
+    """Reject a history unless exactly its first token writes a blank."""
+    if not tokens:
         raise ValueError("empty history")
-    if toks[0].symb != BLANK or any(t.symb == BLANK for t in toks[1:]):
-        raise ValueError(
-            "history must start at the begin marker: exactly the first token writes a blank"
-        )
-    return toks
+    if decode[tokens[0]].symb != BLANK:
+        raise ValueError(_NO_BEGIN_MARKER)
+    for t in tokens[1:]:
+        if decode[t].symb == BLANK:
+            raise ValueError(_NO_BEGIN_MARKER)
+
+
+def _history_parts(z: TokenSeq):
+    """Decoded tokens of a history that starts at the begin marker."""
+    decode = _decode_table(_alphabet_states(z.alphabet))
+    _check_begin_marker(z.tokens, decode)
+    return [decode[t] for t in z.tokens]
 
 
 def uniform_attention(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -188,16 +194,23 @@ def lookup_via_attention(view: TapeView, z: TokenSeq):
     values = [(_symb_value(t.symb),) for t in toks]
     batch = AttentionBatch(tuple([q_n] * n), tuple(keys), tuple(values))
 
-    for j in range(2, n + 1):
-        expected = -2 * (npos_n - view.pos[j - 1]) ** 2 - Fraction(1, j)
-        assert _dot(q_n, keys[j - 1]) == expected, "lookup score closed form violated"
-    assert _dot(q_n, keys[0]) == Fraction(-1)
+    for j in range(1, n + 1):
+        assert _dot(q_n, keys[j - 1]) == _lookup_score(npos_n, view.pos[j - 1], j), (
+            "lookup score closed form violated"
+        )
 
     members, _ = aha_argmax(batch, n)
     assert len(members) == 1, "tape lookup argmax must be a singleton"
     share = Fraction(1, len(members))
     out = sum((values[j - 1][0] for j in members), Fraction(0)) * share
     return _value_symb(out)
+
+
+def _lookup_score(npos: Fraction, pos_j: Fraction, j: int) -> Fraction:
+    """Closed form of key j's lookup score against the query for head position npos."""
+    if j == 1:
+        return Fraction(-1)
+    return -2 * (npos - pos_j) ** 2 - Fraction(1, j)
 
 
 _BLANK_VALUE = Fraction(1, 2)
@@ -219,9 +232,7 @@ def _value_symb(value: Fraction):
 def read_tape_attention(z: TokenSeq) -> tuple[int, object]:
     """(current state, symbol under the head) computed purely by attention."""
     view = positions_via_attention(z)
-    S = _alphabet_states(z.alphabet)
-    state = _decode_table(S)[z.tokens[-1]].state
-    return state, lookup_via_attention(view, z)
+    return _history_parts(z)[-1].state, lookup_via_attention(view, z)
 
 
 def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
@@ -231,24 +242,12 @@ def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
     instead of Fraction objects; differentially tested against the
     generic path. Also asserts the argmax is a singleton.
     """
-    S = _alphabet_states(z.alphabet)
-    decode = _decode_table(S)
+    decode = _decode_table(_alphabet_states(z.alphabet))
     toks = z.tokens
+    _check_begin_marker(toks, decode)
     n = len(toks)
-    first = decode[toks[0]]
-    if first.symb != BLANK:
-        raise ValueError("history must start at the begin marker")
-    pos = [0] * n
-    acc = 0
-    for i in range(1, n):
-        t = decode[toks[i - 1]]
-        if t.symb == BLANK and i > 1:
-            raise ValueError("blank writes are begin-marker only")
-        acc += t.move
-        pos[i] = acc
-    if n > 1 and decode[toks[n - 1]].symb == BLANK:
-        raise ValueError("blank writes are begin-marker only")
-    npos = pos[n - 1] + decode[toks[n - 1]].move
+    pos = head_positions(toks, decode)
+    npos = pos[n]
     # argmax of (-2 d^2 - 1/j | j >= 2) vs -1 at j = 1: compare via num/den ints
     best_num, best_den, best_j, ties = -1, 1, 1, 1
     for j in range(2, n + 1):
@@ -262,50 +261,33 @@ def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
         elif lhs == rhs:
             ties += 1
     assert ties == 1, "tape lookup argmax must be a singleton"
-    state = decode[toks[n - 1]].state
-    symb = decode[toks[best_j - 1]].symb
-    return state, symb
+    return decode[toks[n - 1]].state, decode[toks[best_j - 1]].symb
 
 
-@dataclass(frozen=True)
-class AttentionTMGenerator(Generator):
+class AttentionTMGenerator(TMGenerator):
     """Transition-table generator whose tape read runs through attention.
 
     Behaviorally identical to the direct generator; exists so machine
     simulation can be driven end to end over the attention pipeline.
     """
 
-    S: int
-    table: tuple[tuple[int, int, int], ...]
-
-    @property
-    def alphabet(self):
-        return tm_alphabet(self.S)
-
     def next_token(self, z: TokenSeq) -> int:
         state, read = read_tape_attention(z)
-        s2, a, b = self.table[(state - 1) * 3 + _READ_CODE[read]]
-        return encode_token(self.S, TMToken(s2, a, b))
+        return self._step_token(state, read)
 
 
 def tape_view_table(z: TokenSeq) -> str:
     """Debug TSV: per position, the view values plus that position's lookup
     best score and argmax set (the lookup run on the length-i prefix)."""
     view = positions_via_attention(z)
-    S = _alphabet_states(z.alphabet)
-    decode = _decode_table(S)
-    n = len(z.tokens)
+    toks = _history_parts(z)
+    n = len(toks)
     rows = ["i\tmove\tpos\tnpos\tidx_inv\tbest_score\targmax_set"]
     for i in range(1, n + 1):
-        scores = []
-        for j in range(1, i + 1):
-            if j == 1:
-                scores.append(Fraction(-1))
-            else:
-                scores.append(-2 * (view.npos[i - 1] - view.pos[j - 1]) ** 2 - Fraction(1, j))
+        scores = [_lookup_score(view.npos[i - 1], view.pos[j - 1], j) for j in range(1, i + 1)]
         best = max(scores)
         members = [j + 1 for j, sc in enumerate(scores) if sc == best]
-        t = decode[z.tokens[i - 1]]
+        t = toks[i - 1]
         rows.append(
             f"{i}\t{t.move}\t{view.pos[i-1]}\t{view.npos[i-1]}\t{view.idx_inv[i-1]}"
             f"\t{best}\t{{{','.join(map(str, members))}}}"

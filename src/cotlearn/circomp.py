@@ -17,13 +17,12 @@ sums against -1, which floating point must not be allowed to blur.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .seqcore import BINARY, GuardExceededError, TokenSeq
-from .linthresh import LinearThreshold
+from .linthresh import LinearThreshold, parse_fraction
 
 VERIFY_MAX_INPUTS = 12
 
@@ -101,15 +100,17 @@ def is_normalized(circuit: ThresholdCircuit) -> bool:
     widths = circuit.widths
     if len(set(widths)) != 1:
         return False
-    s = widths[0]
     for l, layer in enumerate(circuit.layers):
-        for gate in layer:
-            if gate[circuit.n - 1] != 0:
-                return False
-            for earlier in range(l):
-                if gate[circuit.n + earlier * s + (s - 1)] != 0:
-                    return False
+        dummies = _dummy_positions(circuit.n, widths[0], l)
+        if any(gate[i] != 0 for gate in layer for i in dummies):
+            return False
     return True
+
+
+def _dummy_positions(n: int, s: int, l: int) -> list[int]:
+    """Predecessors a layer-(l+1) gate of a normalized circuit gives zero
+    weight: the last input and the last gate of every earlier layer."""
+    return [n - 1] + [n + earlier * s + (s - 1) for earlier in range(l)]
 
 
 def normalize_circuit(circuit: ThresholdCircuit) -> ThresholdCircuit:
@@ -302,8 +303,7 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     if n > VERIFY_MAX_INPUTS:
         raise GuardExceededError(f"refusing to enumerate 2^{n} inputs (guard is {VERIFY_MAX_INPUTS})")
 
-    scale = math.lcm(*[f.denominator for f in compiled.w] or [1])
-    w_int = [int(f * scale) for f in compiled.w]
+    form = compiled.generator().integer_form
     d = compiled.d
     T = compiled.T
     time_of_gate = {
@@ -321,12 +321,7 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
         produced: list[int] = []
         sums: list[int] = []
         for _ in range(T):
-            m = len(seq)
-            window = min(d, m)
-            acc = 0
-            for i in range(1, window + 1):
-                if seq[m - i]:
-                    acc += w_int[d - i]
+            acc = form.total(seq)
             bit = 1 if acc >= 0 else 0
             produced.append(bit)
             sums.append(acc)
@@ -341,8 +336,8 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
                 continue
             if produced[t - 1] != 0:
                 failures.append(VerificationFailure(x, t, "off-schedule-token", f"got {produced[t - 1]}"))
-            if sums[t - 1] > -scale:
-                failures.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(sums[t - 1], scale)} > -1"))
+            if sums[t - 1] > -form.scale:
+                failures.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(sums[t - 1], form.scale)} > -1"))
         answer = eval_circuit(circuit, x)
         if produced[-1] != answer:
             failures.append(VerificationFailure(x, 0, "final-answer", f"expected {answer} got {produced[-1]}"))
@@ -364,9 +359,8 @@ def random_normalized_circuit(rng, n: int, s: int, L: int, weight_range: int = 2
         layer = []
         for _ in range(s):
             gate = [Fraction(rng.randint(-weight_range, weight_range)) for _ in range(preds)]
-            gate[n - 1] = Fraction(0)
-            for earlier in range(l):
-                gate[n + earlier * s + (s - 1)] = Fraction(0)
+            for i in _dummy_positions(n, s, l):
+                gate[i] = Fraction(0)
             layer.append(tuple(gate))
         layers.append(tuple(layer))
     return ThresholdCircuit(n, tuple(layers))
@@ -421,7 +415,7 @@ def parse_circuit(text: str) -> ThresholdCircuit:
         try:
             lhs, rhs = ln.split(":", 1)
             l_s, i_s = lhs.split()
-            weights = tuple(Fraction(p) for p in rhs.split())
+            weights = tuple(parse_fraction(p) for p in rhs.split())
         except ValueError:
             raise ValueError(f"malformed gate line: {ln!r}") from None
         l, i = int(l_s), int(i_s)

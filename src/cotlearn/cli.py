@@ -14,7 +14,6 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import circomp, lbfamilies, linthresh, turing
@@ -55,7 +54,7 @@ def cmd_generate(args) -> int:
             spec = turing.parse_tm(_read(args.file))
             omega = _parse_bits(args.input if args.input is not None else "")
             prompt = turing.pre(omega, spec.S)
-            f = turing.generator_for(spec)
+            f = turing.TMGenerator(spec.S, spec.table)
         else:
             f = linthresh.parse_threshold(_read(args.file).strip())
             prompt = BINARY.parse_seq(args.prompt or "")
@@ -79,36 +78,13 @@ def _parse_bits(text: str) -> list[int]:
 # ------------------------------------------------------------------- learn
 
 
-@dataclass(frozen=True)
-class _FamilyHandle:
-    family: object
-    T_default: int | None
-
-
-def _resolve_family(spec_text: str):
-    name, _, arg_text = spec_text.partition(":")
-    name = name.strip().lower()
-    if name in ("e1", "ldim", "collapse"):
-        fam = lbfamilies.parse_family_spec(spec_text)
-        T_default = fam.T if isinstance(fam, lbfamilies.E1Family) else None
-        return _FamilyHandle(fam, T_default)
-    kv = {}
-    for part in arg_text.split(","):
-        if part.strip():
-            key, _, value = part.partition("=")
-            if not value:
-                raise ValueError(f"malformed family argument {part!r}")
-            kv[key.strip().lower()] = int(value)
-    try:
-        if name == "tm":
-            return _FamilyHandle(turing.TMFamily(kv["s"]), None)
-        if name == "linthresh":
-            return _FamilyHandle(linthresh.ThresholdFamily(kv["d"]), None)
-        if name == "sparse":
-            return _FamilyHandle(linthresh.SparseThresholdFamily(kv["d"], kv["k"]), None)
-    except KeyError as missing:
-        raise ValueError(f"family {name!r} needs argument {missing}") from None
-    raise ValueError(f"unknown family {name!r}")
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that cannot be a file, before any work is done."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"output directory {folder} does not exist")
 
 
 def _serialize_generator(f, T: int) -> str:
@@ -125,9 +101,10 @@ def _serialize_generator(f, T: int) -> str:
 
 def cmd_learn(args) -> int:
     try:
-        handle = _resolve_family(args.family)
-        fam = handle.family
-        T = args.T if args.T is not None else handle.T_default
+        if args.out:
+            _check_out_path(args.out)
+        fam = lbfamilies.parse_family_spec(args.family)
+        T = args.T if args.T is not None else getattr(fam, "T", None)
         if T is None:
             raise ValueError("this family needs an explicit --T")
         alphabet = fam.alphabet
@@ -162,6 +139,8 @@ def cmd_learn(args) -> int:
 
 def cmd_compile_circuit(args) -> int:
     try:
+        if args.out:
+            _check_out_path(args.out)
         circuit = circomp.parse_circuit(_read(args.circuit))
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -223,7 +202,7 @@ def cmd_simulate_tm(args) -> int:
             return out
         prompt = turing.pre(omega, spec.S)
         if via == "autoregressive":
-            f = turing.generator_for(spec)
+            f = turing.TMGenerator(spec.S, spec.table)
         else:
             from .attention import AttentionTMGenerator
 
@@ -292,6 +271,8 @@ def _parse_config(text: str) -> dict:
     sizes = [int(p) for p in cfg["sizes"].split(",")]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
+    if sizes[0] < 0:
+        raise ValueError("sizes must be nonnegative")
     if int(cfg["trials"]) < 1:
         raise ValueError("trials must be at least 1")
     if cfg["mode"] not in ("cot", "e2e"):
@@ -301,12 +282,13 @@ def _parse_config(text: str) -> dict:
     cfg["trials"] = int(cfg["trials"])
     cfg["seed"] = int(cfg["seed"])
     cfg["eval_n"] = int(cfg.get("eval_n", 200))
+    if cfg["eval_n"] < 1:
+        raise ValueError("eval_n must be at least 1")
     cfg["input_len"] = int(cfg.get("input_len", 4))
     return cfg
 
 
-def _experiment_dist(handle: _FamilyHandle, input_len: int, T: int) -> PromptDist:
-    fam = handle.family
+def _experiment_dist(fam, input_len: int) -> PromptDist:
     if isinstance(fam, lbfamilies.LookupFamily):
         return FiniteUniformPrompts(fam.canonical_points())
     if isinstance(fam, turing.TMFamily):
@@ -337,13 +319,13 @@ def cmd_experiment(args) -> int:
         cfg = _parse_config(_read(args.config))
         if args.seed is not None:
             cfg["seed"] = args.seed
-        handle = _resolve_family(cfg["family"])
+        _check_out_path(cfg["out"])
+        fam = lbfamilies.parse_family_spec(cfg["family"])
         T = cfg["t"]
-        dist = _experiment_dist(handle, cfg["input_len"], T)
+        dist = _experiment_dist(fam, cfg["input_len"])
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    fam = handle.family
     jobs = []
     index = 0
     import random as _random
@@ -412,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("learn", help="fit a family member to a dataset file")
-    p.add_argument("--family", required=True, help="e.g. e1:D=2,T=4 | tm:S=3 | linthresh:d=4 | sparse:d=8,k=1")
+    p.add_argument("--family", required=True, help="e1:D=2,T=4 | ldim:D=3 | collapse:D=4 | tm:S=3 | linthresh:d=4 | sparse:d=8,k=1")
     p.add_argument("--mode", choices=("cot", "e2e"), required=True)
     p.add_argument("--T", type=int)
     p.add_argument("--data", required=True)

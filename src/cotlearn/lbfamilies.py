@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from .linthresh import SparseThresholdFamily, ThresholdFamily
 from .seqcore import (
     BINARY,
     Generator,
@@ -25,6 +26,7 @@ from .seqcore import (
     cot,
     e2e,
 )
+from .turing import TMFamily
 
 E1_ENUM_GUARD_BITS = 16
 LDIM_MAX_D = 8
@@ -65,13 +67,16 @@ class LookupGenerator(Generator):
 
 
 class LookupFamily(GeneratorFamily):
-    """Shared enumeration plumbing for the bit-indexed families."""
+    """Shared enumeration plumbing for the bit-indexed families.
+
+    Every family here indexes its members by one b-bit per canonical point.
+    """
 
     alphabet = BINARY
 
     @property
     def index_bits(self) -> int:
-        raise NotImplementedError
+        return len(self._points)
 
     def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
         raise NotImplementedError
@@ -106,14 +111,33 @@ class LookupFamily(GeneratorFamily):
     def canonical_points(self) -> tuple[TokenSeq, ...]:
         return tuple(BINARY.seq(p) for p in self._points)
 
-    def cons_oracle(self):
-        def oracle(pairs):
-            for f in self.members():
-                if all(f.next_token(u) == v for u, v in pairs):
-                    return f
-            raise NotRealizableError("no family member is consistent with the data")
+    @cached_property
+    def point_len(self) -> int:
+        return len(self._points[0])
 
-        return oracle
+    def _decode(self, tokens: Sequence[int]):
+        """(point number k, continuation) when the input is a point plus a tail, else None."""
+        body = _strip_zeros(tokens)
+        plen = self.point_len
+        if len(body) < plen or body[0] != 1:
+            return None
+        value = 0
+        for bit in body[1:plen]:
+            value = (value << 1) | bit
+        k = value + 1
+        if k > len(self._points):
+            return None
+        return k, body[plen:]
+
+    def _scan_consistent(self, pairs):
+        """First member in canonical order that fits every (prefix, next token) pair."""
+        for f in self.members():
+            if all(f.next_token(u) == v for u, v in pairs):
+                return f
+        raise NotRealizableError("no family member is consistent with the data")
+
+    def cons_oracle(self):
+        return self._scan_consistent
 
 
 @dataclass(frozen=True)
@@ -133,30 +157,9 @@ class E1Family(LookupFamily):
         if self.D < 1 or self.T < 1:
             raise ValueError("need D >= 1 and T >= 1")
 
-    @property
-    def index_bits(self) -> int:
-        return self.D * self.T
-
     @cached_property
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D * self.T)
-
-    @cached_property
-    def point_len(self) -> int:
-        return len(self._points[0])
-
-    def _decode(self, tokens: Sequence[int]):
-        body = _strip_zeros(tokens)
-        plen = self.point_len
-        if len(body) < plen:
-            return None
-        value = 0
-        for bit in body[1:plen]:
-            value = (value << 1) | bit
-        k = value + 1
-        if body[0] != 1 or k > self.D * self.T:
-            return None
-        return k, body[plen:]
 
     def _column_index(self, k: int, row: int) -> int:
         # 1-based position in b of the row-th column emission for point k
@@ -190,49 +193,28 @@ class E1Family(LookupFamily):
 
         def oracle(pairs):
             assign: dict[int, int] = {}
-            unified = True
             for u, v in pairs:
                 if u.alphabet != BINARY or v not in (0, 1):
                     raise ValueError("family data must be binary")
                 dec = self._decode(u.tokens)
-                forced: list[tuple[int, int]] = []
-                if dec is None:
-                    needs_zero = True
-                else:
-                    k, cont = dec
-                    ell = len(cont)
-                    if ell > self.T - 1:
-                        needs_zero = True
-                    else:
-                        needs_zero = False
-                        forced = [
-                            (self._column_index(k, r), bit) for r, bit in enumerate(cont)
-                        ]
-                        out_idx = k if ell == self.T - 1 else self._column_index(k, ell)
-                        forced.append((out_idx, v))
-                if needs_zero:
+                if dec is None or len(dec[1]) > self.T - 1:
                     if v != 0:
                         raise NotRealizableError(
                             "label 1 on an input every family member maps to 0"
                         )
                     continue
+                k, cont = dec
+                ell = len(cont)
+                forced = [(self._column_index(k, r), bit) for r, bit in enumerate(cont)]
+                forced.append((k if ell == self.T - 1 else self._column_index(k, ell), v))
                 for idx, bit in forced:
                     if assign.setdefault(idx, bit) != bit:
-                        unified = False
-                        break
-                if not unified:
-                    break
-            if unified:
-                bits = tuple(assign.get(j + 1, 0) for j in range(self.index_bits))
-                f = self.from_bits(bits)
-                assert all(f.next_token(u) == v for u, v in pairs)
-                return f
-            # Mutually inconsistent replays: decidable only by search.
-            self._enum_guard()
-            for f in self.members():
-                if all(f.next_token(u) == v for u, v in pairs):
-                    return f
-            raise NotRealizableError("no family member is consistent with the data")
+                        # Mutually inconsistent replays: decidable only by search.
+                        return self._scan_consistent(pairs)
+            bits = tuple(assign.get(j + 1, 0) for j in range(self.index_bits))
+            f = self.from_bits(bits)
+            assert all(f.next_token(u) == v for u, v in pairs)
+            return f
 
         return oracle
 
@@ -269,30 +251,9 @@ class LdimFamily(LookupFamily):
         if not 1 <= self.D <= LDIM_MAX_D:
             raise ValueError(f"need 1 <= D <= {LDIM_MAX_D}")
 
-    @property
-    def index_bits(self) -> int:
-        return self.D
-
     @cached_property
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D)
-
-    @cached_property
-    def point_len(self) -> int:
-        return len(self._points[0])
-
-    def _decode(self, tokens: Sequence[int]):
-        body = _strip_zeros(tokens)
-        plen = self.point_len
-        if len(body) < plen or body[0] != 1:
-            return None
-        value = 0
-        for bit in body[1:plen]:
-            value = (value << 1) | bit
-        k = value + 1
-        if k > self.D:
-            return None
-        return k, body[plen:]
 
     def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
         dec = self._decode(tokens)
@@ -326,10 +287,6 @@ class CollapseFamily(LookupFamily):
         if not 1 <= self.D <= COLLAPSE_MAX_D:
             raise ValueError(f"need 1 <= D <= {COLLAPSE_MAX_D}")
 
-    @property
-    def index_bits(self) -> int:
-        return self.D
-
     @cached_property
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D, trailing_one=True)
@@ -341,18 +298,6 @@ class CollapseFamily(LookupFamily):
         except ValueError:
             return 0
         return b[k - 1]
-
-
-def make_e1_family(D: int, T: int) -> E1Family:
-    return E1Family(D, T)
-
-
-def make_ldim_family(D: int) -> LdimFamily:
-    return LdimFamily(D)
-
-
-def make_collapse_family(D: int) -> CollapseFamily:
-    return CollapseFamily(D)
 
 
 @dataclass(frozen=True)
@@ -375,6 +320,8 @@ class PointPool:
 
 def default_pool(family: LookupFamily) -> PointPool:
     """Canonical points plus their one-token continuations, capped at the guard."""
+    if not isinstance(family, LookupFamily):
+        raise ValueError(f"{type(family).__name__} has no canonical point pool")
     pts = [p.tokens for p in family.canonical_points()]
     extended = list(pts)
     for p in pts:
@@ -464,8 +411,22 @@ def loss_class_behavior_count(family: GeneratorFamily, seqs: Sequence[TokenSeq],
     return len(behaviors)
 
 
+_FAMILY_SPECS = {
+    "e1": (E1Family, ("d", "t")),
+    "ldim": (LdimFamily, ("d",)),
+    "collapse": (CollapseFamily, ("d",)),
+    "tm": (TMFamily, ("s",)),
+    "linthresh": (ThresholdFamily, ("d",)),
+    "sparse": (SparseThresholdFamily, ("d", "k")),
+}
+
+
 def parse_family_spec(text: str):
-    """Parse "e1:D=2,T=4", "ldim:D=3", or "collapse:D=4"."""
+    """Parse a family spec such as "e1:D=2,T=4", "tm:S=3" or "sparse:d=8,k=1".
+
+    The names and their arguments are e1:D,T, ldim:D, collapse:D, tm:S,
+    linthresh:d and sparse:d,k; argument names are case-insensitive.
+    """
     name, _, arg_text = text.partition(":")
     name = name.strip().lower()
     args = {}
@@ -475,13 +436,10 @@ def parse_family_spec(text: str):
             if not val:
                 raise ValueError(f"malformed family argument {part!r}")
             args[key.strip().lower()] = int(val)
+    if name not in _FAMILY_SPECS:
+        raise ValueError(f"unknown family {name!r}")
+    cls, keys = _FAMILY_SPECS[name]
     try:
-        if name == "e1":
-            return E1Family(args.pop("d"), args.pop("t"))
-        if name == "ldim":
-            return LdimFamily(args.pop("d"))
-        if name == "collapse":
-            return CollapseFamily(args.pop("d"))
+        return cls(*(args[key] for key in keys))
     except KeyError as missing:
         raise ValueError(f"family {name!r} needs argument {missing}") from None
-    raise ValueError(f"unknown family {name!r}")

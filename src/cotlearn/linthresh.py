@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .seqcore import (
@@ -32,12 +32,40 @@ ENUMERATION_MAX_D = 4
 
 
 @dataclass(frozen=True)
+class IntegerThreshold:
+    """A threshold scaled to integers by the positive ``scale``.
+
+    ``terms`` holds (offset, weight) for the nonzero weights, offset 1
+    being the most recent bit. Scaling multiplies the compared sum by a
+    positive factor, so the sign, and with it the output, is unchanged.
+    """
+
+    terms: tuple[tuple[int, int], ...]
+    bias: int
+    scale: int
+
+    @classmethod
+    def of(cls, terms: Iterable[tuple[int, Fraction]], bias: Fraction) -> "IntegerThreshold":
+        nz = [(i, w) for i, w in terms if w != 0]
+        scale = math.lcm(bias.denominator, *(w.denominator for _, w in nz))
+        return cls(tuple((i, int(w * scale)) for i, w in nz), int(bias * scale), scale)
+
+    def total(self, tokens: Sequence[int]) -> int:
+        """Scaled pre-threshold sum on a bit sequence; bits before its start count as 0."""
+        n = len(tokens)
+        acc = self.bias
+        for i, w in self.terms:
+            if i <= n and tokens[n - i]:
+                acc += w
+        return acc
+
+
+@dataclass(frozen=True)
 class LinearThreshold(Generator):
     """Threshold on the last ``d`` input bits: 1 iff sum(w[-i] * x[-i]) + b >= 0.
 
     ``weights[-1]`` applies to the most recent bit. Arithmetic is exact;
-    evaluation internally scales to integers, which only rescales the
-    compared sum by a positive factor.
+    evaluation runs on the integer form, built once per instance.
     """
 
     weights: tuple[Fraction, ...]
@@ -49,31 +77,15 @@ class LinearThreshold(Generator):
     def d(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def integer_form(self) -> IntegerThreshold:
+        d = len(self.weights)
+        return IntegerThreshold.of(((d - j, w) for j, w in enumerate(self.weights)), self.bias)
+
     def next_token(self, x: TokenSeq) -> int:
         if x.alphabet != BINARY:
             raise ValueError("linear thresholds are defined over the binary alphabet")
-        nz, bias = _scaled_parts(self)
-        tokens = x.tokens
-        n = len(tokens)
-        acc = bias
-        for i, w in nz:
-            if i <= n and tokens[n - i]:
-                acc += w
-        return 1 if acc >= 0 else 0
-
-
-@lru_cache(maxsize=None)
-def _scaled_parts(f: LinearThreshold) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Integer form of (weights, bias): ((offset, scaled weight) for nonzeros, scaled bias)."""
-    denoms = [w.denominator for w in f.weights] + [f.bias.denominator]
-    scale = math.lcm(*denoms)
-    d = len(f.weights)
-    nz = tuple(
-        (d - j, int(w * scale))
-        for j, w in enumerate(f.weights)
-        if w != 0
-    )
-    return nz, int(f.bias * scale)
+        return 1 if self.integer_form.total(x.tokens) >= 0 else 0
 
 
 def make_threshold(weights: Iterable, bias) -> LinearThreshold:
@@ -108,13 +120,11 @@ class SparseLinearThreshold(Generator):
             w[self.d - i] = wv
         return LinearThreshold(tuple(w), self.bias)
 
-    def next_token(self, x: TokenSeq) -> int:
-        return self.to_dense().next_token(x)
+    @cached_property
+    def integer_form(self) -> IntegerThreshold:
+        return IntegerThreshold.of(zip(self.support, self.weights), self.bias)
 
-
-def eval_threshold(f: LinearThreshold, x: TokenSeq) -> int:
-    """Evaluate the threshold on a binary sequence (truncating to the window)."""
-    return f.next_token(x)
+    next_token = LinearThreshold.next_token  # same evaluation, on the sparse integer form
 
 
 def _window_coeffs(u: TokenSeq, offsets: Sequence[int]) -> list[int]:
@@ -224,19 +234,10 @@ class ThresholdFamily(GeneratorFamily):
 
 
 @dataclass(frozen=True)
-class SparseThresholdFamily(GeneratorFamily):
+class SparseThresholdFamily(ThresholdFamily):
     """Window-d thresholds with at most k nonzero weights, oracle-backed."""
 
-    d: int
     k: int
-
-    alphabet = BINARY
-
-    def size(self) -> None:
-        return None
-
-    def members(self):
-        raise GuardExceededError("sparse threshold weights form a continuum; the family is not enumerable")
 
     def default_member(self) -> SparseLinearThreshold:
         return SparseLinearThreshold(self.d, self.k, (), (), Fraction(0))
@@ -253,8 +254,7 @@ class SparseThresholdFamily(GeneratorFamily):
 
 def format_threshold(f: LinearThreshold) -> str:
     """Serialize as "d b w_1 ... w_d" with exact fraction strings."""
-    parts = [str(f.d), _frac_str(f.bias)] + [_frac_str(w) for w in f.weights]
-    return " ".join(parts)
+    return " ".join([str(f.d), str(f.bias)] + [str(w) for w in f.weights])
 
 
 def parse_threshold(text: str) -> LinearThreshold:
@@ -264,10 +264,14 @@ def parse_threshold(text: str) -> LinearThreshold:
     d = int(parts[0])
     if len(parts) != d + 2:
         raise ValueError(f"expected {d} weights, got {len(parts) - 2}")
-    bias = Fraction(parts[1])
-    weights = tuple(Fraction(p) for p in parts[2:])
+    bias = parse_fraction(parts[1])
+    weights = tuple(parse_fraction(p) for p in parts[2:])
     return LinearThreshold(weights, bias)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)  # Fraction renders as "num/den" or "num"
+def parse_fraction(text: str) -> Fraction:
+    """Exact rational from "num", "num/den" or decimal text; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -163,26 +163,34 @@ def post(token: TMToken) -> int:
     return token.symb
 
 
+def head_positions(tokens: Sequence[int], decode) -> list[int]:
+    """Head position before each step of a token-id history, then the one
+    after the last step.
+
+    Entry i is the cell token i+1 wrote (the sum of the earlier moves);
+    the final entry is where the head sits now.
+    """
+    pos = [0] * (len(tokens) + 1)
+    acc = 0
+    for i, t in enumerate(tokens, start=1):
+        acc += decode[t].move
+        pos[i] = acc
+    return pos
+
+
 def _read_tape_ids(tokens: Sequence[int], decode) -> tuple[int, object, int]:
     """(state, read symbol, token visits) for a raw token-id history."""
     n = len(tokens)
     if n == 0:
         raise ValueError("cannot read the tape of an empty history")
-    pos = [0] * n
-    acc = 0
-    for i in range(1, n):
-        acc += decode[tokens[i - 1]].move
-        pos[i] = acc
-    last = decode[tokens[n - 1]]
-    npos = pos[n - 1] + last.move
-    visits = n
-    read = BLANK
+    pos = head_positions(tokens, decode)
+    npos = pos[n]
+    state = decode[tokens[n - 1]].state
+    # visits: the n-token position pass plus the backward scan down to j
     for j in range(n - 1, -1, -1):
-        visits += 1
         if pos[j] == npos:
-            read = decode[tokens[j]].symb
-            break
-    return last.state, read, visits
+            return state, decode[tokens[j]].symb, 2 * n - j
+    return state, BLANK, 2 * n
 
 
 def read_tape(z: TokenSeq) -> tuple[int, object]:
@@ -219,19 +227,13 @@ class TMGenerator(Generator):
         return tm_alphabet(self.S)
 
     def next_token(self, z: TokenSeq) -> int:
-        decode = _decode_table(self.S)
-        state, read, _ = _read_tape_ids(z.tokens, decode)
+        state, read, _ = _read_tape_ids(z.tokens, _decode_table(self.S))
+        return self._step_token(state, read)
+
+    def _step_token(self, state: int, read) -> int:
+        """The table entry for (state, read), as a token id."""
         s2, a, b = self.table[(state - 1) * 3 + _READ_CODE[read]]
         return _token_id(self.S, s2, a, b)
-
-
-def f_tau(spec: TMSpec, z: TokenSeq) -> int:
-    """The transition table applied to read_tape(z), as a token id."""
-    return TMGenerator(spec.S, spec.table).next_token(z)
-
-
-def generator_for(spec: TMSpec) -> TMGenerator:
-    return TMGenerator(spec.S, spec.table)
 
 
 def trace_tokens(trace: TMTrace, S: int) -> list[int]:
@@ -272,10 +274,6 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
             )
     table = tuple(learned.get(i, DEFAULT_ENTRY) for i in range(3 * S))
     return TMGenerator(S, table)
-
-
-def tm_oracle(S: int):
-    return lambda pairs: cons_tm(pairs, S)
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ class TMFamily(GeneratorFamily):
         return TMSpec(self.S, T, g.table)
 
     def cons_oracle(self):
-        return tm_oracle(self.S)
+        return lambda pairs: cons_tm(pairs, self.S)
 
 
 def format_tm(spec: TMSpec) -> str:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 
 from cotlearn.seqcore import TokenSeq, cot
-from cotlearn.turing import TMFamily, TMSpec, TMTrace, generator_for, pre, simulate_tm
+from cotlearn.turing import TMFamily, TMGenerator, TMSpec, TMTrace, pre, simulate_tm
 
 CORPUS_MACHINES = 200
 CORPUS_MAX_STATES = 4
@@ -42,7 +42,7 @@ def tm_corpus() -> list[MachineRun]:
         S = rng.randint(1, CORPUS_MAX_STATES)
         T = rng.randint(1, CORPUS_MAX_STEPS)
         spec = TMFamily(S).random_spec(rng, T)
-        gen = generator_for(spec)
+        gen = TMGenerator(spec.S, spec.table)
         for omega in _all_inputs(CORPUS_MAX_INPUT):
             output, trace = simulate_tm(spec, omega)
             z = cot(gen, pre(omega, S), T)

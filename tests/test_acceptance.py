@@ -32,20 +32,19 @@ from cotlearn.lbfamilies import (
     default_pool,
     growth_count,
     loss_class_behavior_count,
-    make_collapse_family,
-    make_e1_family,
-    make_ldim_family,
+    CollapseFamily,
+    E1Family,
+    LdimFamily,
     vcdim_bruteforce,
 )
 from cotlearn.linthresh import (
     cons_lp,
     enumerate_threshold_functions,
-    eval_threshold,
     make_threshold,
 )
 from cotlearn.turing import (
     TMFamily,
-    generator_for,
+    TMGenerator,
     post,
     pre,
     read_tape,
@@ -138,17 +137,17 @@ def test_criterion_4_family_dimensions():
     """Brute-forced base and answer-map dimensions match the constructions."""
     checks = []
     for D, T in ((1, 2), (2, 2), (2, 3)):
-        fam = make_e1_family(D, T)
+        fam = E1Family(D, T)
         pool = default_pool(fam)
         checks.append(vcdim_bruteforce(fam, pool, "base") == D)
         checks.append(vcdim_bruteforce(fam, pool, "e2e", T) == D * T)
     for D in (2, 3):
-        fam = make_collapse_family(D)
+        fam = CollapseFamily(D)
         pool = default_pool(fam)
         checks.append(vcdim_bruteforce(fam, pool, "base") == D)
         checks.append(vcdim_bruteforce(fam, pool, "e2e", 2) == 0)
     for D in (2, 3):
-        fam = make_ldim_family(D)
+        fam = LdimFamily(D)
         pool = default_pool(fam)
         checks.append(vcdim_bruteforce(fam, pool, "base") == 1)
         checks.append(vcdim_bruteforce(fam, pool, "e2e", D + 1) == D)
@@ -178,7 +177,7 @@ def test_criterion_5_sample_complexity_separation():
     medians: dict[tuple[str, int], float] = {}
     for mode in ("e2e", "cot"):
         for T in (2, 4, 8):
-            fam = make_e1_family(3, T)
+            fam = E1Family(3, T)
             values = [_samples_to_zero(fam, mode, T, seed) for seed in seeds]
             medians[(mode, T)] = statistics.median(values)
     e2e_meds = [medians[("e2e", T)] for T in (2, 4, 8)]
@@ -199,7 +198,7 @@ def test_criterion_5_sample_complexity_separation():
 def _machine_run_error(fam, spec, data, support):
     """Exact answer-token error of the learned table over the support."""
     learned = cons_cot(data, fam.cons_oracle())
-    gen = generator_for(spec)
+    gen = TMGenerator(spec.S, spec.table)
     wrong = 0
     for x in support:
         if e2e(learned, x, spec.T) != e2e(gen, x, spec.T):
@@ -224,7 +223,7 @@ def test_criterion_6_tm_cot_learning():
     trials = 25
     for _ in range(trials):
         spec = fam.random_spec(rng, T)
-        gen = generator_for(spec)
+        gen = TMGenerator(spec.S, spec.table)
         prompts = [support[rng.randrange(len(support))] for _ in range(m)]
         data = CoTDataset(tuple(cot(gen, x, T) for x in prompts), T)
         pinned = {read_tape(u) for u, _ in prefix_expand(data)}
@@ -241,7 +240,7 @@ def test_criterion_6_tm_cot_learning():
 
     # runtime scaling: total prefix length versus learner wall time
     spec = fam.random_spec(rng, T)
-    gen = generator_for(spec)
+    gen = TMGenerator(spec.S, spec.table)
     xs, ys = [], []
     for scale in (40, 80, 160, 320, 640):
         prompts = [support[rng.randrange(len(support))] for _ in range(scale)]
@@ -299,7 +298,7 @@ def test_criterion_7_lp_consistency():
         except NotRealizableError:
             failures += 1
             continue
-        if any(eval_threshold(learned, u) != v for u, v in prefix_expand(data)):
+        if any(learned.next_token(u) != v for u, v in prefix_expand(data)):
             failures += 1
 
     xor_pairs = [(BINARY.seq([a, b]), a ^ b) for a in (0, 1) for b in (0, 1)]
@@ -318,7 +317,7 @@ def test_criterion_7_lp_consistency():
 
 def test_criterion_8_growth_sanity():
     """Loss-class behaviors bounded by base growth; threshold count bounded."""
-    fam = make_e1_family(2, 2)
+    fam = E1Family(2, 2)
     rng = random.Random(80808)
     pts = fam.canonical_points()
     violations = 0

@@ -21,9 +21,9 @@ from cotlearn.attention import (
 from cotlearn.turing import (
     BLANK,
     TMFamily,
+    TMGenerator,
     TMToken,
     encode_token,
-    generator_for,
     pre,
     read_tape,
     simulate_tm,
@@ -93,7 +93,7 @@ class TestPositions:
         for _ in range(100):
             spec = fam.random_spec(rng, rng.randint(1, 15))
             omega = [rng.randint(0, 1) for _ in range(rng.randint(0, 4))]
-            z = cot(generator_for(spec), pre(omega, 3), spec.T)
+            z = cot(TMGenerator(spec.S, spec.table), pre(omega, 3), spec.T)
             view = positions_via_attention(z)
             acc = 0
             for i, t in enumerate(z.tokens):
@@ -145,7 +145,7 @@ class TestPipeline:
             S = rng.randint(1, 4)
             spec = TMFamily(S).random_spec(rng, rng.randint(1, 30))
             omega = [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
-            z = cot(generator_for(spec), pre(omega, S), spec.T)
+            z = cot(TMGenerator(spec.S, spec.table), pre(omega, S), spec.T)
             for N in range(1, len(z) + 1):
                 prefix = TokenSeq(z.alphabet, z.tokens[:N])
                 expected = read_tape(prefix)

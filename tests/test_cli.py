@@ -7,11 +7,19 @@ import pytest
 from cotlearn.cli import main
 from cotlearn.circomp import format_circuit, random_normalized_circuit
 from cotlearn.learning import CoTDataset, save_cot_dataset, save_e2e_dataset, E2EDataset
-from cotlearn.lbfamilies import make_e1_family
+from cotlearn.lbfamilies import E1Family
 from cotlearn.seqcore import cot, e2e
-from cotlearn.turing import TMFamily, TMSpec, format_tm, generator_for, pre
+from cotlearn.turing import TMFamily, TMGenerator, TMSpec, format_tm, pre
 
 ALWAYS_ONE = TMSpec(1, 2, ((1, 1, 1),) * 3)
+
+
+def assert_one_error_line(capsys) -> str:
+    """Check stderr holds exactly one "error:" line; return what went to stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return captured.out
 
 
 @pytest.fixture
@@ -45,6 +53,12 @@ class TestGenerate:
         p.write_text("1 2\n1 0 -> 1 1\n")
         assert main(["generate", str(p), "--kind", "tm", "--input", "0", "--T", "1"]) == 2
 
+    def test_zero_denominator_threshold_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "thr.txt"
+        p.write_text("2 0 1/0 1\n")
+        assert main(["generate", str(p), "--kind", "threshold", "--prompt", "1", "--T", "1"]) == 2
+        assert_one_error_line(capsys)
+
 
 class TestLearn:
     def test_learn_tm_cot(self, tmp_path, capsys):
@@ -53,7 +67,7 @@ class TestLearn:
         rng = random.Random(0)
         fam = TMFamily(2)
         spec = fam.random_spec(rng, 6)
-        gen = generator_for(spec)
+        gen = TMGenerator(spec.S, spec.table)
         prompts = [pre([rng.randint(0, 1) for _ in range(3)], 2) for _ in range(20)]
         data = CoTDataset(tuple(cot(gen, x, 6) for x in prompts), 6)
         data_path = tmp_path / "cots.txt"
@@ -67,7 +81,7 @@ class TestLearn:
         assert out_path.read_text().startswith("2 6\n")
 
     def test_learn_e1_e2e(self, tmp_path, capsys):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         f_star = fam.member(9)
         pts = fam.canonical_points()
         pairs = tuple((x, e2e(f_star, x, 2)) for x in pts)
@@ -76,6 +90,14 @@ class TestLearn:
         assert main(["learn", "--family", "e1:D=2,T=2", "--mode", "e2e", "--data", str(data_path)]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("b=")
+
+    def test_missing_out_directory_is_input_error(self, tmp_path, capsys):
+        data_path = tmp_path / "cots.txt"
+        data_path.write_text("1,1,1\n")
+        code = main(["learn", "--family", "linthresh:d=1", "--mode", "cot", "--T", "1",
+                     "--data", str(data_path), "--out", str(tmp_path / "missing" / "f.txt")])
+        assert code == 2
+        assert assert_one_error_line(capsys) == ""
 
     def test_unrealizable_is_failure_exit(self, tmp_path):
         data_path = tmp_path / "bad.txt"
@@ -124,6 +146,20 @@ class TestCompileCircuit:
         p = tmp_path / "junk.txt"
         p.write_text("not a circuit\n")
         assert main(["compile-circuit", str(p)]) == 2
+
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "circ.txt"
+        p.write_text("2 1 1\n1 1 : 1/0 0\n")
+        assert main(["compile-circuit", str(p)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_missing_out_directory_is_input_error(self, tmp_path, capsys):
+        import random
+
+        p = tmp_path / "circ.txt"
+        p.write_text(format_circuit(random_normalized_circuit(random.Random(1), 2, 2, 1)))
+        assert main(["compile-circuit", str(p), "--out", str(tmp_path / "missing" / "c.txt")]) == 2
+        assert assert_one_error_line(capsys) == ""
 
 
 class TestSimulateTm:
@@ -175,6 +211,11 @@ class TestVcdim:
 
     def test_guard_exit(self, capsys):
         assert main(["vcdim", "--family", "e1:D=3,T=8", "--mode", "base"]) == 2
+
+    @pytest.mark.parametrize("spec", ["tm:S=1", "linthresh:d=2", "sparse:d=3,k=1"])
+    def test_family_without_point_pool_is_input_error(self, spec, capsys):
+        assert main(["vcdim", "--family", spec]) == 2
+        assert_one_error_line(capsys)
 
 
 def _write_config(path, **overrides):
@@ -249,6 +290,21 @@ class TestExperiment:
         assert main(["experiment", str(cfg)]) == 2
         cfg.write_text("family=e1:D=2,T=2\n")
         assert main(["experiment", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("out", ["missing/rows.csv", "."])
+    def test_unwritable_out_fails_before_any_trial(self, tmp_path, capsys, out):
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg, out=str(tmp_path / out))
+        assert main(["experiment", str(cfg)]) == 2
+        assert assert_one_error_line(capsys) == ""
+
+    @pytest.mark.parametrize("override", [{"eval_n": 0}, {"sizes": "-1,2"}])
+    def test_rejects_unusable_config_values(self, tmp_path, capsys, override):
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg, **override)
+        assert main(["experiment", str(cfg)]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_tm_family_grid(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -12,9 +12,6 @@ from cotlearn.lbfamilies import (
     default_pool,
     growth_count,
     loss_class_behavior_count,
-    make_collapse_family,
-    make_e1_family,
-    make_ldim_family,
     parse_family_spec,
     vcdim_bruteforce,
 )
@@ -24,30 +21,30 @@ seq = BINARY.seq
 
 class TestPoints:
     def test_distinct_and_lead_with_one(self):
-        for fam in (make_e1_family(3, 4), make_ldim_family(5), make_collapse_family(6)):
+        for fam in (E1Family(3, 4), LdimFamily(5), CollapseFamily(6)):
             pts = fam.canonical_points()
             assert len({p.tokens for p in pts}) == len(pts)
             assert all(p.tokens[0] == 1 for p in pts)
 
     def test_point_length_matches_log_guard(self):
-        fam = make_e1_family(3, 4)  # M = 12 -> 1 + 4 index bits
+        fam = E1Family(3, 4)  # M = 12 -> 1 + 4 index bits
         assert all(len(p) == 5 for p in fam.canonical_points())
 
     def test_power_of_two_count_fits(self):
-        fam = make_e1_family(1, 2)  # M = 2: numbering from zero needs 1 bit
+        fam = E1Family(1, 2)  # M = 2: numbering from zero needs 1 bit
         assert [p.tokens for p in fam.canonical_points()] == [(1, 0), (1, 1)]
 
 
 class TestE1Members:
     def test_column_then_own_bit(self):
-        fam = make_e1_family(1, 2)
+        fam = E1Family(1, 2)
         for code in range(4):
             f = fam.member(code)
             z = cot(f, fam.canonical_points()[0], 2)
             assert z.tokens[-2:] == (f.b[0], f.b[0])
 
     def test_generation_follows_the_case_analysis(self):
-        fam = make_e1_family(2, 3)
+        fam = E1Family(2, 3)
         rng = random.Random(0)
         for _ in range(20):
             f = fam.random_member(rng)
@@ -58,26 +55,26 @@ class TestE1Members:
                 assert list(z.tokens[len(x):]) == expected
 
     def test_off_pattern_inputs_map_to_zero(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         f = fam.member(fam.size() - 1)
         for bad in ([0], [0, 0, 0], [1, 1, 1, 1, 1, 1]):
             assert f.next_token(seq(bad)) == 0
 
     def test_leading_zeros_are_stripped(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         f = fam.member(5)
         x = fam.canonical_points()[2]
         padded = seq((0, 0) + x.tokens)
         assert f.next_token(padded) == f.next_token(x)
 
     def test_shattering_at_step_T(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         pts = fam.canonical_points()
         answers = {tuple(e2e(f, x, 2) for x in pts) for f in fam.members()}
         assert len(answers) == 2 ** len(pts)
 
     def test_enumeration_guard_allows_construction(self):
-        fam = make_e1_family(3, 8)  # 24 index bits: constructible, not enumerable
+        fam = E1Family(3, 8)  # 24 index bits: constructible, not enumerable
         with pytest.raises(GuardExceededError):
             list(fam.members())
         assert fam.size() == 2**24
@@ -86,21 +83,21 @@ class TestE1Members:
 class TestDimensions:
     @pytest.mark.parametrize("D,T", [(1, 2), (2, 2), (2, 3)])
     def test_e1(self, D, T):
-        fam = make_e1_family(D, T)
+        fam = E1Family(D, T)
         pool = default_pool(fam)
         assert vcdim_bruteforce(fam, pool, "base") == D
         assert vcdim_bruteforce(fam, pool, "e2e", T) == D * T
 
     @pytest.mark.parametrize("D", [2, 3])
     def test_collapse(self, D):
-        fam = make_collapse_family(D)
+        fam = CollapseFamily(D)
         pool = default_pool(fam)
         assert vcdim_bruteforce(fam, pool, "base") == D
         assert vcdim_bruteforce(fam, pool, "e2e", 2) == 0
 
     @pytest.mark.parametrize("D", [2, 3])
     def test_ldim_family(self, D):
-        fam = make_ldim_family(D)
+        fam = LdimFamily(D)
         pool = default_pool(fam)
         assert vcdim_bruteforce(fam, pool, "base") == 1
         assert vcdim_bruteforce(fam, pool, "e2e", D + 1) == D
@@ -117,14 +114,14 @@ class TestDimensions:
         assert vcdim_bruteforce(fam, default_pool(fam), "base") == 0
 
     def test_monotone_in_pool(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         pts = fam.canonical_points()
         small = PointPool(pts[:2])
         large = PointPool(pts)
         assert vcdim_bruteforce(fam, small, "base") <= vcdim_bruteforce(fam, large, "base")
 
     def test_pool_guard(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         pts = [seq([1] + [0] * k) for k in range(21)]
         with pytest.raises(GuardExceededError):
             vcdim_bruteforce(fam, PointPool(tuple(pts)), "base")
@@ -132,38 +129,38 @@ class TestDimensions:
 
 class TestCollapse:
     def test_two_step_answers_vanish(self):
-        fam = make_collapse_family(3)
+        fam = CollapseFamily(3)
         for f in fam.members():
             for x in fam.canonical_points():
                 assert e2e(f, x, 2) == 0
 
     def test_base_step_reads_own_bit(self):
-        fam = make_collapse_family(3)
+        fam = CollapseFamily(3)
         f = fam.member(0b101)
         assert [f.next_token(x) for x in fam.canonical_points()] == [1, 0, 1]
 
 
 class TestLdim:
     def test_replay_then_own_bit(self):
-        fam = make_ldim_family(3)
+        fam = LdimFamily(3)
         f = fam.from_bits((1, 0, 1))
         x = fam.canonical_points()[1]
         z = cot(f, x, 5)
         assert list(z.tokens[len(x):]) == [1, 0, 1, 0, 0]  # b_1 b_2 b_3 then b_2 forever
 
     def test_default_case_zero(self):
-        fam = make_ldim_family(3)
+        fam = LdimFamily(3)
         f = fam.from_bits((1, 1, 1))
         assert f.next_token(seq([0, 0, 1, 0, 0, 0, 1])) == 0
 
 
 class TestGrowth:
     def test_single_point_binary(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         assert growth_count(fam, fam.canonical_points()[:1], "base") <= 2
 
     def test_constant_family(self):
-        fam = make_collapse_family(2)
+        fam = CollapseFamily(2)
 
         class Constant(CollapseFamily):
             def members(self):
@@ -176,7 +173,7 @@ class TestGrowth:
         assert growth_count(cf, fam.canonical_points(), "base") == 1
 
     def test_bounded_by_two_to_the_m(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         pts = fam.canonical_points()
         assert growth_count(fam, pts, "base") <= 2 ** len(pts)
         # equality on a shattered subset
@@ -184,7 +181,7 @@ class TestGrowth:
         assert vcdim_bruteforce(fam, PointPool(pts[:2]), "base") == 2
 
     def test_loss_class_bounded_by_prefix_growth(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         rng = random.Random(1)
         f_star = fam.random_member(rng)
         pts = fam.canonical_points()
@@ -198,7 +195,7 @@ class TestGrowth:
 
 class TestOracles:
     def test_e1_oracle_round_trip_when_not_enumerable(self):
-        fam = make_e1_family(3, 8)
+        fam = E1Family(3, 8)
         rng = random.Random(2)
         f_star = fam.random_member(rng)
         pts = fam.canonical_points()
@@ -210,7 +207,7 @@ class TestOracles:
             assert learned.next_token(u) == v
 
     def test_e1_oracle_matches_enumeration_on_small_instances(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         rng = random.Random(3)
         pts = fam.canonical_points()
         oracle = fam.cons_oracle()
@@ -228,7 +225,7 @@ class TestOracles:
             assert all(brute.next_token(u) == v for u, v in pairs)
 
     def test_e1_oracle_detects_unrealizable(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         x = fam.canonical_points()[0]
         oracle = fam.cons_oracle()
         with pytest.raises(NotRealizableError):
@@ -238,14 +235,14 @@ class TestOracles:
 
     def test_e1_oracle_mismatch_branch_via_enumeration(self):
         # pairs that conflict as replays but are satisfiable through the zero case
-        fam = make_e1_family(1, 3)
+        fam = E1Family(1, 3)
         x = fam.canonical_points()[0]
         pairs = [(seq(x.tokens + (1,)), 0), (x, 0)]
         learned = fam.cons_oracle()(pairs)
         assert all(learned.next_token(u) == v for u, v in pairs)
 
     def test_enumeration_oracle_for_small_families(self):
-        fam = make_collapse_family(3)
+        fam = CollapseFamily(3)
         rng = random.Random(4)
         f_star = fam.random_member(rng)
         pairs = [(x, f_star.next_token(x)) for x in fam.canonical_points()]
@@ -254,7 +251,7 @@ class TestOracles:
 
 
 def test_members_have_no_duplicates():
-    fam = make_e1_family(2, 2)
+    fam = E1Family(2, 2)
     members = list(fam.members())
     assert len({f.b for f in members}) == len(members) == fam.size()
 

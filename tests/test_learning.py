@@ -23,9 +23,9 @@ from cotlearn.learning import (
     trial_seed,
     zero_one_error,
 )
-from cotlearn.lbfamilies import make_e1_family
+from cotlearn.lbfamilies import E1Family
 from cotlearn.linthresh import cons_lp, make_threshold
-from cotlearn.turing import TMFamily, generator_for, pre
+from cotlearn.turing import TMFamily, TMGenerator, pre
 
 seq = BINARY.seq
 
@@ -68,7 +68,7 @@ class TestPrefixExpand:
     @given(st.data())
     def test_equivalence_with_full_records(self, data):
         # prefix consistency and whole-record consistency pin each other down
-        fam = make_e1_family(2, 3)
+        fam = E1Family(2, 3)
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         f_star = fam.random_member(rng)
         pts = fam.canonical_points()
@@ -89,7 +89,7 @@ class TestConsCot:
         rng = random.Random(0)
         fam = TMFamily(2)
         spec = fam.random_spec(rng, 8)
-        gen = generator_for(spec)
+        gen = TMGenerator(spec.S, spec.table)
         prompts = [pre([rng.randint(0, 1) for _ in range(3)], 2) for _ in range(25)]
         data = CoTDataset(tuple(cot(gen, x, 8) for x in prompts), 8)
         learned = cons_cot(data, fam.cons_oracle())
@@ -103,7 +103,7 @@ class TestConsCot:
         assert cot(learned, seq([0, 1]), 3).tokens == data.seqs[0].tokens
 
     def test_empty_dataset_returns_first_member(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         learned = cons_cot(CoTDataset((), 2), fam.cons_oracle())
         assert learned == fam.default_member()
 
@@ -114,7 +114,7 @@ class TestConsCot:
             cons_cot(bad, lambda pairs: cons_lp(pairs, 0))  # window-0 thresholds are constants
 
     def test_cot_output_is_e2e_consistent(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         rng = random.Random(1)
         f_star = fam.random_member(rng)
         pts = fam.canonical_points()
@@ -127,7 +127,7 @@ class TestConsCot:
 
 class TestConsE2E:
     def test_enumerated_search_on_e1(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         rng = random.Random(2)
         f_star = fam.random_member(rng)
         pts = fam.canonical_points()
@@ -136,18 +136,18 @@ class TestConsE2E:
         assert all(e2e(learned, x, 2) == y for x, y in pairs)
 
     def test_empty_returns_first_member(self):
-        fam = make_e1_family(1, 2)
+        fam = E1Family(1, 2)
         assert cons_e2e(E2EDataset((), 2), fam) == fam.default_member()
 
     def test_contradiction_not_realizable(self):
-        fam = make_e1_family(1, 2)
+        fam = E1Family(1, 2)
         x = fam.canonical_points()[0]
         with pytest.raises(NotRealizableError):
             cons_e2e(E2EDataset(((x, 0), (x, 1)), 2), fam)
 
     def test_fast_path_matches_enumeration(self):
         # the family's shortcut must return the same member as the generic scan
-        fam = make_e1_family(2, 3)
+        fam = E1Family(2, 3)
         rng = random.Random(3)
         pts = fam.canonical_points()
         for _ in range(30):
@@ -182,7 +182,7 @@ class TestZeroOneError:
 
 class TestPacTrial:
     def test_large_sample_reaches_zero(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         dist = FiniteUniformPrompts(fam.canonical_points())
         rng = random.Random(4)
         f_star = fam.random_member(rng)
@@ -190,7 +190,7 @@ class TestPacTrial:
         assert r.error == 0 and r.exact_eval
 
     def test_zero_samples_uses_default_member(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         dist = FiniteUniformPrompts(fam.canonical_points())
         f_star = fam.member(fam.size() - 1)
         r = pac_trial(fam, f_star, dist, 0, 2, "e2e", eval_n=50, seed=12)
@@ -198,7 +198,7 @@ class TestPacTrial:
         assert r.learned == fam.default_member()
 
     def test_reproducible(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         dist = FiniteUniformPrompts(fam.canonical_points())
         f_star = fam.member(9)
         a = pac_trial(fam, f_star, dist, 5, 2, "cot", eval_n=50, seed=13)
@@ -217,7 +217,7 @@ class TestPacTrial:
         assert r.error.denominator <= 64
 
     def test_error_monotone_in_m_on_average(self):
-        fam = make_e1_family(2, 2)
+        fam = E1Family(2, 2)
         dist = FiniteUniformPrompts(fam.canonical_points())
         means = []
         for m in (0, 2, 4, 8, 16):
@@ -234,7 +234,7 @@ class TestPacTrial:
 
 def test_cot_needs_far_fewer_samples_than_e2e():
     # D=2, T=4, uniform over the 8 canonical points, medians over 50 seeds
-    fam = make_e1_family(2, 4)
+    fam = E1Family(2, 4)
     dist = FiniteUniformPrompts(fam.canonical_points())
 
     def samples_to_zero(mode, seed):

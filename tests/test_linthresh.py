@@ -13,7 +13,6 @@ from cotlearn.linthresh import (
     cons_lp,
     cons_sparse,
     enumerate_threshold_functions,
-    eval_threshold,
     format_threshold,
     make_threshold,
     parse_threshold,
@@ -25,25 +24,25 @@ seq = BINARY.seq
 class TestEval:
     def test_single_bit(self):
         f = make_threshold([1], Fraction(-1, 2))
-        assert eval_threshold(f, seq([1])) == 1
-        assert eval_threshold(f, seq([0])) == 0
+        assert f.next_token(seq([1])) == 1
+        assert f.next_token(seq([0])) == 0
 
     def test_window_truncation(self):
         f = make_threshold([1, 1, 1], Fraction(-3, 2))
         # input shorter than the window: sum over the 2 available bits
-        assert eval_threshold(f, seq([1, 1])) == 1
-        assert eval_threshold(f, seq([1, 0])) == 0
+        assert f.next_token(seq([1, 1])) == 1
+        assert f.next_token(seq([1, 0])) == 0
 
     def test_boundary_is_one(self):
         f = make_threshold([0, 0], 0)
         for bits in itertools.product((0, 1), repeat=2):
-            assert eval_threshold(f, seq(bits)) == 1
+            assert f.next_token(seq(bits)) == 1
 
     def test_only_last_d_bits_matter(self):
         f = make_threshold([3, -2], 1)
         for prefix in ([], [0], [1], [1, 1, 0]):
             for tail in itertools.product((0, 1), repeat=2):
-                assert eval_threshold(f, seq(list(prefix) + list(tail))) == eval_threshold(f, seq(tail))
+                assert f.next_token(seq(list(prefix) + list(tail))) == f.next_token(seq(tail))
 
     def test_rejects_non_binary(self):
         from cotlearn.seqcore import Alphabet
@@ -72,6 +71,15 @@ class TestEval:
             bias,
         )
         assert f.next_token(x) == (1 if reference >= 0 else 0)
+        # a sparse threshold evaluates its own support, without a dense copy
+        support = tuple(sorted(data.draw(st.sets(st.integers(1, d)))))
+        sparse = SparseLinearThreshold(d, d, support, tuple(weights[d - i] for i in support), bias)
+        sparse_reference = sum(
+            (weights[d - i] * bits[n - i] for i in support if i <= n),
+            bias,
+        )
+        expected = 1 if sparse_reference >= 0 else 0
+        assert sparse.next_token(x) == sparse.to_dense().next_token(x) == expected
 
 
 def brute_force_realizable(pairs, d, grid=2):
@@ -80,7 +88,7 @@ def brute_force_realizable(pairs, d, grid=2):
     for ws in itertools.product(axis, repeat=d):
         for twice_b in range(-2 * grid - 1, 2 * grid + 2):
             f = make_threshold(ws, Fraction(twice_b, 2))
-            if all(eval_threshold(f, u) == v for u, v in pairs):
+            if all(f.next_token(u) == v for u, v in pairs):
                 return f
     return None
 
@@ -112,7 +120,7 @@ class TestConsLP:
             if brute_force_realizable(pairs, d) is not None:
                 realizable += 1
                 f = cons_lp(pairs, d)
-                assert all(eval_threshold(f, u) == v for u, v in pairs)
+                assert all(f.next_token(u) == v for u, v in pairs)
         assert realizable == 14
 
     def test_scale_invariance_of_solutions(self):
@@ -120,7 +128,7 @@ class TestConsLP:
         f = cons_lp(pairs, 2)
         for lam in (Fraction(2), Fraction(1, 3), Fraction(7, 5)):
             g = LinearThreshold(tuple(lam * w for w in f.weights), lam * f.bias)
-            assert all(eval_threshold(g, u) == v for u, v in pairs)
+            assert all(g.next_token(u) == v for u, v in pairs)
 
     def test_short_prefixes_constrain_truncated_window(self):
         # realizable data whose prefixes are shorter than the window
@@ -128,9 +136,9 @@ class TestConsLP:
         pairs = []
         for bits in ([1], [0], [1, 0], [0, 1, 1], [1, 1, 1, 0]):
             u = seq(bits)
-            pairs.append((u, eval_threshold(target, u)))
+            pairs.append((u, target.next_token(u)))
         f = cons_lp(pairs, 3)
-        assert all(eval_threshold(f, u) == v for u, v in pairs)
+        assert all(f.next_token(u) == v for u, v in pairs)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -144,9 +152,9 @@ class TestConsLP:
         for _ in range(m):
             n = data.draw(st.integers(1, d + 2))
             u = seq(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-            pairs.append((u, eval_threshold(target, u)))
+            pairs.append((u, target.next_token(u)))
         f = cons_lp(pairs, d)
-        assert all(eval_threshold(f, u) == v for u, v in pairs)
+        assert all(f.next_token(u) == v for u, v in pairs)
 
 
 class TestEnumeration:

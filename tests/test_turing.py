@@ -7,14 +7,13 @@ from cotlearn.learning import CoTDataset, cons_cot, prefix_expand
 from cotlearn.turing import (
     BLANK,
     TMFamily,
+    TMGenerator,
     TMSpec,
     TMToken,
     cons_tm,
     decode_token,
     encode_token,
-    f_tau,
     format_tm,
-    generator_for,
     parse_tm,
     post,
     pre,
@@ -92,7 +91,7 @@ class TestReadTape:
         fam = TMFamily(3)
         for _ in range(30):
             spec = fam.random_spec(rng, rng.randint(1, 20))
-            z = cot(generator_for(spec), pre([1, 0], 3), spec.T)
+            z = cot(TMGenerator(spec.S, spec.table), pre([1, 0], 3), spec.T)
             assert read_tape_cost(z) <= 2 * len(z)
 
 
@@ -103,7 +102,7 @@ class TestGenerator:
             fam = TMFamily(2)
             spec = fam.random_spec(rng, 3)
             omega = [rng.randint(0, 1) for _ in range(3)]
-            got = decode_token(2, f_tau(spec, pre(omega, 2)))
+            got = decode_token(2, TMGenerator(spec.S, spec.table).next_token(pre(omega, 2)))
             assert got == TMToken(*spec.step(1, BLANK))
 
     def test_trace_alignment_oracle(self):
@@ -114,18 +113,18 @@ class TestGenerator:
             spec = TMFamily(S).random_spec(rng, rng.randint(1, 25))
             omega = [rng.randint(0, 1) for _ in range(rng.randint(0, 6))]
             out, trace = simulate_tm(spec, omega)
-            z = cot(generator_for(spec), pre(omega, S), spec.T)
+            z = cot(TMGenerator(spec.S, spec.table), pre(omega, S), spec.T)
             assert list(z.tokens[len(omega) + 1:]) == trace_tokens(trace, S)
             assert post(decode_token(S, z.tokens[-1])) == out
 
     def test_determinism(self):
         spec = TMSpec(2, 3, ((2, 1, 1), (1, 0, -1), (2, 0, 0)) * 2)
         z = pre([1], 2)
-        assert f_tau(spec, z) == f_tau(spec, z)
+        assert TMGenerator(spec.S, spec.table).next_token(z) == TMGenerator(spec.S, spec.table).next_token(z)
 
     def test_cot_example_from_one_state_machine(self):
         spec = TMSpec(1, 2, ((1, 1, 1),) * 3)
-        z = cot(generator_for(spec), pre([0], 1), 2)
+        z = cot(TMGenerator(spec.S, spec.table), pre([0], 1), 2)
         assert z.render() == "1:_:+1,1:0:+1,1:1:+1,1:1:+1"
 
 
@@ -151,7 +150,7 @@ class TestPrePost:
 
 class TestConsTm:
     def _dataset(self, spec, omegas, rng=None):
-        gen = generator_for(spec)
+        gen = TMGenerator(spec.S, spec.table)
         seqs = tuple(cot(gen, pre(w, spec.S), spec.T) for w in omegas)
         return CoTDataset(seqs, spec.T)
 
@@ -214,7 +213,7 @@ class TestFamily:
         rng = random.Random(5)
         fam = TMFamily(1)
         spec = fam.random_spec(rng, 4)
-        gen = generator_for(spec)
+        gen = TMGenerator(spec.S, spec.table)
         out, _ = simulate_tm(spec, [1, 0])
         assert post(decode_token(1, e2e(gen, pre([1, 0], 1), 4))) == out
 
