@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
+import random
 import statistics
 import sys
 import time
@@ -28,7 +30,7 @@ from .learning import (
     pac_trial,
     trial_seed,
 )
-from .seqcore import BINARY, GuardExceededError, NotRealizableError, cot
+from .seqcore import BINARY, NotRealizableError, cot
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,19 +51,15 @@ def _read(path: str) -> str:
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.kind == "tm":
-            spec = turing.parse_tm(_read(args.file))
-            omega = _parse_bits(args.input if args.input is not None else "")
-            prompt = turing.pre(omega, spec.S)
-            f = turing.TMGenerator(spec.S, spec.table)
-        else:
-            f = linthresh.parse_threshold(_read(args.file).strip())
-            prompt = BINARY.parse_seq(args.prompt or "")
-        T = args.T
-        out = cot(f, prompt, T)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    if args.kind == "tm":
+        spec = turing.parse_tm(_read(args.file))
+        omega = _parse_bits(args.input if args.input is not None else "")
+        prompt = turing.pre(omega, spec.S)
+        f = turing.TMGenerator(spec.S, spec.table)
+    else:
+        f = linthresh.parse_threshold(_read(args.file).strip())
+        prompt = BINARY.parse_seq(args.prompt or "")
+    out = cot(f, prompt, args.T)
     print(out.render())
     return EXIT_OK
 
@@ -99,33 +97,27 @@ def _serialize_generator(f, T: int) -> str:
     return repr(f) + "\n"
 
 
+def _horizon(args, fam) -> int:
+    """--T when given, else the family's own T."""
+    T = args.T if args.T is not None else getattr(fam, "T", None)
+    if T is None:
+        raise ValueError("this family needs an explicit --T")
+    return T
+
+
 def cmd_learn(args) -> int:
-    try:
-        if args.out:
-            _check_out_path(args.out)
-        fam = lbfamilies.parse_family_spec(args.family)
-        T = args.T if args.T is not None else getattr(fam, "T", None)
-        if T is None:
-            raise ValueError("this family needs an explicit --T")
-        alphabet = fam.alphabet
-        if args.mode == "cot":
-            data = load_cot_dataset(args.data, alphabet, T)
-        else:
-            data = load_e2e_dataset(args.data, alphabet, T)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        if args.mode == "cot":
-            oracle = fam.cons_oracle()
-            if oracle is None:
-                return _fail("family offers no next-token consistency oracle", EXIT_INPUT)
-            learned = cons_cot(data, oracle)
-        else:
-            learned = cons_e2e(data, fam)
-    except NotRealizableError as exc:
-        return _fail(f"not realizable: {exc}", EXIT_FAIL)
-    except GuardExceededError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    if args.out:
+        _check_out_path(args.out)
+    fam = lbfamilies.parse_family_spec(args.family)
+    T = _horizon(args, fam)
+    if args.mode == "cot":
+        data = load_cot_dataset(args.data, fam.alphabet, T)
+        oracle = fam.cons_oracle()
+        if oracle is None:
+            raise ValueError("family offers no next-token consistency oracle")
+        learned = cons_cot(data, oracle)
+    else:
+        learned = cons_e2e(load_e2e_dataset(args.data, fam.alphabet, T), fam)
     text = _serialize_generator(learned, T)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -138,20 +130,14 @@ def cmd_learn(args) -> int:
 
 
 def cmd_compile_circuit(args) -> int:
-    try:
-        if args.out:
-            _check_out_path(args.out)
-        circuit = circomp.parse_circuit(_read(args.circuit))
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    if args.out:
+        _check_out_path(args.out)
+    circuit = circomp.parse_circuit(_read(args.circuit))
     normalized = circomp.normalize_circuit(circuit)
     compiled = circomp.compile_circuit(normalized)
 
     if args.compiled:
-        try:
-            loaded_w, loaded_T = _load_compiled(args.compiled)
-        except (ValueError, OSError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
+        loaded_w, loaded_T = _load_compiled(args.compiled)
         if loaded_w != compiled.w or loaded_T != compiled.T:
             print("compiled file does not match this circuit", file=sys.stderr)
             return EXIT_FAIL
@@ -164,11 +150,6 @@ def cmd_compile_circuit(args) -> int:
     print(f"compiled: T={compiled.T} d={compiled.d} (from n={normalized.n}, s={normalized.width}, L={normalized.depth})")
 
     if args.verify:
-        if normalized.n > circomp.VERIFY_MAX_INPUTS:
-            return _fail(
-                f"verification enumerates 2^{normalized.n} inputs; guard is {circomp.VERIFY_MAX_INPUTS}",
-                EXIT_INPUT,
-            )
         report = circomp.verify_compilation(normalized, compiled)
         print(report.summary())
         if not report.ok:
@@ -190,11 +171,8 @@ def _load_compiled(path: str) -> tuple[tuple[Fraction, ...], int]:
 
 
 def cmd_simulate_tm(args) -> int:
-    try:
-        spec = turing.parse_tm(_read(args.machine))
-        omega = _parse_bits(args.input if args.input is not None else "")
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    spec = turing.parse_tm(_read(args.machine))
+    omega = _parse_bits(args.input if args.input is not None else "")
 
     def run(via: str) -> int:
         if via == "direct":
@@ -232,19 +210,10 @@ def cmd_simulate_tm(args) -> int:
 
 
 def cmd_vcdim(args) -> int:
-    try:
-        fam = lbfamilies.parse_family_spec(args.family)
-        pool = lbfamilies.default_pool(fam)
-        if args.mode == "e2e":
-            T = args.T if args.T is not None else getattr(fam, "T", None)
-            if T is None:
-                raise ValueError("e2e mode needs a generation length --T")
-            dim = lbfamilies.vcdim_bruteforce(fam, pool, "e2e", T)
-        else:
-            dim = lbfamilies.vcdim_bruteforce(fam, pool, "base")
-    except (ValueError, OSError, GuardExceededError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    print(dim)
+    fam = lbfamilies.parse_family_spec(args.family)
+    pool = lbfamilies.default_pool(fam)
+    T = _horizon(args, fam) if args.mode == "e2e" else None
+    print(lbfamilies.vcdim_bruteforce(fam, pool, args.mode, T))
     return EXIT_OK
 
 
@@ -275,6 +244,8 @@ def _parse_config(text: str) -> dict:
         raise ValueError("sizes must be nonnegative")
     if int(cfg["trials"]) < 1:
         raise ValueError("trials must be at least 1")
+    if int(cfg["t"]) < 1:
+        raise ValueError("t must be at least 1")
     if cfg["mode"] not in ("cot", "e2e"):
         raise ValueError("mode must be cot or e2e")
     cfg["sizes"] = sizes
@@ -292,8 +263,6 @@ def _experiment_dist(fam, input_len: int) -> PromptDist:
     if isinstance(fam, lbfamilies.LookupFamily):
         return FiniteUniformPrompts(fam.canonical_points())
     if isinstance(fam, turing.TMFamily):
-        import itertools
-
         pts = []
         for n in range(0, input_len + 1):
             for bits in itertools.product((0, 1), repeat=n):
@@ -309,31 +278,26 @@ def _run_trial(packed):
         result = pac_trial(family, f_star, dist, m, T, mode, eval_n, seed)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         return result.error, wall_ms, "ok"
-    except (NotRealizableError, GuardExceededError, ValueError) as exc:
+    except ValueError as exc:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         return None, wall_ms, f"failed:{type(exc).__name__}"
 
 
 def cmd_experiment(args) -> int:
-    try:
-        cfg = _parse_config(_read(args.config))
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        _check_out_path(cfg["out"])
-        fam = lbfamilies.parse_family_spec(cfg["family"])
-        T = cfg["t"]
-        dist = _experiment_dist(fam, cfg["input_len"])
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    cfg = _parse_config(_read(args.config))
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    _check_out_path(cfg["out"])
+    fam = lbfamilies.parse_family_spec(cfg["family"])
+    T = cfg["t"]
+    dist = _experiment_dist(fam, cfg["input_len"])
 
     jobs = []
     index = 0
-    import random as _random
-
     for m in cfg["sizes"]:
         for trial in range(cfg["trials"]):
             seed = trial_seed(cfg["seed"], index)
-            f_star = fam.random_member(_random.Random(seed ^ 0xA5A5A5A5))
+            f_star = fam.random_member(random.Random(seed ^ 0xA5A5A5A5))
             jobs.append((m, trial, seed, (fam, f_star, dist, m, T, cfg["mode"], cfg["eval_n"], seed)))
             index += 1
 
@@ -431,8 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that turns exceptions into exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NotRealizableError as exc:
+        return _fail(f"not realizable: {exc}", EXIT_FAIL)
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

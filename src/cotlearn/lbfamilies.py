@@ -28,12 +28,9 @@ from .seqcore import (
 )
 from .turing import TMFamily
 
-E1_ENUM_GUARD_BITS = 16
 LDIM_MAX_D = 8
 COLLAPSE_MAX_D = 10
 POOL_GUARD = 20
-VC_MEMBER_GUARD = 1 << 16
-POOL_CAP = 20
 
 
 def _numbered_points(count: int, trailing_one: bool = False) -> tuple[tuple[int, ...], ...]:
@@ -91,14 +88,8 @@ class LookupFamily(GeneratorFamily):
     def from_bits(self, bits: Sequence[int]) -> LookupGenerator:
         return LookupGenerator(self, tuple(bits))
 
-    def _enum_guard(self) -> None:
-        if self.index_bits > E1_ENUM_GUARD_BITS:
-            raise GuardExceededError(
-                f"2^{self.index_bits} members exceed the enumeration guard 2^{E1_ENUM_GUARD_BITS}"
-            )
-
     def members(self) -> Iterator[LookupGenerator]:
-        self._enum_guard()
+        self.check_enumerable()
         for code in range(self.size()):
             yield self.member(code)
 
@@ -326,18 +317,16 @@ def default_pool(family: LookupFamily) -> PointPool:
     extended = list(pts)
     for p in pts:
         for bit in (0, 1):
-            if len(extended) >= POOL_CAP:
+            if len(extended) >= POOL_GUARD:
                 break
             cand = p + (bit,)
             if cand not in extended:
                 extended.append(cand)
-    return PointPool(tuple(BINARY.seq(p) for p in extended[:POOL_CAP]))
+    return PointPool(tuple(BINARY.seq(p) for p in extended[:POOL_GUARD]))
 
 
 def _behavior_masks(family: GeneratorFamily, points: Sequence[TokenSeq], mode: str, T: int | None) -> set[int]:
-    size = family.size()
-    if size is None or size > VC_MEMBER_GUARD:
-        raise GuardExceededError("family too large for brute-force behavior enumeration")
+    family.check_enumerable()
     if mode == "base":
         label = lambda f, x: f.next_token(x)
     elif mode == "e2e":
@@ -398,9 +387,7 @@ def loss_class_behavior_count(family: GeneratorFamily, seqs: Sequence[TokenSeq],
     For each member, the vector over records z of "does the member's
     T-step generation from z's prompt reproduce z exactly".
     """
-    size = family.size()
-    if size is None or size > VC_MEMBER_GUARD:
-        raise GuardExceededError("family too large for brute-force behavior enumeration")
+    family.check_enumerable()
     behaviors = set()
     for f in family.members():
         vec = []

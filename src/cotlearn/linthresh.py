@@ -216,6 +216,10 @@ class ThresholdFamily(GeneratorFamily):
 
     alphabet = BINARY
 
+    def __post_init__(self):
+        if self.d < 0:
+            raise ValueError("need d >= 0")
+
     def size(self) -> None:
         return None
 
@@ -238,6 +242,10 @@ class SparseThresholdFamily(ThresholdFamily):
     """Window-d thresholds with at most k nonzero weights, oracle-backed."""
 
     k: int
+
+    def __post_init__(self):
+        if not 0 <= self.k <= self.d:
+            raise ValueError("need 0 <= k <= d")
 
     def default_member(self) -> SparseLinearThreshold:
         return SparseLinearThreshold(self.d, self.k, (), (), Fraction(0))

@@ -27,6 +27,9 @@ class GuardExceededError(ValueError):
     """A brute-force operation was asked to run outside its guarded range."""
 
 
+MEMBER_GUARD = 1 << 16
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite token set; token ``i`` renders as ``symbols[i]``."""
@@ -227,6 +230,14 @@ class GeneratorFamily(ABC):
     @abstractmethod
     def random_member(self, rng) -> Generator:
         ...
+
+    def check_enumerable(self) -> None:
+        """Refuse a member enumeration longer than MEMBER_GUARD."""
+        size = self.size()
+        if size is None or size > MEMBER_GUARD:
+            raise GuardExceededError(
+                f"{type(self).__name__} has more members than the enumeration guard {MEMBER_GUARD}"
+            )
 
     def default_member(self) -> Generator:
         return next(iter(self.members()))

@@ -19,7 +19,6 @@ from .seqcore import (
     Alphabet,
     Generator,
     GeneratorFamily,
-    GuardExceededError,
     NotRealizableError,
     TokenSeq,
 )
@@ -28,7 +27,6 @@ BLANK = "_"
 
 _SYMBOLS = (0, 1, BLANK)
 _MOVES = (-1, 0, 1)
-_TM_MEMBER_GUARD = 70_000
 
 
 class TMToken(NamedTuple):
@@ -287,6 +285,10 @@ class TMFamily(GeneratorFamily):
 
     S: int
 
+    def __post_init__(self):
+        if self.S < 1:
+            raise ValueError("need S >= 1")
+
     @property
     def alphabet(self) -> Alphabet:
         return tm_alphabet(self.S)
@@ -298,10 +300,7 @@ class TMFamily(GeneratorFamily):
         return [(s, a, b) for s in range(1, self.S + 1) for a in (0, 1) for b in (0, -1, 1)]
 
     def members(self) -> Iterator[TMGenerator]:
-        if self.size() > _TM_MEMBER_GUARD:
-            raise GuardExceededError(
-                f"{self.size()} transition tables exceed the enumeration guard"
-            )
+        self.check_enumerable()
         options = self._entry_options()
         for combo in itertools.product(options, repeat=3 * self.S):
             yield TMGenerator(self.S, combo)

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cotlearn.cli import main
+from cotlearn.cli import _CONFIG_KEYS, _parse_config, main
 from cotlearn.circomp import format_circuit, random_normalized_circuit
 from cotlearn.learning import CoTDataset, save_cot_dataset, save_e2e_dataset, E2EDataset
 from cotlearn.lbfamilies import E1Family
@@ -96,6 +97,17 @@ class TestLearn:
         data_path.write_text("1,1,1\n")
         code = main(["learn", "--family", "linthresh:d=1", "--mode", "cot", "--T", "1",
                      "--data", str(data_path), "--out", str(tmp_path / "missing" / "f.txt")])
+        assert code == 2
+        assert assert_one_error_line(capsys) == ""
+
+    @pytest.mark.parametrize("family, record", [
+        ("tm:S=1", "1:_:+1,1:_:+1\n"),  # the label writes a blank, which no machine step does
+        ("linthresh:d=-1", "1,1\n"),
+    ])
+    def test_learning_phase_input_error_is_one_line(self, tmp_path, capsys, family, record):
+        data_path = tmp_path / "cots.txt"
+        data_path.write_text(record)
+        code = main(["learn", "--family", family, "--mode", "cot", "--T", "1", "--data", str(data_path)])
         assert code == 2
         assert assert_one_error_line(capsys) == ""
 
@@ -298,13 +310,28 @@ class TestExperiment:
         assert main(["experiment", str(cfg)]) == 2
         assert assert_one_error_line(capsys) == ""
 
-    @pytest.mark.parametrize("override", [{"eval_n": 0}, {"sizes": "-1,2"}])
+    @pytest.mark.parametrize("override", [
+        {"eval_n": 0}, {"sizes": "-1,2"}, {"t": 0},
+        {"family": "sparse:d=2,k=5"}, {"family": "linthresh:d=-2"}, {"family": "tm:S=0"},
+    ])
     def test_rejects_unusable_config_values(self, tmp_path, capsys, override):
         cfg = tmp_path / "exp.cfg"
         _write_config(cfg, **override)
         assert main(["experiment", str(cfg)]) == 2
         assert_one_error_line(capsys)
         assert not (tmp_path / "rows.csv").exists()
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.tuples(st.sampled_from(sorted(_CONFIG_KEYS)), st.text())).map(
+            lambda pairs: "\n".join(f"{k}={v}" for k, v in pairs)
+        ),
+    ))
+    def test_arbitrary_config_text_parses_or_raises_value_error(self, text):
+        try:
+            _parse_config(text)
+        except ValueError:
+            pass
 
     def test_tm_family_grid(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cotlearn.seqcore import BINARY, GuardExceededError, NotRealizableError, cot, e2e
 from cotlearn.learning import CoTDataset, prefix_expand
@@ -275,3 +276,20 @@ class TestSpecStrings:
             parse_family_spec("e1:D=2")  # missing T
         with pytest.raises(ValueError):
             parse_family_spec("ldim:D")
+
+    @pytest.mark.parametrize("spec", ["sparse:d=2,k=5", "linthresh:d=-2", "tm:S=0", "sparse:d=-1,k=0"])
+    def test_rejects_out_of_range_arguments(self, spec):
+        with pytest.raises(ValueError):
+            parse_family_spec(spec)
+
+    @given(st.one_of(
+        st.text(),
+        st.tuples(st.sampled_from(["e1", "ldim", "collapse", "tm", "linthresh", "sparse"]), st.text())
+        .map(":".join),
+    ))
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        # Parsing only: a family built from fuzzed sizes is never enumerated.
+        try:
+            parse_family_spec(text)
+        except ValueError:
+            pass
