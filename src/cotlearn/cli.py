@@ -142,6 +142,9 @@ def cmd_compile_circuit(args) -> int:
             print("compiled file does not match this circuit", file=sys.stderr)
             return EXIT_FAIL
 
+    # Verify before writing or printing anything, so a refused verification leaves no output.
+    report = circomp.verify_compilation(normalized, compiled) if args.verify else None
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(linthresh.format_threshold(compiled.generator()) + "\n")
@@ -149,8 +152,7 @@ def cmd_compile_circuit(args) -> int:
 
     print(f"compiled: T={compiled.T} d={compiled.d} (from n={normalized.n}, s={normalized.width}, L={normalized.depth})")
 
-    if args.verify:
-        report = circomp.verify_compilation(normalized, compiled)
+    if report is not None:
         print(report.summary())
         if not report.ok:
             for failure in report.failures[:10]:

@@ -412,20 +412,26 @@ def parse_family_spec(text: str):
     """Parse a family spec such as "e1:D=2,T=4", "tm:S=3" or "sparse:d=8,k=1".
 
     The names and their arguments are e1:D,T, ldim:D, collapse:D, tm:S,
-    linthresh:d and sparse:d,k; argument names are case-insensitive.
+    linthresh:d and sparse:d,k; argument names are case-insensitive. An
+    argument the family does not take, or one given twice, is a ValueError.
     """
     name, _, arg_text = text.partition(":")
     name = name.strip().lower()
+    if name not in _FAMILY_SPECS:
+        raise ValueError(f"unknown family {name!r}")
+    cls, keys = _FAMILY_SPECS[name]
     args = {}
     if arg_text.strip():
         for part in arg_text.split(","):
             key, _, val = part.partition("=")
             if not val:
                 raise ValueError(f"malformed family argument {part!r}")
-            args[key.strip().lower()] = int(val)
-    if name not in _FAMILY_SPECS:
-        raise ValueError(f"unknown family {name!r}")
-    cls, keys = _FAMILY_SPECS[name]
+            key = key.strip().lower()
+            if key not in keys:
+                raise ValueError(f"family {name!r} takes no argument {key!r}")
+            if key in args:
+                raise ValueError(f"family argument {key!r} given twice")
+            args[key] = int(val)
     try:
         return cls(*(args[key] for key in keys))
     except KeyError as missing:

@@ -147,6 +147,14 @@ def _threshold_constraints(pairs: Iterable[tuple[TokenSeq, int]], offsets: Seque
     return constraints
 
 
+def _verified(f, pairs):
+    """Return ``f`` after re-checking it on every pair; a miss is a solver fault, not bad input."""
+    for u, v in pairs:
+        if f.next_token(u) != v:
+            raise RuntimeError("LP solution failed post-verification")
+    return f
+
+
 def cons_lp(pairs: Sequence[tuple[TokenSeq, int]], d: int) -> LinearThreshold:
     """Linear threshold consistent with every (prefix, next-bit) pair.
 
@@ -163,10 +171,7 @@ def cons_lp(pairs: Sequence[tuple[TokenSeq, int]], d: int) -> LinearThreshold:
     if solution is None:
         raise NotRealizableError(f"no window-{d} linear threshold is consistent with the data")
     weights = tuple(reversed(solution[:d]))  # solution[j] is the weight at offset j+1
-    f = LinearThreshold(weights, solution[d])
-    for u, v in pairs:
-        assert f.next_token(u) == v, "LP solution failed post-verification"
-    return f
+    return _verified(LinearThreshold(weights, solution[d]), pairs)
 
 
 def cons_sparse(pairs: Sequence[tuple[TokenSeq, int]], d: int, k: int) -> SparseLinearThreshold:
@@ -181,10 +186,7 @@ def cons_sparse(pairs: Sequence[tuple[TokenSeq, int]], d: int, k: int) -> Sparse
             solution = solve_feasibility(_threshold_constraints(pairs, support), size + 1)
             if solution is None:
                 continue
-            f = SparseLinearThreshold(d, k, support, solution[:size], solution[size])
-            for u, v in pairs:
-                assert f.next_token(u) == v, "sparse LP solution failed post-verification"
-            return f
+            return _verified(SparseLinearThreshold(d, k, support, solution[:size], solution[size]), pairs)
     raise NotRealizableError(f"no {k}-sparse window-{d} threshold is consistent with the data")
 
 

@@ -111,6 +111,17 @@ class TestLearn:
         assert code == 2
         assert assert_one_error_line(capsys) == ""
 
+    @pytest.mark.parametrize("family, message", [
+        ("tm:S=2,T=9", "takes no argument 't'"),
+        ("e1:D=2,T=2,D=3", "argument 'd' given twice"),
+    ])
+    def test_unknown_or_repeated_family_argument_is_input_error(self, tmp_path, capsys, family, message):
+        data_path = tmp_path / "cots.txt"
+        data_path.write_text("1,1\n")
+        assert main(["learn", "--family", family, "--mode", "cot", "--data", str(data_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
     def test_unrealizable_is_failure_exit(self, tmp_path):
         data_path = tmp_path / "bad.txt"
         data_path.write_text("1,0,1,1\n1,0,0,0\n")  # same prompt, different generations
@@ -153,6 +164,16 @@ class TestCompileCircuit:
         p = tmp_path / "big.txt"
         p.write_text(format_circuit(c))
         assert main(["compile-circuit", str(p), "--verify"]) == 2
+
+    def test_guard_refusal_writes_nothing(self, tmp_path, capsys):
+        import random
+
+        p = tmp_path / "big.txt"
+        p.write_text(format_circuit(random_normalized_circuit(random.Random(3), 13, 1, 1)))
+        out = tmp_path / "c.txt"
+        assert main(["compile-circuit", str(p), "--out", str(out), "--verify"]) == 2
+        assert assert_one_error_line(capsys) == ""
+        assert not out.exists()
 
     def test_parse_error(self, tmp_path):
         p = tmp_path / "junk.txt"

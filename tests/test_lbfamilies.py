@@ -282,6 +282,11 @@ class TestSpecStrings:
         with pytest.raises(ValueError):
             parse_family_spec(spec)
 
+    @pytest.mark.parametrize("spec", ["tm:S=2,T=9", "e1:D=2,T=2,D=3", "linthresh:d=2,d=2", "ldim:D=2,k=1"])
+    def test_rejects_unknown_or_repeated_arguments(self, spec):
+        with pytest.raises(ValueError):
+            parse_family_spec(spec)
+
     @given(st.one_of(
         st.text(),
         st.tuples(st.sampled_from(["e1", "ldim", "collapse", "tm", "linthresh", "sparse"]), st.text())

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cotlearn import linthresh
 from cotlearn.seqcore import BINARY, GuardExceededError, NotRealizableError
 from cotlearn.linthresh import (
     LinearThreshold,
@@ -191,6 +192,24 @@ class TestEnumeration:
             enumerate_threshold_functions(5)
 
 
+class TestPostVerification:
+    """A solver point that misses a pair is a solver fault; it must not survive ``python -O``."""
+
+    PAIRS = [(seq([1]), 1), (seq([0]), 0)]
+
+    @pytest.fixture(autouse=True)
+    def wrong_solver(self, monkeypatch):
+        monkeypatch.setattr(linthresh, "solve_feasibility", lambda constraints, n: (Fraction(0),) * n)
+
+    def test_cons_lp(self):
+        with pytest.raises(RuntimeError, match="post-verification"):
+            cons_lp(self.PAIRS, 1)
+
+    def test_cons_sparse(self):
+        with pytest.raises(RuntimeError, match="post-verification"):
+            cons_sparse(self.PAIRS, 1, 1)
+
+
 class TestConsSparse:
     def test_one_sparse_target_recovered_sparsely(self):
         target = SparseLinearThreshold(8, 1, (5,), (Fraction(2),), Fraction(-1))
@@ -234,6 +253,23 @@ class TestSerialization:
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_threshold("2 0 1")  # missing one weight
+
+    @given(st.lists(st.fractions(max_denominator=50), max_size=6), st.fractions(max_denominator=50))
+    def test_round_trip_drawn_weights(self, weights, bias):
+        f = LinearThreshold(tuple(weights), bias)
+        assert parse_threshold(format_threshold(f)) == f
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.one_of(st.integers(-3, 8).map(str), st.text(alphabet="0123456789-+/._eE ", max_size=6)))
+        .map(" ".join),
+    ))
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        try:
+            f = parse_threshold(text)
+        except ValueError:
+            return
+        assert isinstance(f, LinearThreshold)
 
 
 class TestFamilies:

@@ -1,5 +1,10 @@
 from fractions import Fraction
 
+import pytest
+from fraction_simplex import solve_feasibility as fraction_solve
+from hypothesis import given, settings, strategies as st
+
+from cotlearn import linthresh
 from cotlearn.simplex import solve_feasibility
 
 
@@ -74,3 +79,39 @@ def test_degenerate_cycling_guard():
 def test_infeasible_sum_argument():
     # x + y >= 1, x <= 0, y <= 0 cannot hold together.
     assert solve_feasibility([([1, 1], ">=", 1), ([1, 0], "<=", 0), ([0, 1], "<=", 0)], 1 + 1) is None
+
+
+def _systems(coeff, rhs, max_vars=5, max_rows=12):
+    """Strategy for (constraints, num_vars) with the given coefficient and rhs strategies."""
+    def rows(n):
+        row = st.tuples(st.lists(coeff, min_size=n, max_size=n), st.sampled_from(["<=", ">="]), rhs)
+        return st.tuples(st.lists(row, max_size=max_rows), st.just(n))
+    return st.integers(1, max_vars).flatmap(rows)
+
+
+class TestAgainstFractionTableau:
+    """The integer tableau against the Fraction tableau it replaced (tests/fraction_simplex.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_systems(st.integers(-3, 3), st.integers(-2, 2)))
+    def test_integer_inputs_give_the_identical_point(self, system):
+        constraints, n = system
+        got = solve_feasibility(constraints, n)
+        assert got == fraction_solve(constraints, n)
+        assert got is None or all(type(v) is Fraction for v in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_systems(
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    ))
+    def test_rational_inputs_give_the_same_verdict_and_a_feasible_point(self, system):
+        constraints, n = system
+        got = check(constraints, n)
+        assert (got is None) == (fraction_solve(constraints, n) is None)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_threshold_enumeration_matches(self, d, monkeypatch):
+        got = linthresh.enumerate_threshold_functions(d)
+        monkeypatch.setattr(linthresh, "solve_feasibility", fraction_solve)
+        assert got == linthresh.enumerate_threshold_functions(d)
