@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .seqcore import TokenSeq
 from .turing import (
@@ -66,19 +66,23 @@ def _dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
-    """Argmax index set (1-based) and best score among keys j <= i."""
-    q = batch.q[i - 1]
+def _argmax_keys(q: Vec, keys: Iterable[Vec]) -> tuple[list[int], Fraction]:
+    """Argmax index set (1-based) and best score of ``q`` against ``keys``."""
     best = None
     members: list[int] = []
-    for j in range(1, i + 1):
-        score = _dot(q, batch.k[j - 1])
+    for j, key in enumerate(keys, start=1):
+        score = _dot(q, key)
         if best is None or score > best:
             best = score
             members = [j]
         elif score == best:
             members.append(j)
     return members, best
+
+
+def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
+    """Argmax index set (1-based) and best score among keys j <= i."""
+    return _argmax_keys(batch.q[i - 1], batch.k[:i])
 
 
 def aha(batch: AttentionBatch) -> list[Vec]:
@@ -274,6 +278,47 @@ class AttentionTMGenerator(TMGenerator):
     def next_token(self, z: TokenSeq) -> int:
         state, read = read_tape_attention(z)
         return self._step_token(state, read)
+
+    def stepper(self, tokens: list[int]) -> Callable[[], int]:
+        """Decode state: the lookup keys and values of every position so far
+        and the running uniform-attention sums (is-first and move).
+
+        A step averages those sums into the head position, scores its
+        query against every cached key with exact dot products, and
+        asserts the argmax is a singleton, as ``read_tape_attention`` does.
+        """
+        decode = _decode_table(self.S)
+        keys: list[Vec] = []
+        values: list[Fraction] = []
+        firsts = moves = Fraction(0)
+        npos = Fraction(0)
+        seen = 0
+
+        def step() -> int:
+            nonlocal firsts, moves, npos, seen
+            if not tokens:
+                raise ValueError("empty history")
+            for i in range(seen + 1, len(tokens) + 1):
+                t = decode[tokens[i - 1]]
+                if (t.symb == BLANK) != (i == 1):
+                    raise ValueError(_NO_BEGIN_MARKER)
+                firsts += 1 if t.symb == BLANK else 0
+                moves += t.move
+                idx_inv = firsts / i
+                npos = (moves / i) / idx_inv
+                pos = npos - t.move
+                if i == 1:
+                    keys.append((Fraction(0), Fraction(0), Fraction(0), idx_inv))
+                else:
+                    keys.append((Fraction(2), 4 * pos, 2 * pos * pos, idx_inv))
+                values.append(_symb_value(t.symb))
+            seen = len(tokens)
+            members, _ = _argmax_keys((-npos * npos, npos, Fraction(-1), Fraction(-1)), keys)
+            assert len(members) == 1, "tape lookup argmax must be a singleton"
+            read = _value_symb(values[members[0] - 1])
+            return self._step_token(decode[tokens[-1]].state, read)
+
+        return step
 
 
 def tape_view_table(z: TokenSeq) -> str:

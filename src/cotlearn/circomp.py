@@ -318,10 +318,11 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
         count += 1
         gate_vals = eval_circuit_values(circuit, x)
         seq = list(feature_map(x, T).tokens)
+        total = form.stepper(seq)
         produced: list[int] = []
         sums: list[int] = []
         for _ in range(T):
-            acc = form.total(seq)
+            acc = total()
             bit = 1 if acc >= 0 else 0
             produced.append(bit)
             sums.append(acc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .linthresh import SparseThresholdFamily, ThresholdFamily
 from .seqcore import (
@@ -61,6 +61,10 @@ class LookupGenerator(Generator):
 
     def next_token(self, x: TokenSeq) -> int:
         return self.family._eval(self.b, x.tokens)
+
+    def stepper(self, tokens: list[int]) -> Callable[[], int]:
+        """No decode state: ``_eval`` reads the list itself, with no ``TokenSeq`` per step."""
+        return lambda: self.family._eval(self.b, tokens)
 
 
 class LookupFamily(GeneratorFamily):

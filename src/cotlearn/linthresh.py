@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .seqcore import (
     BINARY,
@@ -59,6 +61,32 @@ class IntegerThreshold:
                 acc += w
         return acc
 
+    def stepper(self, tokens: list[int]) -> Callable[[], int]:
+        """``total`` of a growing list, one call per appended token (see
+        ``Generator.stepper``).
+
+        Keeps the list positions of the 1-bits inside the window, so a
+        call sums the weights at their offsets: it visits the set bits,
+        not every nonzero weight.
+        """
+        window = max((i for i, _ in self.terms), default=0)
+        weight_at = [0] * (window + 1)
+        for i, w in self.terms:
+            weight_at[i] = w
+        ones: deque[int] = deque()
+        seen = 0
+
+        def total() -> int:
+            nonlocal seen
+            n = len(tokens)
+            ones.extend(p for p in range(seen, n) if tokens[p])
+            seen = n
+            while ones and n - ones[0] > window:
+                ones.popleft()
+            return self.bias + sum(weight_at[n - p] for p in ones)
+
+        return total
+
 
 @dataclass(frozen=True)
 class LinearThreshold(Generator):
@@ -86,6 +114,10 @@ class LinearThreshold(Generator):
         if x.alphabet != BINARY:
             raise ValueError("linear thresholds are defined over the binary alphabet")
         return 1 if self.integer_form.total(x.tokens) >= 0 else 0
+
+    def stepper(self, tokens: list[int]) -> Callable[[], int]:
+        total = self.integer_form.stepper(tokens)
+        return lambda: 1 if total() >= 0 else 0
 
 
 def make_threshold(weights: Iterable, bias) -> LinearThreshold:
@@ -124,7 +156,9 @@ class SparseLinearThreshold(Generator):
     def integer_form(self) -> IntegerThreshold:
         return IntegerThreshold.of(zip(self.support, self.weights), self.bias)
 
-    next_token = LinearThreshold.next_token  # same evaluation, on the sparse integer form
+    # same evaluation, on the sparse integer form
+    next_token = LinearThreshold.next_token
+    stepper = LinearThreshold.stepper
 
 
 def _window_coeffs(u: TokenSeq, offsets: Sequence[int]) -> list[int]:
@@ -279,8 +313,22 @@ def parse_threshold(text: str) -> LinearThreshold:
     return LinearThreshold(weights, bias)
 
 
+MAX_DECIMAL_EXPONENT = 1000
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Exact rational from "num", "num/den" or decimal text; a zero denominator is a ValueError."""
+    """Exact rational from "num", "num/den" or decimal text.
+
+    A zero denominator is a ValueError, and so is a decimal exponent above
+    MAX_DECIMAL_EXPONENT in magnitude: ``Fraction`` expands the power of
+    ten in full, so its cost grows without bound in the exponent.
+    """
+    exponent = _DECIMAL_EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent in {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:

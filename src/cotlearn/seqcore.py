@@ -152,7 +152,20 @@ class Generator(ABC):
 
     @abstractmethod
     def next_token(self, x: TokenSeq) -> int:
-        ...
+        """The reference definition: the next token, derived from the whole history."""
+
+    def stepper(self, tokens: list[int]) -> Callable[[], int]:
+        """Decode state over a growing token list; each call returns the next token.
+
+        The caller appends every returned token to ``tokens`` (and changes
+        the list in no other way) before the next call. Subclasses carry
+        forward what ``next_token`` re-derives from the full history, the
+        way a transformer's key/value cache does; each call must equal
+        ``next_token`` on the current list. This default is that
+        reference, one full-history call per token.
+        """
+        alphabet = self.alphabet
+        return lambda: self.next_token(TokenSeq(alphabet, tuple(tokens)))
 
     def __call__(self, x: TokenSeq) -> int:
         return self.next_token(x)
@@ -180,15 +193,27 @@ def apply_and_append(f: Generator, x: TokenSeq) -> TokenSeq:
     return x.append(f.next_token(x))
 
 
+def _append_checked(tokens: list[int], token: int, alphabet: Alphabet) -> None:
+    if not 0 <= token < len(alphabet):
+        raise ValueError("token index out of range for the alphabet")
+    tokens.append(token)
+
+
 def cot(f: Generator, x: TokenSeq, T: int) -> TokenSeq:
-    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``."""
+    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``.
+
+    Runs ``f.stepper`` over one list and builds a single sequence at the
+    end, so the cost per token is the generator's step, not the history
+    length.
+    """
     if T < 1:
         raise ValueError("generation length T must be at least 1")
     _check_alphabet(f, x)
-    seq = x
+    tokens = list(x.tokens)
+    step = f.stepper(tokens)
     for _ in range(T):
-        seq = seq.append(f.next_token(seq))
-    return seq
+        _append_checked(tokens, step(), x.alphabet)
+    return TokenSeq(x.alphabet, tuple(tokens))
 
 
 def e2e(f: Generator, x: TokenSeq, T: int) -> int:
@@ -203,10 +228,11 @@ def cot_time_dependent(fs: Sequence[Generator], x: TokenSeq) -> TokenSeq:
     for f in fs:
         if f.alphabet != fs[0].alphabet:
             raise AlphabetMismatchError("generators must share one alphabet")
-    seq = x
+    _check_alphabet(fs[0], x)
+    tokens = list(x.tokens)
     for f in fs:
-        seq = apply_and_append(f, seq)
-    return seq
+        _append_checked(tokens, f.stepper(tokens)(), x.alphabet)
+    return TokenSeq(x.alphabet, tuple(tokens))
 
 
 class GeneratorFamily(ABC):

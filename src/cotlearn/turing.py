@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .seqcore import (
     Alphabet,
@@ -228,10 +228,33 @@ class TMGenerator(Generator):
         state, read, _ = _read_tape_ids(z.tokens, _decode_table(self.S))
         return self._step_token(state, read)
 
+    def stepper(self, tokens: list[int]) -> Callable[[], int]:
+        """Decode state: the head and a cell -> last written symbol map (the
+        state is the last token's), so a step costs O(1) at any history length."""
+        decode = _decode_table(self.S)
+        tape: dict[int, object] = {}
+        head = seen = 0
+
+        def step() -> int:
+            nonlocal head, seen
+            if not tokens:
+                raise ValueError("cannot read the tape of an empty history")
+            for t in tokens[seen:]:
+                token = decode[t]
+                tape[head] = token.symb
+                head += token.move
+            seen = len(tokens)
+            return self._step_token(decode[tokens[-1]].state, tape.get(head, BLANK))
+
+        return step
+
+    @cached_property
+    def _entry_ids(self) -> tuple[int, ...]:
+        return tuple(_token_id(self.S, s2, a, b) for s2, a, b in self.table)
+
     def _step_token(self, state: int, read) -> int:
         """The table entry for (state, read), as a token id."""
-        s2, a, b = self.table[(state - 1) * 3 + _READ_CODE[read]]
-        return _token_id(self.S, s2, a, b)
+        return self._entry_ids[(state - 1) * 3 + _READ_CODE[read]]
 
 
 def trace_tokens(trace: TMTrace, S: int) -> list[int]:

@@ -60,6 +60,12 @@ class TestGenerate:
         assert main(["generate", str(p), "--kind", "threshold", "--prompt", "1", "--T", "1"]) == 2
         assert_one_error_line(capsys)
 
+    def test_huge_exponent_threshold_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "thr.txt"
+        p.write_text("2 0 1e4000000 1\n")
+        assert main(["generate", str(p), "--kind", "threshold", "--prompt", "1", "--T", "1"]) == 2
+        assert assert_one_error_line(capsys) == ""
+
 
 class TestLearn:
     def test_learn_tm_cot(self, tmp_path, capsys):
@@ -185,6 +191,12 @@ class TestCompileCircuit:
         p.write_text("2 1 1\n1 1 : 1/0 0\n")
         assert main(["compile-circuit", str(p)]) == 2
         assert_one_error_line(capsys)
+
+    def test_huge_exponent_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "circ.txt"
+        p.write_text("2 1 1\n1 1 : 1e4000000 0\n")
+        assert main(["compile-circuit", str(p)]) == 2
+        assert assert_one_error_line(capsys) == ""
 
     def test_missing_out_directory_is_input_error(self, tmp_path, capsys):
         import random

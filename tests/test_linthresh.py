@@ -16,6 +16,7 @@ from cotlearn.linthresh import (
     enumerate_threshold_functions,
     format_threshold,
     make_threshold,
+    parse_fraction,
     parse_threshold,
 )
 
@@ -253,6 +254,15 @@ class TestSerialization:
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_threshold("2 0 1")  # missing one weight
+
+    def test_decimal_exponent_is_bounded(self):
+        bound = linthresh.MAX_DECIMAL_EXPONENT
+        assert parse_fraction(f"1e{bound}") == 10 ** bound
+        assert parse_fraction(f"-2.5E-{bound}") == Fraction(-25, 10 ** (bound + 1))
+        assert parse_fraction("3e0_001") == 30
+        for text in (f"1e{bound + 1}", f"1e-{bound + 1}", "1e4000000", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_fraction(text)
 
     @given(st.lists(st.fractions(max_denominator=50), max_size=6), st.fractions(max_denominator=50))
     def test_round_trip_drawn_weights(self, weights, bias):
