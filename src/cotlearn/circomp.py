@@ -17,14 +17,18 @@ sums against -1, which floating point must not be allowed to blur.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from .seqcore import BINARY, GuardExceededError, TokenSeq
 from .linthresh import LinearThreshold, parse_fraction
 
 VERIFY_MAX_INPUTS = 12
+COMPILE_MAX_D = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,20 @@ class ThresholdCircuit:
     def width(self) -> int:
         return max(self.widths)
 
+    @cached_property
+    def integer_layers(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Each gate as its nonzero (predecessor, weight) terms, scaled to
+        integers by the lcm of the gate's denominators. The factor is
+        positive, so the sign of the gate's sum, and its value, is unchanged."""
+        out = []
+        for layer in self.layers:
+            gates = []
+            for gate in layer:
+                scale = math.lcm(*(w.denominator for w in gate))
+                gates.append(tuple((i, int(w * scale)) for i, w in enumerate(gate) if w))
+            out.append(tuple(gates))
+        return tuple(out)
+
 
 def make_circuit(n: int, layers) -> ThresholdCircuit:
     return ThresholdCircuit(
@@ -79,11 +97,8 @@ def eval_circuit_values(circuit: ThresholdCircuit, x: Sequence[int]) -> list[tup
         raise ValueError("circuit inputs are bits")
     known: list[int] = list(x)
     out: list[tuple[int, ...]] = []
-    for layer in circuit.layers:
-        vals = tuple(
-            1 if sum(w * v for w, v in zip(gate, known) if w != 0) >= 0 else 0
-            for gate in layer
-        )
+    for layer in circuit.integer_layers:
+        vals = tuple(1 if sum(w for i, w in gate if known[i]) >= 0 else 0 for gate in layer)
         out.append(vals)
         known.extend(vals)
     return out
@@ -195,13 +210,19 @@ def compile_circuit(circuit: ThresholdCircuit) -> CompiledThreshold:
     gate weight from layer l gets p[l] - 1 zeros inserted in front of it
     so that, at the gate's scheduled step, circuit weights align exactly
     with previously emitted gate values and everything else aligns with
-    padding zeros.
+    padding zeros. The output has d = 2n(s+1)^L - n - 1 weights, known
+    before any block is built; above ``COMPILE_MAX_D`` the circuit is
+    refused with ``GuardExceededError``.
     """
     if not is_normalized(circuit):
         raise ValueError("compile requires a normalized circuit")
     n = circuit.n
     s = circuit.width
     L = circuit.depth
+    if 2 * n * (s + 1) ** L - n - 1 > COMPILE_MAX_D:
+        raise GuardExceededError(
+            f"refusing to compile n={n}, s={s}, L={L}: d = 2n(s+1)^L - n - 1 exceeds the guard {COMPILE_MAX_D}"
+        )
 
     tilde_p = [n]
     for _ in range(L):
@@ -298,58 +319,89 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     (b) the token at each scheduled step equals that gate's value,
     (c) every off-schedule token is 0 with pre-threshold sum <= -1.
     Failures are reported, not raised.
+
+    Each input's T scaled pre-threshold sums are one integer list, built
+    by pushing contributions rather than re-reading the sequence: the
+    leading 1 (with the bias) and each set input bit add a fixed row, and
+    every emitted 1 adds the weight row shifted to the steps after it.
+    Inputs come in ``itertools.product`` order, so entry j of a stack of
+    partial lists holds the sums with the first j bits placed, and only
+    the entries below the first changed bit are rebuilt.
     """
     n = circuit.n
     if n > VERIFY_MAX_INPUTS:
         raise GuardExceededError(f"refusing to enumerate 2^{n} inputs (guard is {VERIFY_MAX_INPUTS})")
 
     form = compiled.generator().integer_form
-    d = compiled.d
     T = compiled.T
-    time_of_gate = {
-        (l + 1, i + 1): t
-        for l, times in enumerate(compiled.gate_times)
-        for i, t in enumerate(times)
-    }
+    scale = form.scale
+    # weight_at[k]: weight on the bit k positions back from the token being
+    # generated; zero past the window, and long enough for every slice below.
+    window = max((i for i, _ in form.terms), default=0)
+    weight_at = [0] * (max(window, 2 * T + n) + 1)
+    for i, w in form.terms:
+        weight_at[i] = w
+    # The prompt is a 1, then T-1 zeros, then x; the 0-based step t reads
+    # the leading 1 at offset T+n+t and input bit j at offset n-j+t.
+    lead = [form.bias + w for w in weight_at[T + n:2 * T + n]]
+    rows = [weight_at[n - j:n - j + T] for j in range(n)]
+    shifted = weight_at[1:T + 1]
+    gate_steps = [t - 1 for times in compiled.gate_times for t in times]
+    off_steps = [t for t in range(T) if t + 1 not in compiled.t_indices]
 
     failures: list[VerificationFailure] = []
+    stack: list[list[int]] = [lead] * (n + 1)  # right for the all-zero input
+    prev = (0,) * n
     count = 0
     for x in itertools.product((0, 1), repeat=n):
         count += 1
-        gate_vals = eval_circuit_values(circuit, x)
-        seq = list(feature_map(x, T).tokens)
-        total = form.stepper(seq)
-        produced: list[int] = []
-        sums: list[int] = []
-        for _ in range(T):
-            acc = total()
-            bit = 1 if acc >= 0 else 0
-            produced.append(bit)
-            sums.append(acc)
-            seq.append(bit)
+        first = next((j for j in range(n) if x[j] != prev[j]), n)
+        for j in range(first, n):
+            stack[j + 1] = list(map(add, stack[j], rows[j])) if x[j] else stack[j]
+        prev = x
 
-        for (l, i), t in time_of_gate.items():
-            expect = gate_vals[l - 1][i - 1]
-            if produced[t - 1] != expect:
-                failures.append(VerificationFailure(x, t, "gate-step", f"gate ({l},{i}) expected {expect} got {produced[t - 1]}"))
-        for t in range(1, T + 1):
-            if t in compiled.t_indices:
-                continue
-            if produced[t - 1] != 0:
-                failures.append(VerificationFailure(x, t, "off-schedule-token", f"got {produced[t - 1]}"))
-            if sums[t - 1] > -form.scale:
-                failures.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(sums[t - 1], form.scale)} > -1"))
-        answer = eval_circuit(circuit, x)
-        if produced[-1] != answer:
-            failures.append(VerificationFailure(x, 0, "final-answer", f"expected {answer} got {produced[-1]}"))
+        sums = list(stack[n])
+        for t in range(T):
+            if sums[t] >= 0:
+                sums[t + 1:] = map(add, sums[t + 1:], shifted)
+
+        values = eval_circuit_values(circuit, x)
+        if (
+            max(map(sums.__getitem__, off_steps), default=-scale) > -scale
+            or [1 if sums[t] >= 0 else 0 for t in gate_steps] != [v for layer in values for v in layer]
+            or (1 if sums[-1] >= 0 else 0) != values[-1][-1]
+        ):
+            failures.extend(_input_failures(x, sums, values, compiled, scale))
 
     return VerificationReport(
         ok=not failures,
         inputs_checked=count,
         failures=tuple(failures),
         T=T,
-        d=d,
+        d=compiled.d,
     )
+
+
+def _input_failures(x, sums: list[int], values, compiled: CompiledThreshold, scale: int) -> list[VerificationFailure]:
+    """Every failed check of one input, in report order: gate steps,
+    then off-schedule steps in time order, then the final answer."""
+    produced = [1 if acc >= 0 else 0 for acc in sums]
+    out = []
+    for l, (times, layer) in enumerate(zip(compiled.gate_times, values), start=1):
+        for i, (t, expect) in enumerate(zip(times, layer), start=1):
+            if produced[t - 1] != expect:
+                out.append(VerificationFailure(x, t, "gate-step", f"gate ({l},{i}) expected {expect} got {produced[t - 1]}"))
+    for t in range(1, compiled.T + 1):
+        if t in compiled.t_indices:
+            continue
+        if produced[t - 1] != 0:
+            out.append(VerificationFailure(x, t, "off-schedule-token", f"got {produced[t - 1]}"))
+        if sums[t - 1] > -scale:
+            out.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(sums[t - 1], scale)} > -1"))
+    answer = values[-1][-1]
+    if produced[-1] != answer:
+        out.append(VerificationFailure(x, 0, "final-answer", f"expected {answer} got {produced[-1]}"))
+    return out
 
 
 def random_normalized_circuit(rng, n: int, s: int, L: int, weight_range: int = 2) -> ThresholdCircuit:

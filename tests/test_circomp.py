@@ -4,9 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_circomp
+from hypothesis import given, settings, strategies as st
 
+from cotlearn.linthresh import IntegerThreshold
 from cotlearn.seqcore import GuardExceededError, e2e
+from cotlearn import circomp
 from cotlearn.circomp import (
+    ThresholdCircuit,
     compile_circuit,
     eval_circuit,
     eval_circuit_values,
@@ -21,6 +26,33 @@ from cotlearn.circomp import (
     random_normalized_circuit,
     verify_compilation,
 )
+
+
+@st.composite
+def circuits(draw, max_n=5, max_width=3, max_depth=3):
+    """Layered circuits of drawn widths; weights are Fractions with mixed
+    denominators, and some gates are all zero."""
+    n = draw(st.integers(1, max_n))
+    weights = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    layers = []
+    preds = n
+    for _ in range(draw(st.integers(1, max_depth))):
+        width = draw(st.integers(1, max_width))
+        layers.append(tuple(
+            tuple(Fraction(0) for _ in range(preds)) if draw(st.booleans())
+            else tuple(draw(st.lists(weights, min_size=preds, max_size=preds)))
+            for _ in range(width)
+        ))
+        preds += width
+    return ThresholdCircuit(n, tuple(layers))
+
+
+def error_of(call):
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestEval:
@@ -55,6 +87,25 @@ class TestEval:
         c = make_circuit(1, [[[1], [-1]], [[0, 1, -1]]])
         vals = eval_circuit_values(c, [1])
         assert vals == [(1, 0), (1,)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits(), st.data())
+    def test_integer_gates_match_fraction_reference(self, c, data):
+        x = data.draw(st.lists(st.integers(0, 1), min_size=c.n, max_size=c.n))
+        assert eval_circuit_values(c, x) == reference_circomp.eval_circuit_values(c, x)
+        assert eval_circuit(c, x) == reference_circomp.eval_circuit(c, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(max_depth=1), st.data())
+    def test_bad_inputs_raise_the_reference_errors(self, c, data):
+        wrong_length = data.draw(st.lists(st.integers(0, 1), max_size=c.n + 2).filter(lambda x: len(x) != c.n))
+        non_bits = data.draw(
+            st.lists(st.integers(-2, 3), min_size=c.n, max_size=c.n).filter(lambda x: any(b not in (0, 1) for b in x))
+        )
+        for x in (wrong_length, non_bits):
+            expected = error_of(lambda: reference_circomp.eval_circuit_values(c, x))
+            assert expected is not None
+            assert error_of(lambda: eval_circuit_values(c, x)) == expected
 
 
 class TestNormalize:
@@ -139,6 +190,15 @@ class TestCompile:
         rng = random.Random(4)
         c = random_normalized_circuit(rng, 3, 2, 2)
         assert compile_circuit(c).w == compile_circuit(c).w
+
+    def test_size_guard_is_exact(self, monkeypatch):
+        c = random_normalized_circuit(random.Random(11), 2, 2, 2)
+        d = compile_circuit(c).d
+        monkeypatch.setattr(circomp, "COMPILE_MAX_D", d)
+        assert compile_circuit(c).d == d
+        monkeypatch.setattr(circomp, "COMPILE_MAX_D", d - 1)
+        with pytest.raises(GuardExceededError, match=f"exceeds the guard {d - 1}"):
+            compile_circuit(c)
 
 
 class TestVerify:
@@ -231,6 +291,47 @@ class TestVerify:
             report = verify_compilation(c, comp)
             assert report.ok, report.failures[:3]
 
+    def test_reports_match_stepper_oracle(self):
+        """The integer-trajectory verifier against the stepper-based one it
+        replaced (tests/reference_circomp.py). Every other circuit gets 1-3
+        compiled weights overwritten, so many reports carry failures."""
+        rng = random.Random(20251018)
+        failed = 0
+        for k in range(300):
+            c = random_normalized_circuit(rng, rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 2))
+            comp = compile_circuit(c)
+            if k % 2:
+                w = list(comp.w)
+                for _ in range(rng.randint(1, 3)):
+                    w[rng.randrange(len(w))] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                comp = dataclasses.replace(comp, w=tuple(w))
+            report = verify_compilation(c, comp)
+            assert report == reference_circomp.verify_compilation(c, comp), (k, report.summary())
+            failed += not report.ok
+        assert failed >= 50
+
+    def test_one_circuit_evaluation_per_input_by_count(self, monkeypatch):
+        """Deterministic twin of the verifier's speed: one circuit
+        evaluation per input, and no threshold stepping."""
+        counts = {"eval": 0, "stepper": 0}
+        evaluate = circomp.eval_circuit_values
+        stepper = IntegerThreshold.stepper
+
+        def counting_eval(circuit, x):
+            counts["eval"] += 1
+            return evaluate(circuit, x)
+
+        def counting_stepper(self, tokens):
+            counts["stepper"] += 1
+            return stepper(self, tokens)
+
+        monkeypatch.setattr(circomp, "eval_circuit_values", counting_eval)
+        monkeypatch.setattr(IntegerThreshold, "stepper", counting_stepper)
+        c = random_normalized_circuit(random.Random(10), 8, 2, 3)
+        report = verify_compilation(c, compile_circuit(c))
+        assert report.ok and report.inputs_checked == 256
+        assert counts == {"eval": 256, "stepper": 0}
+
 
 class TestFileFormat:
     def test_round_trip(self):
@@ -252,3 +353,23 @@ class TestFileFormat:
             parse_circuit("1 1 1\n1 1 : 1 2\n")  # wrong arity
         with pytest.raises(ValueError):
             parse_circuit("1 1 1\n")  # missing gates
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(max_depth=2).map(normalize_circuit))
+    def test_round_trip_drawn_circuits(self, c):
+        assert is_normalized(c)
+        assert parse_circuit(format_circuit(c)) == c
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(
+            st.lists(st.one_of(st.integers(-1, 4).map(str), st.text(alphabet="0123456789-+/._eE:# ", max_size=6)))
+            .map(" ".join)
+        ).map("\n".join),
+    ))
+    def test_arbitrary_text_parses_or_raises_value_error(self, text):
+        try:
+            c = parse_circuit(text)
+        except ValueError:
+            return
+        assert isinstance(c, ThresholdCircuit)

@@ -181,6 +181,16 @@ class TestCompileCircuit:
         assert assert_one_error_line(capsys) == ""
         assert not out.exists()
 
+    def test_size_guard_refuses_deep_circuit(self, tmp_path, capsys):
+        # n=1, s=1, L=40: the ladder n(s+1)^L is 2^40, so compiling would exhaust memory
+        p = tmp_path / "deep.txt"
+        p.write_text("1 1 40\n" + "".join(f"{l} 1 : " + " ".join(["0"] * l) + "\n" for l in range(1, 41)))
+        assert len(p.read_text().splitlines()) == 41
+        out = tmp_path / "c.txt"
+        assert main(["compile-circuit", str(p), "--out", str(out)]) == 2
+        assert assert_one_error_line(capsys) == ""
+        assert not out.exists()
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "junk.txt"
         p.write_text("not a circuit\n")
