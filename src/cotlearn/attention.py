@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .seqcore import TokenSeq
 from .turing import (
@@ -66,11 +66,12 @@ def _dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _argmax_keys(q: Vec, keys: Iterable[Vec]) -> tuple[list[int], Fraction]:
-    """Argmax index set (1-based) and best score of ``q`` against ``keys``."""
+def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
+    """Argmax index set (1-based) and best score among keys j <= i."""
+    q = batch.q[i - 1]
     best = None
     members: list[int] = []
-    for j, key in enumerate(keys, start=1):
+    for j, key in enumerate(batch.k[:i], start=1):
         score = _dot(q, key)
         if best is None or score > best:
             best = score
@@ -78,11 +79,6 @@ def _argmax_keys(q: Vec, keys: Iterable[Vec]) -> tuple[list[int], Fraction]:
         elif score == best:
             members.append(j)
     return members, best
-
-
-def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
-    """Argmax index set (1-based) and best score among keys j <= i."""
-    return _argmax_keys(batch.q[i - 1], batch.k[:i])
 
 
 def aha(batch: AttentionBatch) -> list[Vec]:
@@ -123,14 +119,13 @@ class TapeView:
 _NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first token writes a blank"
 
 
-def _check_begin_marker(tokens: Sequence[int], decode) -> None:
-    """Reject a history unless exactly its first token writes a blank."""
+def _check_begin_marker(tokens: Sequence[int], decode, start: int = 0) -> None:
+    """Reject a history unless exactly its first token writes a blank;
+    tokens before ``start`` have been checked already."""
     if not tokens:
         raise ValueError("empty history")
-    if decode[tokens[0]].symb != BLANK:
-        raise ValueError(_NO_BEGIN_MARKER)
-    for t in tokens[1:]:
-        if decode[t].symb == BLANK:
+    for i in range(start, len(tokens)):
+        if (decode[tokens[i]].symb == BLANK) != (i == 0):
             raise ValueError(_NO_BEGIN_MARKER)
 
 
@@ -239,33 +234,38 @@ def read_tape_attention(z: TokenSeq) -> tuple[int, object]:
     return _history_parts(z)[-1].state, lookup_via_attention(view, z)
 
 
-def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
-    """Integer-arithmetic replica of read_tape_attention.
+def _lookup_argmax(head: int, writers: dict[int, int]) -> int:
+    """Winning key j of the tape lookup for the head at cell ``head``.
 
-    Same argmax, computed with cross-multiplied integer comparisons
-    instead of Fraction objects; differentially tested against the
-    generic path. Also asserts the argmax is a singleton.
+    ``writers`` maps each written cell to its latest writer j >= 2. Keys
+    that wrote one cell differ only in -1/j, so the latest is that cell's
+    best and one key per cell decides the argmax against the begin
+    marker's flat -1 (j = 1). Scores -2 d^2 - 1/j are compared as
+    cross-multiplied integers; the argmax must be a singleton.
     """
-    decode = _decode_table(_alphabet_states(z.alphabet))
-    toks = z.tokens
-    _check_begin_marker(toks, decode)
-    n = len(toks)
-    pos = head_positions(toks, decode)
-    npos = pos[n]
-    # argmax of (-2 d^2 - 1/j | j >= 2) vs -1 at j = 1: compare via num/den ints
-    best_num, best_den, best_j, ties = -1, 1, 1, 1
-    for j in range(2, n + 1):
-        d = npos - pos[j - 1]
+    best_num, best_j, ties = -1, 1, 1
+    for cell, j in writers.items():
+        d = head - cell
         num = -2 * d * d * j - 1
-        den = j
-        lhs = num * best_den
-        rhs = best_num * den
+        lhs, rhs = num * best_j, best_num * j
         if lhs > rhs:
-            best_num, best_den, best_j, ties = num, den, j, 1
+            best_num, best_j, ties = num, j, 1
         elif lhs == rhs:
             ties += 1
     assert ties == 1, "tape lookup argmax must be a singleton"
-    return decode[toks[n - 1]].state, decode[toks[best_j - 1]].symb
+    return best_j
+
+
+def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
+    """Integer-arithmetic replica of read_tape_attention through
+    ``_lookup_argmax``; differentially tested against the generic path."""
+    decode = _decode_table(_alphabet_states(z.alphabet))
+    toks = z.tokens
+    _check_begin_marker(toks, decode)
+    pos = head_positions(toks, decode)
+    writers = {pos[j - 1]: j for j in range(2, len(toks) + 1)}
+    j = _lookup_argmax(pos[-1], writers)
+    return decode[toks[-1]].state, decode[toks[j - 1]].symb
 
 
 class AttentionTMGenerator(TMGenerator):
@@ -280,43 +280,23 @@ class AttentionTMGenerator(TMGenerator):
         return self._step_token(state, read)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """Decode state: the lookup keys and values of every position so far
-        and the running uniform-attention sums (is-first and move).
-
-        A step averages those sums into the head position, scores its
-        query against every cached key with exact dot products, and
-        asserts the argmax is a singleton, as ``read_tape_attention`` does.
-        """
+        """Decode state: the head and each written cell's latest writer (the
+        begin marker aside), so a step scores one key per cell visited
+        through ``_lookup_argmax`` rather than one per token."""
         decode = _decode_table(self.S)
-        keys: list[Vec] = []
-        values: list[Fraction] = []
-        firsts = moves = Fraction(0)
-        npos = Fraction(0)
-        seen = 0
+        writers: dict[int, int] = {}
+        head = seen = 0
 
         def step() -> int:
-            nonlocal firsts, moves, npos, seen
-            if not tokens:
-                raise ValueError("empty history")
+            nonlocal head, seen
+            _check_begin_marker(tokens, decode, seen)
             for i in range(seen + 1, len(tokens) + 1):
-                t = decode[tokens[i - 1]]
-                if (t.symb == BLANK) != (i == 1):
-                    raise ValueError(_NO_BEGIN_MARKER)
-                firsts += 1 if t.symb == BLANK else 0
-                moves += t.move
-                idx_inv = firsts / i
-                npos = (moves / i) / idx_inv
-                pos = npos - t.move
-                if i == 1:
-                    keys.append((Fraction(0), Fraction(0), Fraction(0), idx_inv))
-                else:
-                    keys.append((Fraction(2), 4 * pos, 2 * pos * pos, idx_inv))
-                values.append(_symb_value(t.symb))
+                if i > 1:
+                    writers[head] = i
+                head += decode[tokens[i - 1]].move
             seen = len(tokens)
-            members, _ = _argmax_keys((-npos * npos, npos, Fraction(-1), Fraction(-1)), keys)
-            assert len(members) == 1, "tape lookup argmax must be a singleton"
-            read = _value_symb(values[members[0] - 1])
-            return self._step_token(decode[tokens[-1]].state, read)
+            j = _lookup_argmax(head, writers)
+            return self._step_token(decode[tokens[-1]].state, decode[tokens[j - 1]].symb)
 
         return step
 

@@ -303,7 +303,9 @@ def cmd_experiment(args) -> int:
             jobs.append((m, trial, seed, (fam, f_star, dist, m, T, cfg["mode"], cfg["eval_n"], seed)))
             index += 1
 
-    workers = int(os.environ.get("COTLEARN_WORKERS", "1"))
+    # A fork-based pool starts every worker up front, so never ask for more
+    # than there are jobs or CPUs.
+    workers = min(int(os.environ.get("COTLEARN_WORKERS", "1")), len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, [packed for (_, _, _, packed) in jobs]))

@@ -180,6 +180,45 @@ class TestPipeline:
             assert all(isinstance(v, Fraction) for v in field)
 
 
+def marker_led_histories(S):
+    """Any begin marker, then up to 39 tokens of any state, bit and move."""
+    states, moves = st.integers(1, S), st.sampled_from((-1, 0, 1))
+    marker = st.tuples(states, st.just(BLANK), moves)
+    body = st.lists(st.tuples(states, st.sampled_from((0, 1)), moves), max_size=39)
+    return st.builds(lambda m, rest: [m] + rest, marker, body)
+
+
+def error_of(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lookup_grouping_on_arbitrary_histories(data):
+    """One key per written cell decides the lookup argmax: cell 0 is
+    rewritten, cells go negative, and the history need not be a machine run."""
+    S = data.draw(st.integers(1, 3), label="S")
+    triples = data.draw(marker_led_histories(S), label="history")
+    z = history(S, *triples)
+    assert read_tape_attention_fast(z) == read_tape_attention(z) == read_tape(z)
+
+    entry = st.tuples(st.integers(1, S), st.sampled_from((0, 1)), st.sampled_from((-1, 0, 1)))
+    table = tuple(data.draw(st.lists(entry, min_size=3 * S, max_size=3 * S), label="table"))
+    T = data.draw(st.integers(1, 8), label="T")
+    assert cot(AttentionTMGenerator(S, table), z, T) == cot(TMGenerator(S, table), z, T)
+
+    i = data.draw(st.integers(0, len(triples) - 1), label="broken")
+    state, symb, move = triples[i]
+    triples[i] = (state, 0 if symb == BLANK else BLANK, move)
+    bad = history(S, *triples)
+    expected = error_of(lambda: read_tape_attention(bad))
+    assert "begin marker" in expected
+    assert error_of(lambda: read_tape_attention_fast(bad)) == expected
+    assert error_of(lambda: cot(AttentionTMGenerator(S, table), bad, T)) == expected
+
+
 def test_debug_table_renders():
     z = history(1, (1, BLANK, 1), (1, 0, 0))
     table = tape_view_table(z)

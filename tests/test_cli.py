@@ -288,6 +288,15 @@ def _write_config(path, **overrides):
     path.write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
 
 
+def _timeless_rows(path):
+    """Experiment CSV rows without the wall_ms timing column."""
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        r.pop("wall_ms")
+    return rows
+
+
 class TestExperiment:
     def test_rows_and_summary(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -318,14 +327,7 @@ class TestExperiment:
         _write_config(cfg, out=str(tmp_path / "b.csv"))
         assert main(["experiment", str(cfg)]) == 0
 
-        def strip(path):
-            with open(path) as fh:
-                rows = list(csv.DictReader(fh))
-            for r in rows:
-                r.pop("wall_ms")
-            return rows
-
-        assert strip(tmp_path / "a.csv") == strip(tmp_path / "b.csv")
+        assert _timeless_rows(tmp_path / "a.csv") == _timeless_rows(tmp_path / "b.csv")
 
     def test_appends_across_runs_with_one_header(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -392,14 +394,41 @@ class TestExperiment:
         _write_config(cfg, out=str(tmp_path / "pooled.csv"))
         assert main(["experiment", str(cfg)]) == 0
 
-        def strip(path):
-            with open(path) as fh:
-                rows = list(csv.DictReader(fh))
-            for r in rows:
-                r.pop("wall_ms")
-            return rows
+        assert _timeless_rows(tmp_path / "serial.csv") == _timeless_rows(tmp_path / "pooled.csv")
 
-        assert strip(tmp_path / "serial.csv") == strip(tmp_path / "pooled.csv")
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (None, 1)])
+    def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch, cpus, expected):
+        """A huge COTLEARN_WORKERS asks for at most min(jobs, CPUs) processes."""
+        import os
+
+        from cotlearn import cli
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg, sizes="1,2,4", trials=1, out=str(tmp_path / "serial.csv"))
+        assert main(["experiment", str(cfg)]) == 0
+        monkeypatch.setenv("COTLEARN_WORKERS", str(10**9))
+        _write_config(cfg, sizes="1,2,4", trials=1, out=str(tmp_path / "capped.csv"))
+        assert main(["experiment", str(cfg)]) == 0
+        assert pools == ([expected] if expected > 1 else [])
+
+        assert _timeless_rows(tmp_path / "serial.csv") == _timeless_rows(tmp_path / "capped.csv")
 
     def test_learn_sparse_family(self, tmp_path, capsys):
         from cotlearn.linthresh import SparseLinearThreshold

@@ -242,6 +242,20 @@ class TestOracles:
         learned = fam.cons_oracle()(pairs)
         assert all(learned.next_token(u) == v for u, v in pairs)
 
+    def test_e1_fast_paths_verify_without_asserts(self, monkeypatch):
+        # a wrong member slipped in is a solver fault that ``python -O`` must not hide
+        fam = E1Family(2, 2)
+        f_star = fam.member(9)
+        pts = fam.canonical_points()
+        cot_pairs = prefix_expand(CoTDataset(tuple(cot(f_star, x, 2) for x in pts), 2)).pairs
+        e2e_pairs = [(x, e2e(f_star, x, 2)) for x in pts]
+        complement = E1Family.from_bits
+        monkeypatch.setattr(E1Family, "from_bits", lambda self, bits: complement(self, [1 - b for b in bits]))
+        with pytest.raises(RuntimeError, match="post-verification"):
+            fam.cons_oracle()(cot_pairs)
+        with pytest.raises(RuntimeError, match="post-verification"):
+            fam.find_e2e_consistent(e2e_pairs, 2)
+
     def test_enumeration_oracle_for_small_families(self):
         fam = CollapseFamily(3)
         rng = random.Random(4)

@@ -3,7 +3,7 @@ import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cotlearn.seqcore import BINARY, NotRealizableError, cot, e2e
 from cotlearn.learning import (
@@ -25,7 +25,7 @@ from cotlearn.learning import (
 )
 from cotlearn.lbfamilies import E1Family
 from cotlearn.linthresh import cons_lp, make_threshold
-from cotlearn.turing import TMFamily, TMGenerator, pre
+from cotlearn.turing import TMFamily, TMGenerator, pre, tm_alphabet
 
 seq = BINARY.seq
 
@@ -273,6 +273,23 @@ class TestFiles:
         p = tmp_path / "pairs.tsv"
         save_e2e_dataset(p, data)
         assert load_e2e_dataset(p, BINARY, 3) == data
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.one_of(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+                  st.text(alphabet="01,\t\n _:+-", max_size=60)),
+        st.sampled_from((BINARY, tm_alphabet(1))),
+        st.integers(-1, 4),
+    )
+    def test_arbitrary_file_loads_or_is_value_error(self, tmp_path, text, alphabet, T):
+        p = tmp_path / "data.txt"
+        p.write_text(text, encoding="utf-8")
+        for load, kind in ((load_cot_dataset, CoTDataset), (load_e2e_dataset, E2EDataset)):
+            try:
+                data = load(p, alphabet, T)
+            except ValueError:
+                continue
+            assert isinstance(data, kind)
 
     def test_bad_e2e_line(self, tmp_path):
         p = tmp_path / "bad.tsv"

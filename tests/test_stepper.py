@@ -145,3 +145,31 @@ def test_cot_is_linear_by_count(f, x, monkeypatch):
     z = cot(f, x, 4000)
     assert len(z) == len(x) + 4000
     assert counts == {"seqs": 1, "next_token": 0}
+
+
+def test_attention_cot_scores_one_key_per_cell(monkeypatch):
+    """Deterministic twin of the attention generator's timing: a machine
+    that never moves keeps the cells, and so the keys scored per step,
+    bounded, and generation computes no Fraction dot product."""
+    from cotlearn import attention
+
+    counts = {"keys": 0, "dots": 0}
+    lookup, dot = attention._lookup_argmax, attention._dot
+
+    def counting_lookup(head, writers):
+        counts["keys"] += len(writers)
+        return lookup(head, writers)
+
+    def counting_dot(a, b):
+        counts["dots"] += 1
+        return dot(a, b)
+
+    monkeypatch.setattr(attention, "_lookup_argmax", counting_lookup)
+    monkeypatch.setattr(attention, "_dot", counting_dot)
+    f = AttentionTMGenerator(2, ((2, 1, 0), (1, 0, 0), (2, 0, 0)) * 2)
+    x = pre([1, 0, 1, 1], 2)
+    T = 2000
+    z = cot(f, x, T)
+    assert len(z) == len(x) + T
+    assert 0 < counts["keys"] <= T * (len(x) + 1)
+    assert counts["dots"] == 0

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotlearn.seqcore import GuardExceededError, NotRealizableError, TokenSeq, cot, e2e
 from cotlearn.learning import CoTDataset, cons_cot, prefix_expand
@@ -231,6 +232,24 @@ class TestFileFormat:
             parse_tm("1 2\n1 0 -> 1 1 +1\n")  # missing entries
         with pytest.raises(ValueError):
             parse_tm("")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_fuzz(self, data):
+        S = data.draw(st.integers(1, 4), label="S")
+        entry = st.tuples(st.integers(1, S), st.sampled_from((0, 1)), st.sampled_from((-1, 0, 1)))
+        table = tuple(data.draw(st.lists(entry, min_size=3 * S, max_size=3 * S), label="table"))
+        spec = TMSpec(S, data.draw(st.integers(1, 10**6), label="T"), table)
+        assert parse_tm(format_tm(spec)) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789 -+>_#\n", max_size=80)))
+    def test_arbitrary_text_parses_or_is_value_error(self, text):
+        try:
+            spec = parse_tm(text)
+        except ValueError:
+            return
+        assert isinstance(spec, TMSpec)
 
     def test_blank_renders_as_underscore(self):
         spec = TMSpec(1, 1, ((1, 0, 0),) * 3)
