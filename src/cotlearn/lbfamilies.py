@@ -63,8 +63,47 @@ class LookupGenerator(Generator):
         return self.family._eval(self.b, x.tokens)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """No decode state: ``_eval`` reads the list itself, with no ``TokenSeq`` per step."""
-        return lambda: self.family._eval(self.b, tokens)
+        """Decode state: the point is decoded once, then one bit is checked per token.
+
+        Leading zeros are skipped as they arrive and the body is kept until
+        it is ``point_len`` tokens long; then the family decodes the point
+        number k once. From there each new token must equal the bit the
+        member replays at that continuation position, and the next such bit
+        is the output. A token that does not match, a body that is not a
+        point, or a position past the pattern's end (no replay bit) puts the
+        member off the pattern, where it answers 0 for good, as ``_eval``
+        does on every longer history.
+        """
+        family, b = self.family, self.b
+        plen = family.point_len
+        head: list[int] = []
+        k = want = None  # want: the bit the next token must replay
+        ell = seen = 0
+        off = False
+
+        def step() -> int:
+            nonlocal k, want, ell, seen, off
+            n = len(tokens)
+            while seen < n and not off:
+                t = tokens[seen]
+                seen += 1
+                if k is not None:
+                    if t != want:
+                        off = True
+                    else:
+                        ell += 1
+                        want = family._replay_bit(b, k, ell)
+                elif head or t:
+                    head.append(t)
+                    if len(head) == plen:
+                        k = family._point_number(head)
+                        if k is None:
+                            off = True
+                        else:
+                            want = family._replay_bit(b, k, 0)
+            return 0 if off or want is None else want
+
+        return step
 
 
 class LookupFamily(GeneratorFamily):
@@ -80,6 +119,16 @@ class LookupFamily(GeneratorFamily):
         return len(self._points)
 
     def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
+        raise NotImplementedError
+
+    def _point_number(self, head: Sequence[int]) -> int | None:
+        """k when the ``point_len`` tokens after the leading zeros are point k."""
+        dec = self._decode(head)
+        return None if dec is None else dec[0]
+
+    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int | None:
+        """The bit member b emits after r faithful continuation tokens of point
+        k (and so the bit the next token must equal), or None past the pattern."""
         raise NotImplementedError
 
     def size(self) -> int:
@@ -175,6 +224,11 @@ class E1Family(LookupFamily):
             return b[k - 1]
         return b[self._column_index(k, ell) - 1]
 
+    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int | None:
+        if r < self.T - 1:
+            return b[r * self.D + (k - 1) % self.D]  # b at _column_index(k, r)
+        return b[k - 1] if r == self.T - 1 else None
+
     def cons_oracle(self):
         """Consistency for (prefix, next-bit) pairs without enumerating 2^(DT) members.
 
@@ -269,6 +323,9 @@ class LdimFamily(LookupFamily):
             return 0
         return b[k - 1]
 
+    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int:
+        return b[r] if r < self.D else b[k - 1]
+
 
 @dataclass(frozen=True)
 class CollapseFamily(LookupFamily):
@@ -295,6 +352,15 @@ class CollapseFamily(LookupFamily):
         except ValueError:
             return 0
         return b[k - 1]
+
+    def _point_number(self, head: Sequence[int]) -> int | None:
+        try:
+            return self._points.index(tuple(head)) + 1
+        except ValueError:
+            return None
+
+    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int | None:
+        return b[k - 1] if r == 0 else None
 
 
 @dataclass(frozen=True)

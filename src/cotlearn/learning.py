@@ -40,10 +40,14 @@ class E2EDataset:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("generation length T must be at least 1")
+        if not self.pairs:
+            return
+        alphabet = self.alphabet
+        size = len(alphabet)
         for x, y in self.pairs:
-            if x.alphabet != self.alphabet:
+            if x.alphabet != alphabet:
                 raise ValueError("all prompts must share one alphabet")
-            if not 0 <= y < len(self.alphabet):
+            if not 0 <= y < size:
                 raise ValueError("label outside the alphabet")
 
     @property
@@ -98,13 +102,16 @@ def prefix_expand(dataset: CoTDataset) -> PrefixDataset:
     """Expand each record into its T (prefix, next token) pairs.
 
     For a record z and each t = 1..T the pair is (z without its last t
-    tokens, the t-th token from the end), so the output has exactly
+    tokens, the t-th token from the end), that is ``(z[:-(t + 1)], z[-t])``
+    in the inclusive 1-based convention, so the output has exactly
     len(dataset) * T pairs.
     """
     pairs = []
     for z in dataset.seqs:
+        alphabet, toks = z.alphabet, z.tokens
+        n = len(toks)
         for t in range(1, dataset.T + 1):
-            pairs.append((z[:-(t + 1)], z[-t]))
+            pairs.append((TokenSeq(alphabet, toks[:n - t]), toks[n - t]))
     return PrefixDataset(tuple(pairs))
 
 

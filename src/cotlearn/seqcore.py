@@ -199,26 +199,41 @@ def _append_checked(tokens: list[int], token: int, alphabet: Alphabet) -> None:
     tokens.append(token)
 
 
-def cot(f: Generator, x: TokenSeq, T: int) -> TokenSeq:
-    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``.
+def _generate(f: Generator, x: TokenSeq, T: int) -> list[int]:
+    """The prompt's tokens followed by ``T`` generated ones, as one list.
 
-    Runs ``f.stepper`` over one list and builds a single sequence at the
-    end, so the cost per token is the generator's step, not the history
-    length.
+    Runs ``f.stepper`` over that list, so the cost per token is the
+    generator's step, not the history length.
     """
     if T < 1:
         raise ValueError("generation length T must be at least 1")
     _check_alphabet(f, x)
     tokens = list(x.tokens)
     step = f.stepper(tokens)
+    size = len(x.alphabet)
+    append = tokens.append
     for _ in range(T):
-        _append_checked(tokens, step(), x.alphabet)
-    return TokenSeq(x.alphabet, tuple(tokens))
+        token = step()
+        if not 0 <= token < size:
+            raise ValueError("token index out of range for the alphabet")
+        append(token)
+    return tokens
+
+
+def cot(f: Generator, x: TokenSeq, T: int) -> TokenSeq:
+    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``.
+
+    One sequence is built, at the end.
+    """
+    return TokenSeq(x.alphabet, tuple(_generate(f, x, T)))
 
 
 def e2e(f: Generator, x: TokenSeq, T: int) -> int:
-    """Final token of the T-step generation; the prompt-to-answer map."""
-    return cot(f, x, T).tokens[-1]
+    """Final token of the T-step generation; the prompt-to-answer map.
+
+    Equal to ``cot(f, x, T).tokens[-1]``, without building the sequence.
+    """
+    return _generate(f, x, T)[-1]
 
 
 def cot_time_dependent(fs: Sequence[Generator], x: TokenSeq) -> TokenSeq:

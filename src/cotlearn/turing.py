@@ -239,11 +239,11 @@ class TMGenerator(Generator):
             nonlocal head, seen
             if not tokens:
                 raise ValueError("cannot read the tape of an empty history")
-            for t in tokens[seen:]:
-                token = decode[t]
+            while seen < len(tokens):
+                token = decode[tokens[seen]]
                 tape[head] = token.symb
                 head += token.move
-            seen = len(tokens)
+                seen += 1
             return self._step_token(decode[tokens[-1]].state, tape.get(head, BLANK))
 
         return step
@@ -274,14 +274,18 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
     time linear in the total history length.
     """
     learned: dict[int, tuple[int, int, int]] = {}
+    alphabet = None
     for u, v in pairs:
-        S_data = _alphabet_states(u.alphabet)
-        token = decode_token(S_data, v)
+        if u.alphabet is not alphabet:  # resolved again only when the alphabet object changes
+            alphabet = u.alphabet
+            S_data = _alphabet_states(alphabet)
+            decode = _decode_table(S_data)
+        token = decode[v]
         if token.state > S:
             raise ValueError(f"label state {token.state} exceeds the {S}-state family")
         if token.symb not in (0, 1):
             raise ValueError("labels must write a bit; blank writes never occur in generation")
-        state, read, _ = _read_tape_ids(u.tokens, _decode_table(S_data))
+        state, read, _ = _read_tape_ids(u.tokens, decode)
         if state > S:
             raise ValueError(f"history state {state} exceeds the {S}-state family")
         key = (state - 1) * 3 + _READ_CODE[read]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cotlearn.seqcore import BINARY, NotRealizableError, cot, e2e
+from cotlearn.seqcore import BINARY, Alphabet, NotRealizableError, cot, e2e
 from cotlearn.learning import (
     BitStringPrompts,
     CoTDataset,
@@ -41,6 +41,19 @@ class TestDatasets:
         with pytest.raises(ValueError):
             E2EDataset(((seq([1]), 5),), 1)
 
+    def test_e2e_prompts_share_one_alphabet(self):
+        other = Alphabet(("0", "1", "2"))
+        with pytest.raises(ValueError, match="share one alphabet"):
+            E2EDataset(((seq([1]), 0), (other.seq([2]), 0)), 1)
+        with pytest.raises(ValueError, match="label outside"):
+            E2EDataset(((other.seq([2]), 2), (other.seq([0]), 3)), 1)
+
+    def test_empty_e2e_dataset_has_no_alphabet(self):
+        data = E2EDataset((), 3)
+        assert len(data) == 0
+        with pytest.raises(ValueError, match="empty dataset has no alphabet"):
+            data.alphabet
+
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
             CoTDataset((), 0)
@@ -63,6 +76,19 @@ class TestPrefixExpand:
         data = CoTDataset(tuple(cot(f, seq(x), 3) for x in ([1], [0, 1], [1, 1, 0])), 3)
         for u, v in prefix_expand(data):
             assert f.next_token(u) == v
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_inclusive_slice_definition(self, data):
+        alphabet = Alphabet(tuple("abcd"[:data.draw(st.integers(1, 4), label="size")]))
+        T = data.draw(st.integers(1, 6), label="T")
+        token = st.integers(0, len(alphabet) - 1)
+        seqs = tuple(
+            alphabet.seq(data.draw(st.lists(token, min_size=T + 1, max_size=T + 1 + extra)))
+            for extra in data.draw(st.lists(st.sampled_from([0, 0, 4]), max_size=4), label="extras")
+        )
+        expected = tuple((z[:-(t + 1)], z[-t]) for z in seqs for t in range(1, T + 1))
+        assert prefix_expand(CoTDataset(seqs, T)).pairs == expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())

@@ -5,6 +5,7 @@ the whole history is the paper's definition. Every generator kind must give
 the same tokens, and raise the same errors, both ways.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,15 @@ from cotlearn import circomp
 from cotlearn.attention import AttentionTMGenerator
 from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily
 from cotlearn.linthresh import LinearThreshold, SparseLinearThreshold, make_threshold
-from cotlearn.seqcore import BINARY, ConstantGenerator, TokenSeq, cot, cot_time_dependent
+from cotlearn.seqcore import (
+    BINARY,
+    Alphabet,
+    ConstantGenerator,
+    TokenSeq,
+    cot,
+    cot_time_dependent,
+    e2e,
+)
 from cotlearn.turing import BLANK, TMFamily, TMGenerator, TMToken, encode_token, pre, tm_alphabet
 
 
@@ -48,13 +57,26 @@ def test_attention_stepper_on_corpus_sample(tm_corpus):
         assert z == reference_cot(gen, x, run.spec.T)
 
 
+# Every binary prompt of up to 8 bits: all-zero prompts, partial points,
+# points with faithful and off-pattern continuations, and continuations
+# past the pattern's end.
+BINARY_PROMPTS = tuple(BINARY.seq(bits) for n in range(9) for bits in itertools.product((0, 1), repeat=n))
+
+
+LOOKUP_FAMILIES = (
+    [(E1Family(D, T), T) for D in (1, 2, 3) for T in range(1, 9)]
+    + [(LdimFamily(D), D) for D in range(1, 7)]
+    + [(CollapseFamily(D), 1) for D in range(1, 7)]
+)  # each with the length of the pattern its members replay
+
+
 def test_lookup_generators():
     rng = random.Random(11)
-    for fam, T in ((E1Family(2, 3), 3), (E1Family(3, 4), 4), (LdimFamily(4), 5), (CollapseFamily(6), 2)):
-        for _ in range(20):
-            f = fam.random_member(rng)
-            for x in fam.canonical_points():
-                assert cot(f, x, T) == reference_cot(f, x, T)
+    for fam, pattern_len in LOOKUP_FAMILIES:
+        for f in (fam.random_member(rng), fam.random_member(rng)):
+            for T in (1, 3, pattern_len + 3):
+                for x in BINARY_PROMPTS:
+                    assert cot(f, x, T) == reference_cot(f, x, T), (fam, f.b, x, T)
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -145,6 +167,78 @@ def test_cot_is_linear_by_count(f, x, monkeypatch):
     z = cot(f, x, 4000)
     assert len(z) == len(x) + 4000
     assert counts == {"seqs": 1, "next_token": 0}
+
+
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (E1Family(3, 8).random_member(random.Random(4)), E1Family(3, 8).canonical_points()[13]),
+        (LdimFamily(8).random_member(random.Random(4)), LdimFamily(8).canonical_points()[5]),
+    ],
+    ids=["e1-3-8", "ldim-8"],
+)
+@pytest.mark.parametrize("run, seqs", [(cot, 1), (e2e, 0)], ids=["cot", "e2e"])
+def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
+    """Deterministic twin of the lookup generators' timing: a long generation
+    never evaluates a member on the whole history, cot builds one sequence
+    and e2e builds none."""
+    counts = {"seqs": 0, "eval": 0}
+    post_init = TokenSeq.__post_init__
+
+    def counting_post_init(self):
+        counts["seqs"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(TokenSeq, "__post_init__", counting_post_init)
+    for cls in (E1Family, LdimFamily, CollapseFamily):
+        reference = cls._eval
+
+        def counting_eval(self, b, tokens, _reference=reference):
+            counts["eval"] += 1
+            return _reference(self, b, tokens)
+
+        monkeypatch.setattr(cls, "_eval", counting_eval)
+    run(f, x, 4000)
+    assert counts == {"seqs": seqs, "eval": 0}
+
+
+def _generator_and_prompt(data):
+    """A lookup, threshold or machine generator with a prompt in its alphabet."""
+    kind = data.draw(st.sampled_from(["lookup", "threshold", "machine"]), label="kind")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if kind == "machine":
+        S = data.draw(st.integers(1, 3), label="S")
+        omega = data.draw(st.lists(st.integers(0, 1), max_size=5), label="omega")
+        return TMFamily(S).random_member(rng), pre(omega, S)
+    if kind == "lookup":
+        fam = data.draw(st.sampled_from([E1Family(2, 3), E1Family(3, 2), LdimFamily(4), CollapseFamily(5)]), label="family")
+        f = fam.random_member(rng)
+    else:
+        f = make_threshold(data.draw(st.lists(fractions, max_size=6), label="w"), data.draw(fractions, label="theta"))
+    return f, BINARY.seq(data.draw(st.lists(st.integers(0, 1), max_size=10), label="prompt"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_e2e_is_the_last_token_of_cot(data):
+    f, x = _generator_and_prompt(data)
+    T = data.draw(st.integers(1, 30), label="T")
+    assert e2e(f, x, T) == cot(f, x, T).tokens[-1]
+
+
+@pytest.mark.parametrize(
+    "f, x, T",
+    [
+        (ConstantGenerator(BINARY, 1), BINARY.seq([1]), 0),
+        (ConstantGenerator(BINARY, 1), BINARY.seq([1]), -3),
+        (ConstantGenerator(Alphabet(("a", "b")), 0), BINARY.seq([1]), 2),
+        (ConstantGenerator(BINARY, 2), BINARY.seq([1]), 2),
+    ],
+    ids=["T=0", "T<0", "alphabet", "out-of-range"],
+)
+def test_e2e_raises_what_cot_raises(f, x, T):
+    expected = error_of(lambda: cot(f, x, T))
+    assert error_of(lambda: e2e(f, x, T)) == expected
 
 
 def test_attention_cot_scores_one_key_per_cell(monkeypatch):
