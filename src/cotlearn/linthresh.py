@@ -168,16 +168,20 @@ def _window_coeffs(u: TokenSeq, offsets: Sequence[int]) -> list[int]:
     return [tokens[n - i] if i <= n else 0 for i in offsets]
 
 
+def _label_rows(u: TokenSeq, offsets: Sequence[int]):
+    """The constraints on (weights at ``offsets``, bias) for labels 0 and 1 of a binary prefix."""
+    if u.alphabet != BINARY:
+        raise ValueError("LP consistency needs binary prefixes and labels")
+    coeffs = _window_coeffs(u, offsets) + [1]  # trailing 1 is the bias column
+    return (coeffs, "<=", -1), (coeffs, ">=", 0)
+
+
 def _threshold_constraints(pairs: Iterable[tuple[TokenSeq, int]], offsets: Sequence[int]):
     constraints = []
     for u, v in pairs:
-        if u.alphabet != BINARY or v not in (0, 1):
+        if v not in (0, 1):
             raise ValueError("LP consistency needs binary prefixes and labels")
-        coeffs = _window_coeffs(u, offsets) + [1]  # trailing 1 is the bias column
-        if v == 1:
-            constraints.append((coeffs, ">=", 0))
-        else:
-            constraints.append((coeffs, "<=", -1))
+        constraints.append(_label_rows(u, offsets)[1 if v == 1 else 0])
     return constraints
 
 
@@ -215,9 +219,11 @@ def cons_sparse(pairs: Sequence[tuple[TokenSeq, int]], d: int, k: int) -> Sparse
     total = sum(math.comb(d, j) for j in range(k + 1))
     if total > SPARSE_SUPPORT_GUARD:
         raise GuardExceededError(f"{total} candidate supports exceed the enumeration guard")
+    full = _threshold_constraints(pairs, range(1, d + 1))  # coefficient i - 1 is offset i's bit
     for size in range(k + 1):
         for support in itertools.combinations(range(1, d + 1), size):
-            solution = solve_feasibility(_threshold_constraints(pairs, support), size + 1)
+            constraints = [([coeffs[i - 1] for i in support] + [1], sense, rhs) for coeffs, sense, rhs in full]
+            solution = solve_feasibility(constraints, size + 1)
             if solution is None:
                 continue
             return _verified(SparseLinearThreshold(d, k, support, solution[:size], solution[size]), pairs)
@@ -233,12 +239,11 @@ def enumerate_threshold_functions(d: int) -> set[tuple[int, ...]]:
     """
     if d > ENUMERATION_MAX_D:
         raise GuardExceededError(f"d={d} exceeds the exhaustive-enumeration guard {ENUMERATION_MAX_D}")
-    points = list(itertools.product((0, 1), repeat=d))
-    seqs = [BINARY.seq(p) for p in points]
-    offsets = list(range(1, d + 1))
+    offsets = range(1, d + 1)
+    rows = [_label_rows(BINARY.seq(p), offsets) for p in itertools.product((0, 1), repeat=d)]
     realizable: set[tuple[int, ...]] = set()
-    for labels in itertools.product((0, 1), repeat=len(points)):
-        constraints = _threshold_constraints(zip(seqs, labels), offsets)
+    for labels in itertools.product((0, 1), repeat=len(rows)):
+        constraints = [row[v] for row, v in zip(rows, labels)]
         if solve_feasibility(constraints, d + 1) is not None:
             realizable.add(labels)
     return realizable

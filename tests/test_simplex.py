@@ -1,10 +1,15 @@
+import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from fraction_simplex import solve_feasibility as fraction_solve
 from hypothesis import given, settings, strategies as st
 
-from cotlearn import linthresh
+from cotlearn import linthresh, simplex
+from cotlearn.learning import CoTDataset, prefix_expand
+from cotlearn.seqcore import BINARY, cot
 from cotlearn.simplex import solve_feasibility
 
 
@@ -89,6 +94,47 @@ def _systems(coeff, rhs, max_vars=5, max_rows=12):
     return st.integers(1, max_vars).flatmap(rows)
 
 
+def _spellings(x):
+    """Ways to write the integer x as a coefficient: int, Fraction(x, 1), and bool for 0 and 1."""
+    return [x, Fraction(x)] + ([bool(x)] if x in (0, 1) else [])
+
+
+def _spelled(lo, hi):
+    return st.integers(lo, hi).flatmap(lambda x: st.sampled_from(_spellings(x)))
+
+
+class TestIntegerIntake:
+    """Integer coefficients stay ints inside the solver; the answer cannot tell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_systems(_spelled(-3, 3), _spelled(-2, 2)))
+    def test_int_bool_and_whole_fraction_spellings_give_the_identical_point(self, system):
+        spelled, n = system
+        got = solve_feasibility(spelled, n)
+        assert got is None or all(type(v) is Fraction for v in got)
+        for number in (int, Fraction):
+            plain = [([number(c) for c in coeffs], sense, number(rhs)) for coeffs, sense, rhs in spelled]
+            assert solve_feasibility(plain, n) == got
+
+    @pytest.mark.parametrize("constraints", [
+        [],
+        [([0, False, Fraction(0)], "<=", 2)],
+        [([0, 0, 0], ">=", Fraction(-1))],
+    ])
+    def test_no_rows_path_returns_fractions(self, constraints):
+        got = solve_feasibility(constraints, 3)
+        assert got == (0, 0, 0) and all(type(v) is Fraction for v in got)
+
+    def test_duplicate_spellings_collapse(self, monkeypatch):
+        spellings = [([1, 0], ">=", 1), ([True, False], ">=", True), ([Fraction(1), 0], ">=", Fraction(1)),
+                     ([-1, 0], "<=", -1), ([0, 1], "<=", -1), ([False, Fraction(1)], "<=", -True)]
+        expected = solve_feasibility([([1, 0], ">=", 1), ([0, 1], "<=", -1)], 2)
+        tableau_rows = []  # one lcm per row that reaches the tableau
+        monkeypatch.setattr(simplex, "math", SimpleNamespace(lcm=lambda *a: tableau_rows.append(a) or math.lcm(*a)))
+        assert check(spellings * 20, 2) == expected
+        assert len(tableau_rows) == 2
+
+
 class TestAgainstFractionTableau:
     """The integer tableau against the Fraction tableau it replaced (tests/fraction_simplex.py)."""
 
@@ -115,3 +161,120 @@ class TestAgainstFractionTableau:
         got = linthresh.enumerate_threshold_functions(d)
         monkeypatch.setattr(linthresh, "solve_feasibility", fraction_solve)
         assert got == linthresh.enumerate_threshold_functions(d)
+
+
+def _fit_pairs(seed, d, m, T):
+    """(prefix, next bit) pairs of m seeded records of a seeded window-d threshold, T steps each."""
+    rng = random.Random(seed)
+    target = linthresh.make_threshold([rng.randint(-3, 3) for _ in range(d)], Fraction(rng.randint(-6, 6), 2))
+    seqs = [cot(target, BINARY.seq(rng.randint(0, 1) for _ in range(rng.randint(1, d + 3))), T) for _ in range(m)]
+    return prefix_expand(CoTDataset(tuple(seqs), T)).pairs
+
+
+def _rational_system(seed):
+    """3-8 seeded rows over 2-4 variables, every coefficient and rhs of denominator 2-6."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(2, 6))
+
+    return [([frac() for _ in range(n)], rng.choice(["<=", ">="]), frac()) for _ in range(rng.randint(3, 8))], n
+
+
+class TestPinnedVertices:
+    """The exact points the solver returned before its pivots went support-only.
+
+    The oracle property above compares points on integer input only; these
+    pins also hold the rational path, where rescaling pivots (p != q) occur.
+    """
+
+    FITS = [  # (seed, d, records, T) -> format_threshold of cons_lp's answer
+        ((1, 6, 40, 8), "6 -1 -1 1 2 2 2 -2"),
+        ((2, 6, 40, 8), "6 -1 1 1 -1 -1 -1 0"),
+        ((3, 6, 20, 4), "6 0 -2 1 1 -2 -1 1"),
+        ((4, 5, 40, 8), "5 0 -1 -1 -2 1 0"),
+        ((5, 4, 20, 4), "4 0 0 0 0 0"),
+        ((6, 3, 20, 4), "3 -1 1 0 1"),
+        ((7, 7, 5, 4), "7 0 0 -1 0 1 -1 -1 1"),
+        ((8, 2, 5, 4), "2 0 -1 -1"),
+        ((9, 5, 10, 6), "5 -1 0 0 0 0 0"),
+        ((10, 7, 20, 6), "7 0 0 -1 0 0 0 -1 -1"),
+    ]
+
+    RATIONAL = [  # seed -> the returned point, or None when infeasible
+        (0, "-295/159 47/159 -37/318"),
+        (1, None),
+        (2, "36/5 -10"),
+        (3, None),
+        (4, None),
+        (5, "-540/1417 -11345/12753 4274/4251 2/39"),
+        (6, "81/157 -2157/3140 0 2544/785"),
+        (7, "0 0 0"),
+        (8, "-34/5 8/9"),
+        (9, "4/3 39/242 144/121"),
+        (10, "0 0 405/163 320/163"),
+        (11, "1365/2474 725/1237 45/1237"),
+        (12, None),
+        (13, "-113/74 21/74 -96/37"),
+        (14, None),
+        (15, "20 33/2"),
+        (16, None),
+        (17, "-9/17 1398/731 798/731 0"),
+        (18, "0 0"),
+        (19, "49/60 -217/300 0 151/60"),
+    ]
+
+    @pytest.mark.parametrize("fit, weights", FITS, ids=[str(f) for f, _ in FITS])
+    def test_cons_lp_weights(self, fit, weights):
+        seed, d, m, T = fit
+        pairs = _fit_pairs(*fit)
+        assert len(pairs) == m * T
+        assert linthresh.format_threshold(linthresh.cons_lp(pairs, d)) == weights
+
+    @pytest.mark.parametrize("seed, point", RATIONAL)
+    def test_rational_system_point(self, seed, point):
+        got = check(*_rational_system(seed))
+        assert (None if got is None else " ".join(map(str, got))) == point
+
+
+def test_support_only_updates_write_a_quarter_of_the_dense_entries(monkeypatch):
+    """Deterministic twin of the kernel's wall-time gain, on a d = 6, 320-pair fit.
+
+    Every pivot equal to the previous one is run twice: through the
+    support-only update on watched copies of the rows, counting the entries
+    it writes, and through the dense update those rows would get otherwise.
+    The rows must come out the same, and the support-only update must
+    write at most a quarter of the dense entries.
+    """
+    written = {"support_only": 0, "dense": 0}
+    dense, on_support = simplex._eliminate, simplex._eliminate_on_support
+
+    class WatchedRow(list):
+        def __setitem__(self, j, v):
+            written["support_only"] += 1
+            super().__setitem__(j, v)
+
+    def counting_dense(row, prow, p, q, c):  # a rescaling pivot: the same dense update either way
+        out = dense(row, prow, p, q, c)
+        written["support_only"] += len(out)
+        written["dense"] += len(out)
+        return out
+
+    def counting_on_support(rows, prow, q, c):
+        rows = list(rows)
+        updated = [row[c] != 0 and row is not prow for row in rows]
+        expected = [dense(row, prow, q, q, c) if u else row for row, u in zip(rows, updated)]
+        written["dense"] += sum(len(row) for row, u in zip(rows, updated) if u)
+        watched = [WatchedRow(row) for row in rows]
+        on_support(watched, next(w for w, row in zip(watched, rows) if row is prow), q, c)
+        assert watched == expected
+        for row, w in zip(rows, watched):
+            row[:] = w
+
+    monkeypatch.setattr(simplex, "_eliminate", counting_dense)
+    monkeypatch.setattr(simplex, "_eliminate_on_support", counting_on_support)
+    fit, weights = TestPinnedVertices.FITS[0]
+    assert fit[1:] == (6, 40, 8)
+    assert linthresh.format_threshold(linthresh.cons_lp(_fit_pairs(*fit), 6)) == weights
+    assert 0 < 4 * written["support_only"] <= written["dense"], written
