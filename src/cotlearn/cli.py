@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import circomp, lbfamilies, linthresh, turing
 from .learning import (
+    EXACT_EVAL_SUPPORT,
     BitStringPrompts,
     FiniteUniformPrompts,
     PromptDist,
@@ -35,6 +36,7 @@ from .seqcore import BINARY, NotRealizableError, cot
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+MAX_PROMPT_BITS = 64
 
 
 def _fail(msg: str, code: int) -> int:
@@ -258,13 +260,23 @@ def _parse_config(text: str) -> dict:
     if cfg["eval_n"] < 1:
         raise ValueError("eval_n must be at least 1")
     cfg["input_len"] = int(cfg.get("input_len", 4))
+    if cfg["input_len"] < 0:
+        raise ValueError("input_len must be nonnegative")
     return cfg
 
 
 def _experiment_dist(fam, input_len: int) -> PromptDist:
     if isinstance(fam, lbfamilies.LookupFamily):
         return FiniteUniformPrompts(fam.canonical_points())
+    if input_len > MAX_PROMPT_BITS:
+        raise ValueError(f"input_len must be at most {MAX_PROMPT_BITS}")
     if isinstance(fam, turing.TMFamily):
+        total = (2 << input_len) - 1
+        if total > EXACT_EVAL_SUPPORT:
+            raise ValueError(
+                f"input_len={input_len} gives {total} machine prompts, "
+                f"above the exact-evaluation limit {EXACT_EVAL_SUPPORT}"
+            )
         pts = []
         for n in range(0, input_len + 1):
             for bits in itertools.product((0, 1), repeat=n):

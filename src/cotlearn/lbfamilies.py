@@ -28,6 +28,7 @@ from .seqcore import (
 )
 from .turing import TMFamily
 
+E1_MAX_POINTS = 1 << 16
 LDIM_MAX_D = 8
 COLLAPSE_MAX_D = 10
 POOL_GUARD = 20
@@ -41,13 +42,6 @@ def _numbered_points(count: int, trailing_one: bool = False) -> tuple[tuple[int,
         bits = tuple((k >> (width - 1 - j)) & 1 for j in range(width))
         pts.append((1,) + bits + ((1,) if trailing_one else ()))
     return tuple(pts)
-
-
-def _strip_zeros(tokens: Sequence[int]) -> tuple[int, ...]:
-    idx = 0
-    while idx < len(tokens) and tokens[idx] == 0:
-        idx += 1
-    return tuple(tokens[idx:])
 
 
 @dataclass(frozen=True)
@@ -70,14 +64,14 @@ class LookupGenerator(Generator):
         number k once. From there each new token must equal the bit the
         member replays at that continuation position, and the next such bit
         is the output. A token that does not match, a body that is not a
-        point, or a position past the pattern's end (no replay bit) puts the
+        point, or a position past the pattern's end (no replay index) puts the
         member off the pattern, where it answers 0 for good, as ``_eval``
         does on every longer history.
         """
         family, b = self.family, self.b
         plen = family.point_len
         head: list[int] = []
-        k = want = None  # want: the bit the next token must replay
+        k = want = None  # want: the index in b of the bit the next token must replay
         ell = seen = 0
         off = False
 
@@ -88,11 +82,11 @@ class LookupGenerator(Generator):
                 t = tokens[seen]
                 seen += 1
                 if k is not None:
-                    if t != want:
+                    if want is None or t != b[want]:
                         off = True
                     else:
                         ell += 1
-                        want = family._replay_bit(b, k, ell)
+                        want = family._replay_index(k, ell)
                 elif head or t:
                     head.append(t)
                     if len(head) == plen:
@@ -100,8 +94,8 @@ class LookupGenerator(Generator):
                         if k is None:
                             off = True
                         else:
-                            want = family._replay_bit(b, k, 0)
-            return 0 if off or want is None else want
+                            want = family._replay_index(k, 0)
+            return 0 if off or want is None else b[want]
 
         return step
 
@@ -109,7 +103,8 @@ class LookupGenerator(Generator):
 class LookupFamily(GeneratorFamily):
     """Shared enumeration plumbing for the bit-indexed families.
 
-    Every family here indexes its members by one b-bit per canonical point.
+    Every family here indexes its members by one b-bit per canonical point,
+    and states only its points and its replay rule, ``_replay_index``.
     """
 
     alphabet = BINARY
@@ -118,18 +113,45 @@ class LookupFamily(GeneratorFamily):
     def index_bits(self) -> int:
         return len(self._points)
 
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
+    def _replay_index(self, k: int, r: int) -> int | None:
+        """Index into b of the bit every member emits after r faithful continuation
+        tokens of point k, or None past the pattern's end (and for every larger r)."""
         raise NotImplementedError
+
+    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
+        """The reference: decode, check each continuation token against the
+        replay rule, and return the rule's next bit, or 0 off the pattern."""
+        dec = self._decode(tokens)
+        if dec is None:
+            return 0
+        k, cont = dec
+        for r, bit in enumerate(cont):
+            idx = self._replay_index(k, r)
+            if idx is None or b[idx] != bit:
+                return 0
+        idx = self._replay_index(k, len(cont))
+        return 0 if idx is None else b[idx]
 
     def _point_number(self, head: Sequence[int]) -> int | None:
         """k when the ``point_len`` tokens after the leading zeros are point k."""
-        dec = self._decode(head)
-        return None if dec is None else dec[0]
+        if head[0] != 1:
+            return None
+        value = 0
+        for bit in head[1:]:
+            value = (value << 1) | bit
+        k = value + 1
+        return k if k <= len(self._points) else None
 
-    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int | None:
-        """The bit member b emits after r faithful continuation tokens of point
-        k (and so the bit the next token must equal), or None past the pattern."""
-        raise NotImplementedError
+    def _decode(self, tokens: Sequence[int]):
+        """(point number k, continuation) when the input is a point plus a tail, else None."""
+        start, n = 0, len(tokens)
+        while start < n and tokens[start] == 0:
+            start += 1
+        plen = self.point_len
+        if n - start < plen:
+            return None
+        k = self._point_number(tokens[start:start + plen])
+        return None if k is None else (k, tokens[start + plen:])
 
     def size(self) -> int:
         return 1 << self.index_bits
@@ -159,20 +181,6 @@ class LookupFamily(GeneratorFamily):
     def point_len(self) -> int:
         return len(self._points[0])
 
-    def _decode(self, tokens: Sequence[int]):
-        """(point number k, continuation) when the input is a point plus a tail, else None."""
-        body = _strip_zeros(tokens)
-        plen = self.point_len
-        if len(body) < plen or body[0] != 1:
-            return None
-        value = 0
-        for bit in body[1:plen]:
-            value = (value << 1) | bit
-        k = value + 1
-        if k > len(self._points):
-            return None
-        return k, body[plen:]
-
     def _scan_consistent(self, pairs):
         """First member in canonical order that fits every (prefix, next token) pair."""
         for f in self.members():
@@ -200,34 +208,17 @@ class E1Family(LookupFamily):
     def __post_init__(self):
         if self.D < 1 or self.T < 1:
             raise ValueError("need D >= 1 and T >= 1")
+        if self.D * self.T > E1_MAX_POINTS:
+            raise ValueError(f"need D*T <= {E1_MAX_POINTS} points")
 
     @cached_property
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D * self.T)
 
-    def _column_index(self, k: int, row: int) -> int:
-        # 1-based position in b of the row-th column emission for point k
-        return row * self.D + ((k - 1) % self.D) + 1
-
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
-        dec = self._decode(tokens)
-        if dec is None:
-            return 0
-        k, cont = dec
-        ell = len(cont)
-        if ell > self.T - 1:
-            return 0
-        for r, bit in enumerate(cont):
-            if b[self._column_index(k, r) - 1] != bit:
-                return 0
-        if ell == self.T - 1:
-            return b[k - 1]
-        return b[self._column_index(k, ell) - 1]
-
-    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int | None:
+    def _replay_index(self, k: int, r: int) -> int | None:
         if r < self.T - 1:
-            return b[r * self.D + (k - 1) % self.D]  # b at _column_index(k, r)
-        return b[k - 1] if r == self.T - 1 else None
+            return r * self.D + (k - 1) % self.D
+        return k - 1 if r == self.T - 1 else None
 
     def cons_oracle(self):
         """Consistency for (prefix, next-bit) pairs without enumerating 2^(DT) members.
@@ -246,21 +237,21 @@ class E1Family(LookupFamily):
                 if u.alphabet != BINARY or v not in (0, 1):
                     raise ValueError("family data must be binary")
                 dec = self._decode(u.tokens)
-                if dec is None or len(dec[1]) > self.T - 1:
+                nxt = None if dec is None else self._replay_index(dec[0], len(dec[1]))
+                if nxt is None:
                     if v != 0:
                         raise NotRealizableError(
                             "label 1 on an input every family member maps to 0"
                         )
                     continue
                 k, cont = dec
-                ell = len(cont)
-                forced = [(self._column_index(k, r), bit) for r, bit in enumerate(cont)]
-                forced.append((k if ell == self.T - 1 else self._column_index(k, ell), v))
+                forced = [(self._replay_index(k, r), bit) for r, bit in enumerate(cont)]
+                forced.append((nxt, v))
                 for idx, bit in forced:
                     if assign.setdefault(idx, bit) != bit:
                         # Mutually inconsistent replays: decidable only by search.
                         return self._scan_consistent(pairs)
-            bits = tuple(assign.get(j + 1, 0) for j in range(self.index_bits))
+            bits = tuple(assign.get(j, 0) for j in range(self.index_bits))
             f = self.from_bits(bits)
             if not all(f.next_token(u) == v for u, v in pairs):
                 raise RuntimeError("E1 oracle result failed post-verification")
@@ -282,10 +273,9 @@ class E1Family(LookupFamily):
             dec = self._decode(x.tokens)
             if dec is None or dec[1] != ():
                 return super().find_e2e_consistent(pairs, T)
-            k = dec[0]
-            if assign.setdefault(k, y) != y:
+            if assign.setdefault(self._replay_index(dec[0], T - 1), y) != y:
                 return None
-        bits = tuple(assign.get(j + 1, 0) for j in range(self.index_bits))
+        bits = tuple(assign.get(j, 0) for j in range(self.index_bits))
         f = self.from_bits(bits)
         if not all(e2e(f, x, T) == y for x, y in pairs):
             raise RuntimeError("E1 answer-only result failed post-verification")
@@ -306,25 +296,8 @@ class LdimFamily(LookupFamily):
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D)
 
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
-        dec = self._decode(tokens)
-        if dec is None:
-            return 0
-        k, cont = dec
-        ell = len(cont)
-        if ell < self.D:
-            for r in range(ell):
-                if cont[r] != b[r]:
-                    return 0
-            return b[ell]
-        if cont[:self.D] != b:
-            return 0
-        if any(bit != b[k - 1] for bit in cont[self.D:]):
-            return 0
-        return b[k - 1]
-
-    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int:
-        return b[r] if r < self.D else b[k - 1]
+    def _replay_index(self, k: int, r: int) -> int:
+        return r if r < self.D else k - 1
 
 
 @dataclass(frozen=True)
@@ -345,22 +318,14 @@ class CollapseFamily(LookupFamily):
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D, trailing_one=True)
 
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
-        body = _strip_zeros(tokens)
-        try:
-            k = self._points.index(body) + 1
-        except ValueError:
-            return 0
-        return b[k - 1]
-
     def _point_number(self, head: Sequence[int]) -> int | None:
         try:
             return self._points.index(tuple(head)) + 1
         except ValueError:
             return None
 
-    def _replay_bit(self, b: tuple[int, ...], k: int, r: int) -> int | None:
-        return b[k - 1] if r == 0 else None
+    def _replay_index(self, k: int, r: int) -> int | None:
+        return k - 1 if r == 0 else None
 
 
 @dataclass(frozen=True)

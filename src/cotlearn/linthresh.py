@@ -31,6 +31,7 @@ from .simplex import solve_feasibility
 
 SPARSE_SUPPORT_GUARD = 100_000
 ENUMERATION_MAX_D = 4
+THRESHOLD_MAX_D = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,8 @@ class ThresholdFamily(GeneratorFamily):
     alphabet = BINARY
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("need d >= 0")
+        if not 0 <= self.d <= THRESHOLD_MAX_D:
+            raise ValueError(f"need 0 <= d <= {THRESHOLD_MAX_D}")
 
     def size(self) -> None:
         return None
@@ -285,6 +286,7 @@ class SparseThresholdFamily(ThresholdFamily):
     k: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 <= self.k <= self.d:
             raise ValueError("need 0 <= k <= d")
 

@@ -193,12 +193,6 @@ def apply_and_append(f: Generator, x: TokenSeq) -> TokenSeq:
     return x.append(f.next_token(x))
 
 
-def _append_checked(tokens: list[int], token: int, alphabet: Alphabet) -> None:
-    if not 0 <= token < len(alphabet):
-        raise ValueError("token index out of range for the alphabet")
-    tokens.append(token)
-
-
 def _generate(f: Generator, x: TokenSeq, T: int) -> list[int]:
     """The prompt's tokens followed by ``T`` generated ones, as one list.
 
@@ -245,8 +239,12 @@ def cot_time_dependent(fs: Sequence[Generator], x: TokenSeq) -> TokenSeq:
             raise AlphabetMismatchError("generators must share one alphabet")
     _check_alphabet(fs[0], x)
     tokens = list(x.tokens)
+    size = len(x.alphabet)
     for f in fs:
-        _append_checked(tokens, f.stepper(tokens)(), x.alphabet)
+        token = f.stepper(tokens)()
+        if not 0 <= token < size:
+            raise ValueError("token index out of range for the alphabet")
+        tokens.append(token)
     return TokenSeq(x.alphabet, tuple(tokens))
 
 

@@ -27,6 +27,7 @@ BLANK = "_"
 
 _SYMBOLS = (0, 1, BLANK)
 _MOVES = (-1, 0, 1)
+TM_MAX_S = 1 << 10  # a TMFamily alphabet has 9 * S tokens
 
 
 class TMToken(NamedTuple):
@@ -313,8 +314,8 @@ class TMFamily(GeneratorFamily):
     S: int
 
     def __post_init__(self):
-        if self.S < 1:
-            raise ValueError("need S >= 1")
+        if not 1 <= self.S <= TM_MAX_S:
+            raise ValueError(f"need 1 <= S <= {TM_MAX_S}")
 
     @property
     def alphabet(self) -> Alphabet:

@@ -358,6 +358,12 @@ class TestExperiment:
     @pytest.mark.parametrize("override", [
         {"eval_n": 0}, {"sizes": "-1,2"}, {"t": 0},
         {"family": "sparse:d=2,k=5"}, {"family": "linthresh:d=-2"}, {"family": "tm:S=0"},
+        # Above the family size bounds; each would exhaust memory if built.
+        {"family": "e1:D=100000,T=100000"}, {"family": "tm:S=3000000"},
+        {"family": "linthresh:d=300000000"}, {"family": "sparse:d=300000000,k=1"},
+        # Prompt sets too large to build or to sample.
+        {"family": "tm:S=2", "input_len": 40}, {"family": "linthresh:d=2", "input_len": 1000000000},
+        {"input_len": -1},
     ])
     def test_rejects_unusable_config_values(self, tmp_path, capsys, override):
         cfg = tmp_path / "exp.cfg"

@@ -10,11 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_lookup
 from hypothesis import given, settings, strategies as st
 
 from cotlearn import circomp
 from cotlearn.attention import AttentionTMGenerator
-from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily
+from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupFamily
 from cotlearn.linthresh import LinearThreshold, SparseLinearThreshold, make_threshold
 from cotlearn.seqcore import (
     BINARY,
@@ -74,6 +75,8 @@ def test_lookup_generators():
     rng = random.Random(11)
     for fam, pattern_len in LOOKUP_FAMILIES:
         for f in (fam.random_member(rng), fam.random_member(rng)):
+            for x in BINARY_PROMPTS:
+                assert f.next_token(x) == reference_lookup.next_token(f, x.tokens), (fam, f.b, x)
             for T in (1, 3, pattern_len + 3):
                 for x in BINARY_PROMPTS:
                     assert cot(f, x, T) == reference_cot(f, x, T), (fam, f.b, x, T)
@@ -190,14 +193,13 @@ def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(TokenSeq, "__post_init__", counting_post_init)
-    for cls in (E1Family, LdimFamily, CollapseFamily):
-        reference = cls._eval
+    reference = LookupFamily._eval
 
-        def counting_eval(self, b, tokens, _reference=reference):
-            counts["eval"] += 1
-            return _reference(self, b, tokens)
+    def counting_eval(self, b, tokens):
+        counts["eval"] += 1
+        return reference(self, b, tokens)
 
-        monkeypatch.setattr(cls, "_eval", counting_eval)
+    monkeypatch.setattr(LookupFamily, "_eval", counting_eval)
     run(f, x, 4000)
     assert counts == {"seqs": seqs, "eval": 0}
 
