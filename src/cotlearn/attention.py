@@ -23,7 +23,8 @@ from .turing import (
     TMGenerator,
     _alphabet_states,
     _decode_table,
-    head_positions,
+    _decoded,
+    _TapeScan,
 )
 
 Vec = tuple[Fraction, ...]
@@ -116,23 +117,11 @@ class TapeView:
         return len(self.pos)
 
 
-_NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first token writes a blank"
-
-
-def _check_begin_marker(tokens: Sequence[int], decode, start: int = 0) -> None:
-    """Reject a history unless exactly its first token writes a blank;
-    tokens before ``start`` have been checked already."""
-    if not tokens:
-        raise ValueError("empty history")
-    for i in range(start, len(tokens)):
-        if (decode[tokens[i]].symb == BLANK) != (i == 0):
-            raise ValueError(_NO_BEGIN_MARKER)
-
-
 def _history_parts(z: TokenSeq):
     """Decoded tokens of a history that starts at the begin marker."""
-    decode = _decode_table(_alphabet_states(z.alphabet))
-    _check_begin_marker(z.tokens, decode)
+    S = _alphabet_states(z.alphabet)
+    _TapeScan(S).check_begin_marker(z.tokens)
+    decode = _decode_table(S)
     return [decode[t] for t in z.tokens]
 
 
@@ -258,13 +247,18 @@ def _lookup_argmax(head: int, writers: dict[int, int]) -> int:
 
 def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
     """Integer-arithmetic replica of read_tape_attention through
-    ``_lookup_argmax``; differentially tested against the generic path."""
-    decode = _decode_table(_alphabet_states(z.alphabet))
-    toks = z.tokens
-    _check_begin_marker(toks, decode)
-    pos = head_positions(toks, decode)
-    writers = {pos[j - 1]: j for j in range(2, len(toks) + 1)}
-    j = _lookup_argmax(pos[-1], writers)
+    ``_lookup_argmax``, on the decoder ``read_tape`` shares (so a sweep
+    over growing prefixes decodes each token once); differentially tested
+    against the generic path."""
+    scan, toks, _ = _decoded(_alphabet_states(z.alphabet), z.tokens)
+    return _attention_read(scan, toks)
+
+
+def _attention_read(scan: _TapeScan, toks: Sequence[int]) -> tuple[int, object]:
+    """(state, symbol under the head) of a decoded history, by the lookup argmax."""
+    scan.check_begin_marker(toks)
+    j = _lookup_argmax(scan.head, scan.last)
+    decode = scan.decode
     return decode[toks[-1]].state, decode[toks[j - 1]].symb
 
 
@@ -280,23 +274,14 @@ class AttentionTMGenerator(TMGenerator):
         return self._step_token(state, read)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """Decode state: the head and each written cell's latest writer (the
-        begin marker aside), so a step scores one key per cell visited
+        """A ``_TapeScan`` over the growing list: the head and each written
+        cell's latest writer, so a step scores one key per cell visited
         through ``_lookup_argmax`` rather than one per token."""
-        decode = _decode_table(self.S)
-        writers: dict[int, int] = {}
-        head = seen = 0
+        scan = _TapeScan(self.S)
 
         def step() -> int:
-            nonlocal head, seen
-            _check_begin_marker(tokens, decode, seen)
-            for i in range(seen + 1, len(tokens) + 1):
-                if i > 1:
-                    writers[head] = i
-                head += decode[tokens[i - 1]].move
-            seen = len(tokens)
-            j = _lookup_argmax(head, writers)
-            return self._step_token(decode[tokens[-1]].state, decode[tokens[j - 1]].symb)
+            scan.extend(tokens)
+            return self._step_token(*_attention_read(scan, tokens))
 
         return step
 

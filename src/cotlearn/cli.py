@@ -37,6 +37,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 MAX_PROMPT_BITS = 64
+# Experiment grids are built up front, one job per (size, trial), and a
+# trial holds m sampled prompts and eval_n evaluation prompts in memory.
+EXPERIMENT_MAX_M = 1 << 16
+EXPERIMENT_MAX_TRIALS = 1 << 12
+EXPERIMENT_MAX_JOBS = 1 << 16
+EXPERIMENT_MAX_EVAL_N = 1 << 16
 
 
 def _fail(msg: str, code: int) -> int:
@@ -246,19 +252,24 @@ def _parse_config(text: str) -> dict:
         raise ValueError("sizes must be strictly increasing")
     if sizes[0] < 0:
         raise ValueError("sizes must be nonnegative")
-    if int(cfg["trials"]) < 1:
-        raise ValueError("trials must be at least 1")
+    if sizes[-1] > EXPERIMENT_MAX_M:
+        raise ValueError(f"sizes must be at most {EXPERIMENT_MAX_M}")
+    trials = int(cfg["trials"])
+    if not 1 <= trials <= EXPERIMENT_MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {EXPERIMENT_MAX_TRIALS}")
+    if len(sizes) * trials > EXPERIMENT_MAX_JOBS:
+        raise ValueError(f"sizes times trials must be at most {EXPERIMENT_MAX_JOBS} jobs")
     if int(cfg["t"]) < 1:
         raise ValueError("t must be at least 1")
     if cfg["mode"] not in ("cot", "e2e"):
         raise ValueError("mode must be cot or e2e")
     cfg["sizes"] = sizes
     cfg["t"] = int(cfg["t"])
-    cfg["trials"] = int(cfg["trials"])
+    cfg["trials"] = trials
     cfg["seed"] = int(cfg["seed"])
     cfg["eval_n"] = int(cfg.get("eval_n", 200))
-    if cfg["eval_n"] < 1:
-        raise ValueError("eval_n must be at least 1")
+    if not 1 <= cfg["eval_n"] <= EXPERIMENT_MAX_EVAL_N:
+        raise ValueError(f"eval_n must be between 1 and {EXPERIMENT_MAX_EVAL_N}")
     cfg["input_len"] = int(cfg.get("input_len", 4))
     if cfg["input_len"] < 0:
         raise ValueError("input_len must be nonnegative")

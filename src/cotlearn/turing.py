@@ -11,9 +11,10 @@ the blank symbol; generated tokens always write 0 or 1.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .seqcore import (
     Alphabet,
@@ -162,34 +163,103 @@ def post(token: TMToken) -> int:
     return token.symb
 
 
-def head_positions(tokens: Sequence[int], decode) -> list[int]:
-    """Head position before each step of a token-id history, then the one
-    after the last step.
+_NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first token writes a blank"
 
-    Entry i is the cell token i+1 wrote (the sum of the earlier moves);
-    the final entry is where the head sits now.
+
+@lru_cache(maxsize=None)
+def _scan_tables(S: int) -> tuple[tuple[TMToken, ...], tuple[int, ...]]:
+    """The decode table and each token's head move, for ``_TapeScan``."""
+    decode = _decode_table(S)
+    return decode, tuple(t.move for t in decode)
+
+
+class _TapeScan:
+    """Incremental decoder of a token-id history.
+
+    Holds the head (the sum of the moves consumed), each written cell's
+    latest writer j >= 2 (1-based; the first token, the begin marker's
+    place, wrote cell 0 and is kept apart as the lookup's fallback key),
+    and how many tokens have passed the begin-marker check. ``extend``
+    consumes only the tokens it has not yet seen, so a history decoded one
+    token at a time costs one visit per token, and returns the direct
+    read. The caller keeps the token list and changes it only by appending.
     """
-    pos = [0] * (len(tokens) + 1)
-    acc = 0
-    for i, t in enumerate(tokens, start=1):
-        acc += decode[t].move
-        pos[i] = acc
-    return pos
+
+    __slots__ = ("decode", "moves", "n", "head", "last", "checked")
+
+    def __init__(self, S: int):
+        self.decode, self.moves = _scan_tables(S)
+        self.n = self.head = self.checked = 0
+        self.last: dict[int, int] = {}
+
+    def extend(self, tokens: Sequence[int]) -> tuple[int, object] | None:
+        """Consume the tokens not yet seen; return (state, symbol under the
+        head) of the history so far, or None while it is empty. The symbol
+        is the head cell's latest writer's, the first token's at cell 0, and
+        blank on a cell never written."""
+        n, end = self.n, len(tokens)
+        head, last = self.head, self.last
+        if n < end:
+            moves = self.moves
+            if n == 0:
+                head = moves[tokens[0]]
+                n = 1
+            while n < end:
+                t = tokens[n]
+                n += 1
+                last[head] = n
+                head += moves[t]
+            self.head, self.n = head, n
+        elif not end:
+            return None
+        decode = self.decode
+        j = last.get(head, 1 if head == 0 else 0)
+        return decode[tokens[-1]].state, decode[tokens[j - 1]].symb if j else BLANK
+
+    def check_begin_marker(self, tokens: Sequence[int]) -> None:
+        """Reject a history unless exactly its first token writes a blank;
+        each token is checked once, and a failing one is checked again."""
+        if not tokens:
+            raise ValueError("empty history")
+        decode = self.decode
+        for i in range(self.checked, len(tokens)):
+            if (decode[tokens[i]].symb == BLANK) != (i == 0):
+                self.checked = i
+                raise ValueError(_NO_BEGIN_MARKER)
+        self.checked = len(tokens)
 
 
-def _read_tape_ids(tokens: Sequence[int], decode) -> tuple[int, object, int]:
-    """(state, read symbol, token visits) for a raw token-id history."""
-    n = len(tokens)
-    if n == 0:
+_last_decoded = threading.local()
+
+
+def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...], tuple[int, object] | None]:
+    """This thread's decoder advanced over ``tokens``, their tuple
+    snapshot, and the direct read (None for an empty history).
+
+    Each thread keeps its last decoded history as [S, tuple snapshot,
+    decoder]. When the tokens extend it under the same S, the decoder
+    resumes; any other history is decoded from empty. The snapshot is a
+    tuple, so a token list changed after a call cannot pass for the
+    history decoded then.
+    """
+    t = tuple(tokens)
+    memo = getattr(_last_decoded, "memo", None)
+    if memo is None:
+        memo = _last_decoded.memo = [0, (), None]
+    if memo[0] == S and t[:len(memo[1])] == memo[1]:
+        scan = memo[2]
+    else:
+        scan = _TapeScan(S)
+    memo[0] = 0  # a decoder interrupted mid-extend is never resumed
+    read = scan.extend(t)
+    memo[:] = S, t, scan
+    return scan, t, read
+
+
+def _read_tape(S: int, tokens: Sequence[int]) -> tuple[int, object]:
+    if not tokens:
         raise ValueError("cannot read the tape of an empty history")
-    pos = head_positions(tokens, decode)
-    npos = pos[n]
-    state = decode[tokens[n - 1]].state
-    # visits: the n-token position pass plus the backward scan down to j
-    for j in range(n - 1, -1, -1):
-        if pos[j] == npos:
-            return state, decode[tokens[j]].symb, 2 * n - j
-    return state, BLANK, 2 * n
+    return _decoded(S, tokens)[2]
 
 
 def read_tape(z: TokenSeq) -> tuple[int, object]:
@@ -199,16 +269,7 @@ def read_tape(z: TokenSeq) -> tuple[int, object]:
     moves; the symbol under the final head position is the one most
     recently written there, or blank if it was never visited.
     """
-    S = _alphabet_states(z.alphabet)
-    state, read, _ = _read_tape_ids(z.tokens, _decode_table(S))
-    return state, read
-
-
-def read_tape_cost(z: TokenSeq) -> int:
-    """Token visits made by read_tape (position pass plus backward scan)."""
-    S = _alphabet_states(z.alphabet)
-    _, _, visits = _read_tape_ids(z.tokens, _decode_table(S))
-    return visits
+    return _read_tape(_alphabet_states(z.alphabet), z.tokens)
 
 
 @dataclass(frozen=True)
@@ -226,26 +287,19 @@ class TMGenerator(Generator):
         return tm_alphabet(self.S)
 
     def next_token(self, z: TokenSeq) -> int:
-        state, read, _ = _read_tape_ids(z.tokens, _decode_table(self.S))
-        return self._step_token(state, read)
+        state, symb = _read_tape(self.S, z.tokens)
+        return self._step_token(state, symb)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """Decode state: the head and a cell -> last written symbol map (the
-        state is the last token's), so a step costs O(1) at any history length."""
-        decode = _decode_table(self.S)
-        tape: dict[int, object] = {}
-        head = seen = 0
+        """A ``_TapeScan`` over the growing list, so a step costs O(1) at any
+        history length."""
+        extend, entry_ids = _TapeScan(self.S).extend, self._entry_ids
 
         def step() -> int:
-            nonlocal head, seen
             if not tokens:
                 raise ValueError("cannot read the tape of an empty history")
-            while seen < len(tokens):
-                token = decode[tokens[seen]]
-                tape[head] = token.symb
-                head += token.move
-                seen += 1
-            return self._step_token(decode[tokens[-1]].state, tape.get(head, BLANK))
+            state, symb = extend(tokens)
+            return entry_ids[(state - 1) * 3 + _READ_CODE[symb]]  # _step_token, inlined
 
         return step
 
@@ -271,9 +325,23 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
 
     Each pair pins one table entry at the (state, read) recovered by
     read_tape; conflicting pins mean no table is consistent. Entries the
-    data never pins are fixed to (1, 0, 0) for reproducibility. Runs in
-    time linear in the total history length.
+    data never pins are fixed to (1, 0, 0) for reproducibility.
+
+    The pairs are read last to first: ``prefix_expand`` lists each
+    record's prefixes longest first, so in reverse each history extends
+    the one before and the tape decoder resumes, and the reads cost the
+    total record length. Whether a pair is bad, or two pins conflict, does
+    not depend on the order, and neither does the table; only which error
+    comes first does, so on an error the pairs are read again in their
+    given order to raise the first one.
     """
+    try:
+        return _pin_table(reversed(pairs), S)
+    except Exception:
+        return _pin_table(pairs, S)
+
+
+def _pin_table(pairs: Iterable[tuple[TokenSeq, int]], S: int) -> TMGenerator:
     learned: dict[int, tuple[int, int, int]] = {}
     alphabet = None
     for u, v in pairs:
@@ -286,7 +354,7 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
             raise ValueError(f"label state {token.state} exceeds the {S}-state family")
         if token.symb not in (0, 1):
             raise ValueError("labels must write a bit; blank writes never occur in generation")
-        state, read, _ = _read_tape_ids(u.tokens, decode)
+        state, read = _read_tape(S_data, u.tokens)
         if state > S:
             raise ValueError(f"history state {state} exceeds the {S}-state family")
         key = (state - 1) * 3 + _READ_CODE[read]

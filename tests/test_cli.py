@@ -364,8 +364,17 @@ class TestExperiment:
         # Prompt sets too large to build or to sample.
         {"family": "tm:S=2", "input_len": 40}, {"family": "linthresh:d=2", "input_len": 1000000000},
         {"input_len": -1},
+        # Grids too large to build: each size and trial is a job built up front.
+        {"sizes": "1000000000"}, {"trials": 1000000000}, {"eval_n": 1000000000},
+        {"sizes": ",".join(map(str, range(40))), "trials": 4096},
     ])
-    def test_rejects_unusable_config_values(self, tmp_path, capsys, override):
+    def test_rejects_unusable_config_values(self, tmp_path, capsys, monkeypatch, override):
+        from cotlearn import cli
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the config was refused")
+
+        monkeypatch.setattr(cli, "pac_trial", no_trial)
         cfg = tmp_path / "exp.cfg"
         _write_config(cfg, **override)
         assert main(["experiment", str(cfg)]) == 2

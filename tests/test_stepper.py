@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import reference_lookup
+import reference_tape
 from hypothesis import given, settings, strategies as st
 
 from cotlearn import circomp
@@ -44,9 +45,13 @@ def error_of(fn):
 
 
 def test_tm_stepper_on_corpus(tm_corpus):
+    """The corpus was generated by ``cot``; next_token and the stepper share
+    the tape decoder, so the former stepper loop checks both."""
     for run in tm_corpus:
         gen = TMGenerator(run.spec.S, run.spec.table)
-        assert run.generated == reference_cot(gen, pre(run.omega, run.spec.S), run.spec.T)
+        x = pre(run.omega, run.spec.S)
+        assert run.generated == reference_cot(gen, x, run.spec.T)
+        assert run.generated == reference_tape.cot(reference_tape.tm_stepper, gen, x, run.spec.T)
 
 
 def test_attention_stepper_on_corpus_sample(tm_corpus):
@@ -56,6 +61,7 @@ def test_attention_stepper_on_corpus_sample(tm_corpus):
         z = cot(gen, x, run.spec.T)
         assert z == run.generated
         assert z == reference_cot(gen, x, run.spec.T)
+        assert z == reference_tape.cot(reference_tape.attention_stepper, gen, x, run.spec.T)
 
 
 # Every binary prompt of up to 8 bits: all-zero prompts, partial points,
@@ -118,19 +124,25 @@ def test_compiled_circuit_generator():
 class TestSameErrors:
     TABLE = ((1, 1, 1),) * 3
 
-    @pytest.mark.parametrize("cls", [TMGenerator, AttentionTMGenerator])
-    def test_empty_history(self, cls):
+    @pytest.mark.parametrize("cls, stepper", [
+        (TMGenerator, reference_tape.tm_stepper),
+        (AttentionTMGenerator, reference_tape.attention_stepper),
+    ], ids=["TMGenerator", "AttentionTMGenerator"])
+    def test_empty_history(self, cls, stepper):
         f = cls(1, self.TABLE)
         x = TokenSeq(tm_alphabet(1), ())
-        assert error_of(lambda: cot(f, x, 3)) == error_of(lambda: reference_cot(f, x, 3))
+        expected = error_of(lambda: reference_tape.cot(stepper, f, x, 3))
+        assert error_of(lambda: cot(f, x, 3)) == expected
+        assert error_of(lambda: reference_cot(f, x, 3)) == expected
 
     @pytest.mark.parametrize("tokens", [[TMToken(1, 0, 1)], [TMToken(1, BLANK, 1), TMToken(1, BLANK, 0)]])
     def test_attention_history_without_begin_marker(self, tokens):
         f = AttentionTMGenerator(1, self.TABLE)
         x = TokenSeq(tm_alphabet(1), tuple(encode_token(1, t) for t in tokens))
-        expected = error_of(lambda: reference_cot(f, x, 2))
+        expected = error_of(lambda: reference_tape.cot(reference_tape.attention_stepper, f, x, 2))
         assert "begin marker" in expected[1]
         assert error_of(lambda: cot(f, x, 2)) == expected
+        assert error_of(lambda: reference_cot(f, x, 2)) == expected
 
     def test_out_of_range_token(self):
         f = ConstantGenerator(BINARY, 2)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference_tape import read_tape_cost
 from hypothesis import given, settings, strategies as st
 
 from cotlearn.seqcore import GuardExceededError, NotRealizableError, TokenSeq, cot, e2e
@@ -19,7 +20,6 @@ from cotlearn.turing import (
     post,
     pre,
     read_tape,
-    read_tape_cost,
     simulate_tm,
     tm_alphabet,
     trace_tokens,
