@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .seqcore import TokenSeq
 from .turing import (
     BLANK,
     TMGenerator,
+    TMToken,
     _alphabet_states,
     _decode_table,
     _decoded,
@@ -67,13 +68,12 @@ def _dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
-    """Argmax index set (1-based) and best score among keys j <= i."""
-    q = batch.q[i - 1]
+def _argmax(scores: Iterable[Fraction]) -> tuple[list[int], Fraction]:
+    """Argmax index set (1-based) and best score of a score sequence; ties
+    are exact set membership, never epsilon-based."""
     best = None
     members: list[int] = []
-    for j, key in enumerate(batch.k[:i], start=1):
-        score = _dot(q, key)
+    for j, score in enumerate(scores, start=1):
         if best is None or score > best:
             best = score
             members = [j]
@@ -82,11 +82,17 @@ def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
     return members, best
 
 
+def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
+    """Argmax index set (1-based) and best score among keys j <= i."""
+    q = batch.q[i - 1]
+    return _argmax(_dot(q, key) for key in batch.k[:i])
+
+
 def aha(batch: AttentionBatch) -> list[Vec]:
     """Average-hard-attention outputs at every position.
 
     output[i] is the exact average of the values at the argmax score
-    positions; ties are exact set membership, never epsilon-based.
+    positions.
     """
     outputs: list[Vec] = []
     width = len(batch.v[0]) if batch.v else 0
@@ -113,9 +119,6 @@ class TapeView:
     npos: tuple[Fraction, ...]
     idx_inv: tuple[Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.pos)
-
 
 def _history_parts(z: TokenSeq):
     """Decoded tokens of a history that starts at the begin marker."""
@@ -140,14 +143,13 @@ def uniform_attention(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def positions_via_attention(z: TokenSeq) -> TapeView:
-    """Recover positions from moves using uniform attention.
+def _tape_view(toks: Sequence[TMToken]) -> TapeView:
+    """Positions from moves by uniform attention.
 
     Averaging the is-first indicator gives idx_inv[i] = 1/i, averaging
     the moves gives npos[i]/i, and their ratio recovers the position
     sums. pos[i] then follows by locally subtracting token i's own move.
     """
-    toks = _history_parts(z)
     is_first = [Fraction(1 if t.symb == BLANK else 0) for t in toks]
     moves = [Fraction(t.move) for t in toks]
     idx_inv = uniform_attention(is_first)
@@ -157,41 +159,47 @@ def positions_via_attention(z: TokenSeq) -> TapeView:
     return TapeView(pos, npos, idx_inv)
 
 
-def lookup_via_attention(view: TapeView, z: TokenSeq):
-    """Symbol most recently written at the current head position, via attention.
+def positions_via_attention(z: TokenSeq) -> TapeView:
+    """Recover positions from moves using uniform attention."""
+    return _tape_view(_history_parts(z))
 
-    The query encodes the head position npos[N]; key j scores
-    -2 (npos[N] - pos[j])^2 - 1/j for j >= 2 and the begin marker scores
-    a flat -1. Exact matches therefore beat the marker, the 1/j term
-    picks the most recent match, and with no match the marker wins and
-    its blank symbol is returned. The argmax set is always a singleton.
+
+def _causal_pass(z: TokenSeq) -> tuple[TapeView, list[TMToken], AttentionBatch]:
+    """The tape view, the decoded tokens and the lookup batch of a history.
+
+    The batch holds one query per position i, encoding the head npos[i]
+    after token i's move. Against it key j scores
+    -2 (npos[i] - pos[j])^2 - 1/j for j >= 2, and the begin marker's key
+    scores a flat -1. Value j encodes token j's written symbol.
     """
     toks = _history_parts(z)
-    n = len(toks)
-    if len(view) != n:
-        raise ValueError("tape view does not match the history length")
-    npos_n = view.npos[n - 1]
-    q_n = (-npos_n * npos_n, npos_n, Fraction(-1), Fraction(-1))
-    keys: list[Vec] = []
-    for j in range(1, n + 1):
-        if j == 1:
-            keys.append((Fraction(0), Fraction(0), Fraction(0), view.idx_inv[0]))
-        else:
-            pj = view.pos[j - 1]
-            keys.append((Fraction(2), 4 * pj, 2 * pj * pj, view.idx_inv[j - 1]))
-    values = [(_symb_value(t.symb),) for t in toks]
-    batch = AttentionBatch(tuple([q_n] * n), tuple(keys), tuple(values))
+    view = _tape_view(toks)
+    zero, minus_one = Fraction(0), Fraction(-1)
+    q = tuple((-h * h, h, minus_one, minus_one) for h in view.npos)
+    k = ((zero, zero, zero, view.idx_inv[0]),) + tuple(
+        (Fraction(2), 4 * p, 2 * p * p, inv) for p, inv in zip(view.pos[1:], view.idx_inv[1:])
+    )
+    v = tuple((_symb_value(t.symb),) for t in toks)
+    return view, toks, AttentionBatch(q, k, v)
 
-    for j in range(1, n + 1):
-        assert _dot(q_n, keys[j - 1]) == _lookup_score(npos_n, view.pos[j - 1], j), (
-            "lookup score closed form violated"
-        )
 
-    members, _ = aha_argmax(batch, n)
+def _lookup_at(view: TapeView, batch: AttentionBatch, i: int) -> tuple[object, Fraction, list[int]]:
+    """Symbol under the head after token i, the best score and the argmax set.
+
+    Each key j <= i is scored once against query i, and each score must
+    equal its closed form. Exact matches beat the marker, the 1/j term
+    picks the most recent match, and with no match the marker wins and
+    its blank symbol is returned, so the argmax set must be a singleton.
+    """
+    q, npos = batch.q[i - 1], view.npos[i - 1]
+    scores = []
+    for j, key in enumerate(batch.k[:i], start=1):
+        score = _dot(q, key)
+        assert score == _lookup_score(npos, view.pos[j - 1], j), "lookup score closed form violated"
+        scores.append(score)
+    members, best = _argmax(scores)
     assert len(members) == 1, "tape lookup argmax must be a singleton"
-    share = Fraction(1, len(members))
-    out = sum((values[j - 1][0] for j in members), Fraction(0)) * share
-    return _value_symb(out)
+    return _value_symb(batch.v[members[0] - 1][0]), best, members
 
 
 def _lookup_score(npos: Fraction, pos_j: Fraction, j: int) -> Fraction:
@@ -217,49 +225,38 @@ def _value_symb(value: Fraction):
     raise AssertionError(f"non-symbol attention output {value}")
 
 
+def read_tape_attention_all(z: TokenSeq) -> list[tuple[int, object]]:
+    """(state, symbol under the head) after every token, by one causal
+    attention pass: entry i - 1 is the read of the length-i prefix."""
+    view, toks, batch = _causal_pass(z)
+    return [(t.state, _lookup_at(view, batch, i)[0]) for i, t in enumerate(toks, start=1)]
+
+
 def read_tape_attention(z: TokenSeq) -> tuple[int, object]:
-    """(current state, symbol under the head) computed purely by attention."""
-    view = positions_via_attention(z)
-    return _history_parts(z)[-1].state, lookup_via_attention(view, z)
-
-
-def _lookup_argmax(head: int, writers: dict[int, int]) -> int:
-    """Winning key j of the tape lookup for the head at cell ``head``.
-
-    ``writers`` maps each written cell to its latest writer j >= 2. Keys
-    that wrote one cell differ only in -1/j, so the latest is that cell's
-    best and one key per cell decides the argmax against the begin
-    marker's flat -1 (j = 1). Scores -2 d^2 - 1/j are compared as
-    cross-multiplied integers; the argmax must be a singleton.
-    """
-    best_num, best_j, ties = -1, 1, 1
-    for cell, j in writers.items():
-        d = head - cell
-        num = -2 * d * d * j - 1
-        lhs, rhs = num * best_j, best_num * j
-        if lhs > rhs:
-            best_num, best_j, ties = num, j, 1
-        elif lhs == rhs:
-            ties += 1
-    assert ties == 1, "tape lookup argmax must be a singleton"
-    return best_j
+    """(current state, symbol under the head) computed purely by attention:
+    the last position of the causal pass, which scores n keys."""
+    view, toks, batch = _causal_pass(z)
+    return toks[-1].state, _lookup_at(view, batch, len(toks))[0]
 
 
 def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
-    """Integer-arithmetic replica of read_tape_attention through
-    ``_lookup_argmax``, on the decoder ``read_tape`` shares (so a sweep
-    over growing prefixes decodes each token once); differentially tested
-    against the generic path."""
-    scan, toks, _ = _decoded(_alphabet_states(z.alphabet), z.tokens)
-    return _attention_read(scan, toks)
+    """Integer replica of read_tape_attention: the direct read of the
+    shared tape decoder, once the history passes the begin-marker check.
 
-
-def _attention_read(scan: _TapeScan, toks: Sequence[int]) -> tuple[int, object]:
-    """(state, symbol under the head) of a decoded history, by the lookup argmax."""
+    Why the two agree: the argmax is always the head cell's latest writer,
+    or the begin marker (j = 1) when that cell was never written after it.
+    A key at another cell is at distance d >= 1 and scores
+    -2 d^2 - 1/j <= -2 - 1/j, below the marker's -1. Keys at the head
+    cell differ only in -1/j, so the latest writer scores highest, and
+    -1/j > -1 for every j >= 2, so it beats the marker. Distinct j give
+    distinct scores, so the winner is unique and no scan is needed. The
+    marker writes blank, which is what the direct read returns for a
+    cell with no later writer. ``read_tape_attention`` still asserts the
+    singleton at every position it reads.
+    """
+    scan, toks, read = _decoded(_alphabet_states(z.alphabet), z.tokens)
     scan.check_begin_marker(toks)
-    j = _lookup_argmax(scan.head, scan.last)
-    decode = scan.decode
-    return decode[toks[-1]].state, decode[toks[j - 1]].symb
+    return read
 
 
 class AttentionTMGenerator(TMGenerator):
@@ -274,30 +271,25 @@ class AttentionTMGenerator(TMGenerator):
         return self._step_token(state, read)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """A ``_TapeScan`` over the growing list: the head and each written
-        cell's latest writer, so a step scores one key per cell visited
-        through ``_lookup_argmax`` rather than one per token."""
-        scan = _TapeScan(self.S)
+        """The direct stepper behind the begin-marker check, which runs first
+        and visits each token once; by the lemma in
+        ``read_tape_attention_fast`` its read is the attention read."""
+        check, step = _TapeScan(self.S).check_begin_marker, super().stepper(tokens)
 
-        def step() -> int:
-            scan.extend(tokens)
-            return self._step_token(*_attention_read(scan, tokens))
+        def checked_step() -> int:
+            check(tokens)
+            return step()
 
-        return step
+        return checked_step
 
 
 def tape_view_table(z: TokenSeq) -> str:
     """Debug TSV: per position, the view values plus that position's lookup
-    best score and argmax set (the lookup run on the length-i prefix)."""
-    view = positions_via_attention(z)
-    toks = _history_parts(z)
-    n = len(toks)
+    best score and argmax set (the causal pass's read of the length-i prefix)."""
+    view, toks, batch = _causal_pass(z)
     rows = ["i\tmove\tpos\tnpos\tidx_inv\tbest_score\targmax_set"]
-    for i in range(1, n + 1):
-        scores = [_lookup_score(view.npos[i - 1], view.pos[j - 1], j) for j in range(1, i + 1)]
-        best = max(scores)
-        members = [j + 1 for j, sc in enumerate(scores) if sc == best]
-        t = toks[i - 1]
+    for i, t in enumerate(toks, start=1):
+        _, best, members = _lookup_at(view, batch, i)
         rows.append(
             f"{i}\t{t.move}\t{view.pos[i-1]}\t{view.npos[i-1]}\t{view.idx_inv[i-1]}"
             f"\t{best}\t{{{','.join(map(str, members))}}}"

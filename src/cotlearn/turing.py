@@ -74,8 +74,9 @@ def decode_token(S: int, token_id: int) -> TMToken:
 
 
 def _alphabet_states(alphabet: Alphabet) -> int:
-    n = len(alphabet)
-    if n % 9 != 0 or tm_alphabet(n // 9) != alphabet:
+    n = len(alphabet.symbols)
+    # identity first: tm_alphabet is cached, so the machine alphabets are one object each
+    if n % 9 or (alphabet is not tm_alphabet(n // 9) and alphabet != tm_alphabet(n // 9)):
         raise ValueError("sequence alphabet is not a machine-history alphabet")
     return n // 9
 

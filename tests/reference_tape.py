@@ -4,10 +4,12 @@ The library decodes a history once, continuing from the previous call
 (``turing._TapeScan``). These are the rescans it replaced: every call
 re-walks the whole history, so they share no state between calls. The
 generators' former stepper loops are here too, so ``cot`` is checked
-against code that shares nothing with ``next_token``.
+against code that shares nothing with ``next_token``, and so is the
+attention lookup's former scan over every written cell, which
+``read_tape_attention_fast`` replaced by the lemma that its winner is the
+head cell's latest writer.
 """
 
-from cotlearn.attention import _lookup_argmax
 from cotlearn.seqcore import NotRealizableError, TokenSeq
 from cotlearn.turing import _READ_CODE, BLANK, DEFAULT_ENTRY, _alphabet_states, _decode_table
 
@@ -73,11 +75,33 @@ def writers(tokens, decode):
     return {pos[j - 1]: j for j in range(2, len(tokens) + 1)}
 
 
+def lookup_argmax(head: int, writers: dict[int, int]) -> int:
+    """Winning key j of the tape lookup for the head at cell ``head``.
+
+    ``writers`` maps each written cell to its latest writer j >= 2. Keys
+    that wrote one cell differ only in -1/j, so the latest is that cell's
+    best and one key per cell decides the argmax against the begin
+    marker's flat -1 (j = 1). Scores -2 d^2 - 1/j are compared as
+    cross-multiplied integers; the argmax must be a singleton.
+    """
+    best_num, best_j, ties = -1, 1, 1
+    for cell, j in writers.items():
+        d = head - cell
+        num = -2 * d * d * j - 1
+        lhs, rhs = num * best_j, best_num * j
+        if lhs > rhs:
+            best_num, best_j, ties = num, j, 1
+        elif lhs == rhs:
+            ties += 1
+    assert ties == 1, "tape lookup argmax must be a singleton"
+    return best_j
+
+
 def read_tape_attention_fast(z: TokenSeq):
     decode = _decode_table(_alphabet_states(z.alphabet))
     toks = z.tokens
     check_begin_marker(toks, decode)
-    j = _lookup_argmax(head_positions(toks, decode)[-1], writers(toks, decode))
+    j = lookup_argmax(head_positions(toks, decode)[-1], writers(toks, decode))
     return decode[toks[-1]].state, decode[toks[j - 1]].symb
 
 
@@ -143,7 +167,7 @@ def attention_stepper(f, tokens):
                 last[head] = i
             head += decode[tokens[i - 1]].move
         seen = len(tokens)
-        j = _lookup_argmax(head, last)
+        j = lookup_argmax(head, last)
         return f._step_token(decode[tokens[-1]].state, decode[tokens[j - 1]].symb)
 
     return step

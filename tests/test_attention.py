@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference_tape
 from hypothesis import given, settings, strategies as st
 
 from cotlearn.seqcore import TokenSeq, cot
@@ -10,16 +11,17 @@ from cotlearn.attention import (
     AttentionTMGenerator,
     aha,
     aha_argmax,
-    lookup_via_attention,
     make_batch,
     positions_via_attention,
     read_tape_attention,
+    read_tape_attention_all,
     read_tape_attention_fast,
     tape_view_table,
     uniform_attention,
 )
 from cotlearn.turing import (
     BLANK,
+    _decode_table,
     TMFamily,
     TMGenerator,
     TMToken,
@@ -116,25 +118,16 @@ class TestPositions:
 class TestLookup:
     def test_exact_match_returns_most_recent(self):
         z = history(2, (1, BLANK, 1), (2, 1, -1), (2, 0, 0), (1, 1, 0))
-        view = positions_via_attention(z)
-        assert lookup_via_attention(view, z) == 1
+        assert read_tape_attention(z) == (1, 1)
 
     def test_no_match_returns_blank(self):
         z = pre([0, 1], 1)
-        view = positions_via_attention(z)
-        assert lookup_via_attention(view, z) == BLANK
+        assert read_tape_attention(z) == (1, BLANK)
 
     def test_hand_example(self):
         z = history(1, (1, BLANK, 1), (1, 0, 0))
-        view = positions_via_attention(z)
-        assert lookup_via_attention(view, z) == 0
-        assert read_tape(z) == (1, 0)
-
-    def test_view_length_mismatch_rejected(self):
-        z = history(1, (1, BLANK, 1), (1, 0, 0))
-        short = positions_via_attention(pre([], 1))
-        with pytest.raises(ValueError):
-            lookup_via_attention(short, z)
+        assert read_tape_attention_all(z) == [(1, BLANK), (1, 0)]
+        assert read_tape_attention(z) == read_tape(z) == (1, 0)
 
 
 class TestPipeline:
@@ -152,6 +145,8 @@ class TestPipeline:
                 assert read_tape_attention(prefix) == expected
                 assert read_tape_attention_fast(prefix) == expected
                 checked += 1
+            assert read_tape_attention_all(z) == [read_tape(TokenSeq(z.alphabet, z.tokens[:N]))
+                                                  for N in range(1, len(z) + 1)]
         assert checked > 300
 
     def test_pre_only_history(self):
@@ -197,17 +192,27 @@ def error_of(fn):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_lookup_grouping_on_arbitrary_histories(data):
-    """One key per written cell decides the lookup argmax: cell 0 is
-    rewritten, cells go negative, and the history need not be a machine run."""
+    """The head cell's latest writer, or the marker, wins the lookup: the
+    causal pass, the last-position read, the direct read and the former scan
+    over every written cell agree on every prefix. Cell 0 is rewritten,
+    cells go negative, and the history need not be a machine run."""
     S = data.draw(st.integers(1, 3), label="S")
     triples = data.draw(marker_led_histories(S), label="history")
     z = history(S, *triples)
-    assert read_tape_attention_fast(z) == read_tape_attention(z) == read_tape(z)
+    every = read_tape_attention_all(z)
+    assert len(every) == len(z)
+    for i in range(1, len(z) + 1):
+        prefix = TokenSeq(z.alphabet, z.tokens[:i])
+        assert every[i - 1] == read_tape_attention(prefix) == read_tape(prefix), i
+        assert every[i - 1] == reference_tape.read_tape_attention_fast(prefix), i
+    assert read_tape_attention_fast(z) == every[-1]
 
     entry = st.tuples(st.integers(1, S), st.sampled_from((0, 1)), st.sampled_from((-1, 0, 1)))
     table = tuple(data.draw(st.lists(entry, min_size=3 * S, max_size=3 * S), label="table"))
     T = data.draw(st.integers(1, 8), label="T")
-    assert cot(AttentionTMGenerator(S, table), z, T) == cot(TMGenerator(S, table), z, T)
+    generated = cot(AttentionTMGenerator(S, table), z, T)
+    assert generated == cot(TMGenerator(S, table), z, T)
+    assert generated == reference_tape.cot(reference_tape.attention_stepper, AttentionTMGenerator(S, table), z, T)
 
     i = data.draw(st.integers(0, len(triples) - 1), label="broken")
     state, symb, move = triples[i]
@@ -215,8 +220,32 @@ def test_lookup_grouping_on_arbitrary_histories(data):
     bad = history(S, *triples)
     expected = error_of(lambda: read_tape_attention(bad))
     assert "begin marker" in expected
+    assert error_of(lambda: read_tape_attention_all(bad)) == expected
     assert error_of(lambda: read_tape_attention_fast(bad)) == expected
+    assert error_of(lambda: reference_tape.read_tape_attention_fast(bad)) == expected
     assert error_of(lambda: cot(AttentionTMGenerator(S, table), bad, T)) == expected
+
+
+def test_exact_pass_scores_by_count(monkeypatch):
+    """The causal pass scores each key once per query that sees it, n(n+1)/2
+    dot products on an n-token history, and the last-position read n."""
+    from cotlearn import attention
+
+    counts = {"dots": 0}
+    dot = attention._dot
+
+    def counting_dot(a, b):
+        counts["dots"] += 1
+        return dot(a, b)
+
+    monkeypatch.setattr(attention, "_dot", counting_dot)
+    z = cot(TMFamily(3).random_member(random.Random(3)), pre([1, 0, 1], 3), 60)
+    n = len(z)
+    read_tape_attention_all(z)
+    assert counts["dots"] == n * (n + 1) // 2
+    counts["dots"] = 0
+    read_tape_attention(z)
+    assert counts["dots"] == n
 
 
 def test_debug_table_renders():
@@ -227,3 +256,14 @@ def test_debug_table_renders():
     assert len(lines) == 3
     # at i=2 the head sits on the cell token 2 wrote: singleton argmax {2}
     assert lines[2].endswith("\t{2}")
+
+    # cell 0 rewritten, negative cells, the marker winning on a fresh cell
+    z = history(2, (1, BLANK, 0), (2, 1, -1), (1, 0, -1), (2, 1, 1), (1, 1, 1), (1, 0, 1), (2, 0, -1))
+    decode = _decode_table(2)
+    rows = [line.split("\t") for line in tape_view_table(z).strip().splitlines()[1:]]
+    assert len(rows) == len(z)
+    for i, row in enumerate(rows, start=1):
+        toks = z.tokens[:i]
+        winner = reference_tape.lookup_argmax(reference_tape.head_positions(toks, decode)[-1],
+                                              reference_tape.writers(toks, decode))
+        assert row[-1] == f"{{{winner}}}", (i, row)

@@ -256,28 +256,43 @@ def test_e2e_raises_what_cot_raises(f, x, T):
 
 
 def test_attention_cot_scores_one_key_per_cell(monkeypatch):
-    """Deterministic twin of the attention generator's timing: a machine
-    that never moves keeps the cells, and so the keys scored per step,
-    bounded, and generation computes no Fraction dot product."""
-    from cotlearn import attention
+    """Deterministic twin of the attention generator's timing: a step reads
+    the one key of the head's cell, so generation computes no Fraction dot
+    product and decodes each token once. For a machine that reaches a new
+    cell at almost every step, four times the steps cost about four times
+    the decode work; a scan over every written cell grew 15.4 times. A
+    machine that never moves decodes each token once too."""
+    from cotlearn import attention, turing
 
-    counts = {"keys": 0, "dots": 0}
-    lookup, dot = attention._lookup_argmax, attention._dot
+    counts = {"tokens": 0, "dots": 0}
+    extend, check, dot = turing._TapeScan.extend, turing._TapeScan.check_begin_marker, attention._dot
 
-    def counting_lookup(head, writers):
-        counts["keys"] += len(writers)
-        return lookup(head, writers)
+    def counting_extend(scan, tokens):
+        counts["tokens"] += len(tokens) - scan.n
+        return extend(scan, tokens)
+
+    def counting_check(scan, tokens):
+        counts["tokens"] += len(tokens) - scan.checked
+        return check(scan, tokens)
 
     def counting_dot(a, b):
         counts["dots"] += 1
         return dot(a, b)
 
-    monkeypatch.setattr(attention, "_lookup_argmax", counting_lookup)
+    monkeypatch.setattr(turing._TapeScan, "extend", counting_extend)
+    monkeypatch.setattr(turing._TapeScan, "check_begin_marker", counting_check)
     monkeypatch.setattr(attention, "_dot", counting_dot)
-    f = AttentionTMGenerator(2, ((2, 1, 0), (1, 0, 0), (2, 0, 0)) * 2)
-    x = pre([1, 0, 1, 1], 2)
+
+    def decode_work(f, x, T):
+        counts["tokens"] = 0
+        z = cot(AttentionTMGenerator(f.S, f.table), x, T)
+        work = counts["tokens"]
+        assert z == cot(f, x, T)
+        return work
+
+    roaming, x = TMFamily(3).random_member(random.Random(3)), pre([1, 0, 1], 3)
+    assert decode_work(roaming, x, 400) <= 4.1 * decode_work(roaming, x, 100)
+    still, x = TMGenerator(2, ((2, 1, 0), (1, 0, 0), (2, 0, 0)) * 2), pre([1, 0, 1, 1], 2)
     T = 2000
-    z = cot(f, x, T)
-    assert len(z) == len(x) + T
-    assert 0 < counts["keys"] <= T * (len(x) + 1)
+    assert decode_work(still, x, T) == 2 * (len(x) + T - 1)
     assert counts["dots"] == 0

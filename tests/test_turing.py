@@ -4,7 +4,8 @@ import pytest
 from reference_tape import read_tape_cost
 from hypothesis import given, settings, strategies as st
 
-from cotlearn.seqcore import GuardExceededError, NotRealizableError, TokenSeq, cot, e2e
+from cotlearn.attention import read_tape_attention_fast
+from cotlearn.seqcore import Alphabet, GuardExceededError, NotRealizableError, TokenSeq, cot, e2e
 from cotlearn.learning import CoTDataset, cons_cot, prefix_expand
 from cotlearn.turing import (
     BLANK,
@@ -86,6 +87,24 @@ class TestReadTape:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             read_tape(TokenSeq(tm_alphabet(1), ()))
+
+    def test_equal_alphabet_object_reads_the_same(self):
+        z = history(2, (1, BLANK, 1), (2, 1, -1), (2, 0, 0), (1, 1, 0))
+        copy = Alphabet(tm_alphabet(2).symbols)
+        assert copy is not tm_alphabet(2)
+        assert read_tape(TokenSeq(copy, z.tokens)) == read_tape(z) == (1, 1)
+        assert read_tape_attention_fast(TokenSeq(copy, z.tokens)) == (1, 1)
+
+    @pytest.mark.parametrize("symbols", [
+        tuple(f"t{i}" for i in range(9)),  # 9 tokens, not (state, symbol, move) triples
+        tm_alphabet(1).symbols[::-1],  # the machine tokens in another order
+        tuple(f"t{i}" for i in range(10)),
+    ], ids=["nine-tokens", "reordered", "ten-tokens"])
+    def test_non_machine_alphabet_refused(self, symbols):
+        z = TokenSeq(Alphabet(symbols), (0, 1))
+        for reader in (read_tape, read_tape_attention_fast):
+            with pytest.raises(ValueError, match="^sequence alphabet is not a machine-history alphabet$"):
+                reader(z)
 
     def test_visit_cost_linear(self):
         rng = random.Random(1)
