@@ -118,14 +118,17 @@ def cmd_learn(args) -> int:
         _check_out_path(args.out)
     fam = lbfamilies.parse_family_spec(args.family)
     T = _horizon(args, fam)
+    load = load_cot_dataset if args.mode == "cot" else load_e2e_dataset
+    data = load(args.data, fam.alphabet, T)
+    if not len(data):
+        raise ValueError(f"dataset {args.data} holds no examples")
     if args.mode == "cot":
-        data = load_cot_dataset(args.data, fam.alphabet, T)
         oracle = fam.cons_oracle()
         if oracle is None:
             raise ValueError("family offers no next-token consistency oracle")
         learned = cons_cot(data, oracle)
     else:
-        learned = cons_e2e(load_e2e_dataset(args.data, fam.alphabet, T), fam)
+        learned = cons_e2e(data, fam)
     text = _serialize_generator(learned, T)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -243,6 +246,8 @@ def _parse_config(text: str) -> dict:
         key = key.strip().lower()
         if not value or key not in _CONFIG_KEYS:
             raise ValueError(f"bad config line {raw!r}")
+        if key in cfg:
+            raise ValueError(f"config key {key!r} given twice")
         cfg[key] = value.strip()
     for required in ("family", "mode", "t", "sizes", "trials", "seed", "out"):
         if required not in cfg:

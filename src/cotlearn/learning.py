@@ -229,6 +229,37 @@ def trial_seed(experiment_seed: int, trial_index: int) -> int:
     return x
 
 
+class LabelledSupport:
+    """f_star's T-step records and answers, each generated at most once per prompt.
+
+    ``record(x)`` is ``cot(f_star, x, T)`` and also stores its last token
+    as the answer; ``answer(x)`` returns that, or runs ``e2e`` once. One
+    instance can serve every trial on the same ``(f_star, T)``, such as a
+    sweep over the sample size m, and keeps every prompt it is asked about.
+    """
+
+    def __init__(self, f_star: Generator, T: int):
+        if T < 1:
+            raise ValueError("generation length T must be at least 1")
+        self.f_star = f_star
+        self.T = T
+        self._answers: dict[TokenSeq, int] = {}
+        self._records: dict[TokenSeq, TokenSeq] = {}
+
+    def record(self, x: TokenSeq) -> TokenSeq:
+        z = self._records.get(x)
+        if z is None:
+            z = self._records[x] = cot(self.f_star, x, self.T)
+            self._answers[x] = z.tokens[-1]
+        return z
+
+    def answer(self, x: TokenSeq) -> int:
+        y = self._answers.get(x)
+        if y is None:
+            y = self._answers[x] = e2e(self.f_star, x, self.T)
+        return y
+
+
 def pac_trial(
     family: GeneratorFamily,
     f_star: Generator,
@@ -238,39 +269,42 @@ def pac_trial(
     mode: str,
     eval_n: int,
     seed: int,
+    labels: LabelledSupport | None = None,
 ) -> PacTrialResult:
     """One learning trial: sample m prompts, learn, score held out.
 
-    The error is exact (full support average) when the distribution
-    exposes a support of at most 4096 prompts, otherwise a Monte Carlo
-    estimate on eval_n fresh prompts. A fixed seed fixes the output.
+    A consistency learner's output depends only on the set of distinct
+    examples, so the learner sees each distinct sampled prompt once, in
+    first-draw order. The error is exact (full support average, repeated
+    support points weighted) when the distribution exposes a support of
+    at most 4096 prompts, otherwise a Monte Carlo estimate on eval_n fresh
+    prompts. f_star's records and answers come from ``labels``, built
+    here when not given. A fixed seed fixes the output.
     """
     if mode not in ("cot", "e2e"):
         raise ValueError("mode must be 'cot' or 'e2e'")
     if m < 0 or eval_n < 1:
         raise ValueError("need m >= 0 and eval_n >= 1")
+    if labels is None:
+        labels = LabelledSupport(f_star, T)
+    elif labels.f_star != f_star or labels.T != T:
+        raise ValueError("labels were built for another f_star or T")
     rng = random.Random(seed)
-    prompts = [input_dist.sample(rng) for _ in range(m)]
+    distinct = tuple(dict.fromkeys([input_dist.sample(rng) for _ in range(m)]))
 
     if mode == "cot":
         oracle = family.cons_oracle()
         if oracle is None:
             raise ValueError("family offers no next-token consistency oracle")
-        data = CoTDataset(tuple(cot(f_star, x, T) for x in prompts), T)
-        learned = cons_cot(data, oracle)
+        learned = cons_cot(CoTDataset(tuple(map(labels.record, distinct)), T), oracle)
     else:
-        pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
+        pairs = tuple((x, labels.answer(x)) for x in distinct)
         learned = cons_e2e(E2EDataset(pairs, T), family)
 
     support = input_dist.support()
-    if support is not None and len(support) <= EXACT_EVAL_SUPPORT:
-        eval_pairs = tuple((x, e2e(f_star, x, T)) for x in support)
-        exact = True
-    else:
-        eval_pairs = tuple(
-            (x, e2e(f_star, x, T)) for x in (input_dist.sample(rng) for _ in range(eval_n))
-        )
-        exact = False
+    exact = support is not None and len(support) <= EXACT_EVAL_SUPPORT
+    eval_prompts = support if exact else [input_dist.sample(rng) for _ in range(eval_n)]
+    eval_pairs = tuple((x, labels.answer(x)) for x in eval_prompts)
     err = zero_one_error(e2e_predictor(learned, T), E2EDataset(eval_pairs, T))
     return PacTrialResult(error=err, m=m, mode=mode, learned=learned, exact_eval=exact)
 

@@ -23,6 +23,7 @@ from cotlearn.circomp import (
 from cotlearn.learning import (
     CoTDataset,
     FiniteUniformPrompts,
+    LabelledSupport,
     cons_cot,
     pac_trial,
     prefix_expand,
@@ -165,8 +166,9 @@ def _samples_to_zero(family, mode: str, T: int, seed: int, m_cap: int = 2000) ->
     rng = random.Random(seed)
     f_star = family.random_member(rng)
     dist = FiniteUniformPrompts(family.canonical_points())
+    labels = LabelledSupport(f_star, T)
     for m in range(m_cap + 1):
-        result = pac_trial(family, f_star, dist, m, T, mode, eval_n=200, seed=trial_seed(seed, m))
+        result = pac_trial(family, f_star, dist, m, T, mode, eval_n=200, seed=trial_seed(seed, m), labels=labels)
         if result.error == 0:
             return m
     return m_cap

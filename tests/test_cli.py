@@ -1,6 +1,9 @@
 import csv
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -348,6 +351,15 @@ class TestExperiment:
         cfg.write_text("family=e1:D=2,T=2\n")
         assert main(["experiment", str(cfg)]) == 2
 
+    def test_repeated_key_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg, t=2)
+        cfg.write_text(cfg.read_text() + "T=3\n")
+        assert main(["experiment", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config key 't' given twice"]
+        assert not (tmp_path / "rows.csv").exists()
+
     @pytest.mark.parametrize("out", ["missing/rows.csv", "."])
     def test_unwritable_out_fails_before_any_trial(self, tmp_path, capsys, out):
         cfg = tmp_path / "exp.cfg"
@@ -469,3 +481,74 @@ def test_installed_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "2"
+
+
+# A good input file for each file-reading command, and the command line
+# that reads it ("{}" stands for the file).
+_E1 = E1Family(1, 2)
+_CONTRACT = {
+    "generate-tm": (["generate", "{}", "--kind", "tm", "--input", "0", "--T", "1"], format_tm(ALWAYS_ONE)),
+    "generate-threshold": (["generate", "{}", "--kind", "threshold", "--prompt", "1", "--T", "1"], "2 -2 1 1\n"),
+    "learn-cot": (
+        ["learn", "--family", "e1:D=1,T=2", "--mode", "cot", "--data", "{}"],
+        "".join(cot(_E1.member(1), x, 2).render() + "\n" for x in _E1.canonical_points()),
+    ),
+    "learn-e2e": (
+        ["learn", "--family", "e1:D=1,T=2", "--mode", "e2e", "--data", "{}"],
+        "".join(f"{x.render()}\t{e2e(_E1.member(1), x, 2)}\n" for x in _E1.canonical_points()),
+    ),
+    "compile-circuit": (["compile-circuit", "{}"], format_circuit(random_normalized_circuit(random.Random(1), 2, 2, 1))),
+    "compile-circuit-compiled": (["compile-circuit", "{circuit}", "--compiled", "{}"], None),
+    "simulate-tm": (["simulate-tm", "{}", "--input", "0"], format_tm(ALWAYS_ONE)),
+    "experiment": (["experiment", "{}"], None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONTRACT))
+def test_malformed_input_file_exits_two_with_one_error_line(tmp_path, capsys, command):
+    """Run as a process, each file-reading command turns a missing file, a
+    directory, non-UTF-8 bytes, an empty file or a truncated header into
+    exit 2 and one "error:" line on stderr, never a traceback."""
+    argv, good = _CONTRACT[command]
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(_CONTRACT["compile-circuit"][1])
+    good_path = tmp_path / "good"
+    if command == "experiment":
+        _write_config(good_path, sizes="1", trials=1)
+    elif command == "compile-circuit-compiled":
+        assert main(["compile-circuit", str(circuit), "--out", str(good_path)]) == 0
+    else:
+        good_path.write_text(good)
+
+    def fill(path):
+        return [str(path) if a == "{}" else str(circuit) if a == "{circuit}" else a for a in argv]
+
+    assert main(fill(good_path)) == 0, capsys.readouterr().err
+    first_line = good_path.read_text().splitlines()[0]
+    bad = {
+        "missing": None,
+        "directory": "dir",
+        "non-utf-8": b"\xff\xfe\x80 1\n",
+        "empty": b"",
+        "truncated-header": first_line[: len(first_line) // 2].encode(),
+    }
+    for name, content in bad.items():
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-m", "cotlearn.cli", *fill(tmp_path / name)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+        )
+        for name in bad
+    }
+    for name, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        lines = err.strip().splitlines()
+        assert proc.returncode == 2, (name, proc.returncode, err)
+        assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (name, err)

@@ -3,14 +3,17 @@ import statistics
 from fractions import Fraction
 
 import pytest
+import reference_learning
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cotlearn.seqcore import BINARY, Alphabet, NotRealizableError, cot, e2e
+from cotlearn import learning
+from cotlearn.seqcore import BINARY, Alphabet, Generator, NotRealizableError, cot, e2e
 from cotlearn.learning import (
     BitStringPrompts,
     CoTDataset,
     E2EDataset,
     FiniteUniformPrompts,
+    LabelledSupport,
     cons_cot,
     cons_e2e,
     e2e_predictor,
@@ -23,8 +26,8 @@ from cotlearn.learning import (
     trial_seed,
     zero_one_error,
 )
-from cotlearn.lbfamilies import E1Family
-from cotlearn.linthresh import cons_lp, make_threshold
+from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily
+from cotlearn.linthresh import SparseThresholdFamily, ThresholdFamily, cons_lp, make_threshold
 from cotlearn.turing import TMFamily, TMGenerator, pre, tm_alphabet
 
 seq = BINARY.seq
@@ -266,8 +269,9 @@ def test_cot_needs_far_fewer_samples_than_e2e():
     def samples_to_zero(mode, seed):
         rng = random.Random(seed)
         f_star = fam.random_member(rng)
+        labels = LabelledSupport(f_star, 4)
         for m in range(400):
-            r = pac_trial(fam, f_star, dist, m, 4, mode, eval_n=100, seed=trial_seed(seed, m))
+            r = pac_trial(fam, f_star, dist, m, 4, mode, eval_n=100, seed=trial_seed(seed, m), labels=labels)
             if r.error == 0:
                 return m
         return 400
@@ -275,6 +279,160 @@ def test_cot_needs_far_fewer_samples_than_e2e():
     cot_median = statistics.median(samples_to_zero("cot", s) for s in range(50))
     e2e_median = statistics.median(samples_to_zero("e2e", s) for s in range(50))
     assert cot_median < e2e_median
+
+
+def _tm_prompts(S: int, max_len: int) -> FiniteUniformPrompts:
+    return FiniteUniformPrompts(tuple(
+        pre([(code >> j) & 1 for j in range(n)], S) for n in range(max_len + 1) for code in range(2 ** n)
+    ))
+
+
+def _lookup(fam):
+    return FiniteUniformPrompts(fam.canonical_points())
+
+
+def _oracle_cases():
+    """(name, family, prompt distribution, T, mode, sample sizes)."""
+    for T in (2, 4, 8):
+        fam = E1Family(3, T)
+        for mode in ("cot", "e2e"):
+            yield f"e1:D=3,T={T}-{mode}", fam, _lookup(fam), T, mode, (0, 1, 5, 3 * T, 4 * 3 * T)
+    yield "ldim:D=3-e2e", LdimFamily(3), _lookup(LdimFamily(3)), 4, "e2e", (0, 2, 6, 20)
+    yield "collapse:D=3-e2e", CollapseFamily(3), _lookup(CollapseFamily(3)), 2, "e2e", (0, 2, 6, 20)
+    yield "tm:S=3-cot", TMFamily(3), _tm_prompts(3, 4), 10, "cot", (0, 5, 31, 70)
+    for fam in (ThresholdFamily(3), SparseThresholdFamily(4, 1)):
+        for dist in (BitStringPrompts(1, 4), BitStringPrompts(1, 13)):
+            path = "exact" if dist.support() else "monte-carlo"
+            yield f"{fam}-{path}-cot", fam, dist, 3, "cot", (0, 4, 12, 40)
+    fam = E1Family(2, 2)
+    pts = fam.canonical_points()
+    repeated = FiniteUniformPrompts(pts + (pts[0], pts[0], pts[2]))
+    for mode in ("cot", "e2e"):
+        yield f"e1:D=2,T=2-repeated-{mode}", fam, repeated, 2, mode, (0, 3, 7, 30)
+
+
+class TestDistinctPrompts:
+    """A trial learns from each distinct sampled prompt once and gives the
+    reference trial's result, which learns from every draw."""
+
+    @pytest.mark.parametrize(
+        "name, fam, dist, T, mode, sizes", [pytest.param(*case, id=case[0]) for case in _oracle_cases()]
+    )
+    def test_matches_reference_trial(self, name, fam, dist, T, mode, sizes):
+        for s in range(3):
+            f_star = fam.random_member(random.Random(s))
+            for m in sizes:
+                seed = trial_seed(s, m)
+                got = pac_trial(fam, f_star, dist, m, T, mode, 40, seed)
+                want = reference_learning.pac_trial(fam, f_star, dist, m, T, mode, 40, seed)
+                assert (got.error, got.m, got.mode, got.exact_eval, got.learned) == (
+                    want.error, want.m, want.mode, want.exact_eval, want.learned
+                ), (name, s, m)
+
+    def test_shared_labels_match_fresh_ones(self):
+        fam = E1Family(3, 4)
+        dist = _lookup(fam)
+        f_star = fam.random_member(random.Random(8))
+        for mode in ("cot", "e2e"):
+            labels = LabelledSupport(f_star, 4)
+            for m in range(30):
+                shared = pac_trial(fam, f_star, dist, m, 4, mode, 50, trial_seed(8, m), labels=labels)
+                fresh = pac_trial(fam, f_star, dist, m, 4, mode, 50, trial_seed(8, m))
+                assert (shared.error, shared.learned) == (fresh.error, fresh.learned)
+
+    def test_labels_for_another_target_or_horizon_are_refused(self):
+        fam = E1Family(2, 2)
+        dist = _lookup(fam)
+        with pytest.raises(ValueError):
+            pac_trial(fam, fam.member(1), dist, 3, 2, "cot", 50, 0, labels=LabelledSupport(fam.member(2), 2))
+        with pytest.raises(ValueError):
+            pac_trial(fam, fam.member(1), dist, 3, 2, "cot", 50, 0, labels=LabelledSupport(fam.member(1), 3))
+        with pytest.raises(ValueError):
+            LabelledSupport(fam.member(1), 0)
+
+    def test_record_and_answer_agree_with_generation(self):
+        f = make_threshold([1, -1], 0)
+        labels = LabelledSupport(f, 3)
+        for bits in ([1], [0, 1], [1, 1, 0]):
+            x = seq(bits)
+            assert labels.answer(x) == e2e(f, x, 3)
+            assert labels.record(x) == cot(f, x, 3)
+            assert labels.answer(x) == labels.record(x).tokens[-1]
+
+
+class CountingGenerator(Generator):
+    """A target behind a stepper that counts its generations."""
+
+    def __init__(self, f: Generator):
+        self.f = f
+        self.alphabet = f.alphabet
+        self.generations = 0
+
+    def next_token(self, x):
+        return self.f.next_token(x)
+
+    def stepper(self, tokens):
+        self.generations += 1
+        return self.f.stepper(tokens)
+
+
+class TestGenerationCounts:
+    """Deterministic twins of the learning-trial speedup: f_star generates
+    once per distinct prompt, and the learner sees each distinct prompt once."""
+
+    def test_trial_generates_each_distinct_prompt_once(self):
+        fam, T, m, seed = TMFamily(3), 10, 70, 5
+        dist = _tm_prompts(3, 4)
+        f_star = CountingGenerator(fam.random_member(random.Random(1)))
+        pac_trial(fam, f_star, dist, m, T, "cot", 50, seed)
+        rng = random.Random(seed)
+        sampled = {dist.sample(rng) for _ in range(m)}
+        assert f_star.generations == len(sampled | set(dist.support())) == 31
+
+    def test_shared_labels_generate_each_record_and_answer_once(self):
+        # m = 0 labels the 31-prompt support with one e2e each; a later
+        # record is one cot, whose last token is then the stored answer.
+        fam, T = TMFamily(3), 10
+        dist = _tm_prompts(3, 4)
+        f_star = CountingGenerator(fam.random_member(random.Random(2)))
+        labels = LabelledSupport(f_star, T)
+        recorded = set()
+        for m in range(41):
+            pac_trial(fam, f_star, dist, m, T, "cot", 50, trial_seed(2, m), labels=labels)
+            rng = random.Random(trial_seed(2, m))
+            recorded.update(dist.sample(rng) for _ in range(m))
+        assert f_star.generations == 31 + len(recorded) <= 2 * 31
+
+    def test_shared_answer_only_labels_generate_at_most_the_support(self):
+        fam, T = E1Family(3, 8), 8
+        dist = _lookup(fam)
+        f_star = CountingGenerator(fam.random_member(random.Random(4)))
+        labels = LabelledSupport(f_star, T)
+        for m in range(41):
+            pac_trial(fam, f_star, dist, m, T, "e2e", 50, trial_seed(4, m), labels=labels)
+        assert f_star.generations == len(dist.support()) == 24
+
+    @pytest.mark.parametrize("mode", ["cot", "e2e"])
+    def test_learner_sees_distinct_prompts(self, monkeypatch, mode):
+        fam, T, m, seed = E1Family(3, 4), 4, 48, 6
+        dist = _lookup(fam)
+        seen = []
+        real_cot, real_e2e = learning.cons_cot, learning.cons_e2e
+
+        def spy_cot(data, oracle):
+            return real_cot(data, lambda pairs: seen.append(len(pairs)) or oracle(pairs))
+
+        def spy_e2e(data, family):
+            seen.append(len(data.pairs))
+            return real_e2e(data, family)
+
+        monkeypatch.setattr(learning, "cons_cot", spy_cot)
+        monkeypatch.setattr(learning, "cons_e2e", spy_e2e)
+        pac_trial(fam, fam.random_member(random.Random(3)), dist, m, T, mode, 50, seed)
+        rng = random.Random(seed)
+        distinct = len({dist.sample(rng) for _ in range(m)})
+        assert distinct < m
+        assert seen == [distinct * T if mode == "cot" else distinct]
 
 
 class TestTrialSeed:
