@@ -17,7 +17,6 @@ sums against -1, which floating point must not be allowed to blur.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +24,7 @@ from operator import add
 from typing import Sequence
 
 from .seqcore import BINARY, GuardExceededError, TokenSeq
-from .linthresh import LinearThreshold, parse_fraction
+from .linthresh import IntegerThreshold, LinearThreshold, parse_fraction
 
 VERIFY_MAX_INPUTS = 12
 COMPILE_MAX_D = 1 << 16
@@ -68,18 +67,14 @@ class ThresholdCircuit:
         return max(self.widths)
 
     @cached_property
-    def integer_layers(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """Each gate as its nonzero (predecessor, weight) terms, scaled to
-        integers by the lcm of the gate's denominators. The factor is
-        positive, so the sign of the gate's sum, and its value, is unchanged."""
-        out = []
-        for layer in self.layers:
-            gates = []
-            for gate in layer:
-                scale = math.lcm(*(w.denominator for w in gate))
-                gates.append(tuple((i, int(w * scale)) for i, w in enumerate(gate) if w))
-            out.append(tuple(gates))
-        return tuple(out)
+    def integer_layers(self) -> tuple[tuple[IntegerThreshold, ...], ...]:
+        """Each gate as the integer form of a zero-bias threshold over its
+        predecessors: weight j sits at offset p - j, so ``total`` on the
+        gate's p predecessor values is its scaled sum."""
+        return tuple(
+            tuple(LinearThreshold(gate, Fraction(0)).integer_form for gate in layer)
+            for layer in self.layers
+        )
 
 
 def make_circuit(n: int, layers) -> ThresholdCircuit:
@@ -98,7 +93,7 @@ def eval_circuit_values(circuit: ThresholdCircuit, x: Sequence[int]) -> list[tup
     known: list[int] = list(x)
     out: list[tuple[int, ...]] = []
     for layer in circuit.integer_layers:
-        vals = tuple(1 if sum(w for i, w in gate if known[i]) >= 0 else 0 for gate in layer)
+        vals = tuple(1 if gate.total(known) >= 0 else 0 for gate in layer)
         out.append(vals)
         known.extend(vals)
     return out
@@ -337,10 +332,7 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     scale = form.scale
     # weight_at[k]: weight on the bit k positions back from the token being
     # generated; zero past the window, and long enough for every slice below.
-    window = max((i for i, _ in form.terms), default=0)
-    weight_at = [0] * (max(window, 2 * T + n) + 1)
-    for i, w in form.terms:
-        weight_at[i] = w
+    weight_at = form.weight_at + (0,) * (2 * T + n + 1 - len(form.weight_at))
     # The prompt is a 1, then T-1 zeros, then x; the 0-based step t reads
     # the leading 1 at offset T+n+t and input bit j at offset n-j+t.
     lead = [form.bias + w for w in weight_at[T + n:2 * T + n]]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import os
 import random
 import statistics
@@ -31,7 +30,7 @@ from .learning import (
     pac_trial,
     trial_seed,
 )
-from .seqcore import BINARY, NotRealizableError, cot
+from .seqcore import BINARY, NotRealizableError, check_horizon, cot
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -123,10 +122,7 @@ def cmd_learn(args) -> int:
     if not len(data):
         raise ValueError(f"dataset {args.data} holds no examples")
     if args.mode == "cot":
-        oracle = fam.cons_oracle()
-        if oracle is None:
-            raise ValueError("family offers no next-token consistency oracle")
-        learned = cons_cot(data, oracle)
+        learned = cons_cot(data, fam.cons_oracle())
     else:
         learned = cons_e2e(data, fam)
     text = _serialize_generator(learned, T)
@@ -264,8 +260,7 @@ def _parse_config(text: str) -> dict:
         raise ValueError(f"trials must be between 1 and {EXPERIMENT_MAX_TRIALS}")
     if len(sizes) * trials > EXPERIMENT_MAX_JOBS:
         raise ValueError(f"sizes times trials must be at most {EXPERIMENT_MAX_JOBS} jobs")
-    if int(cfg["t"]) < 1:
-        raise ValueError("t must be at least 1")
+    check_horizon(int(cfg["t"]))
     if cfg["mode"] not in ("cot", "e2e"):
         raise ValueError("mode must be cot or e2e")
     cfg["sizes"] = sizes
@@ -293,11 +288,8 @@ def _experiment_dist(fam, input_len: int) -> PromptDist:
                 f"input_len={input_len} gives {total} machine prompts, "
                 f"above the exact-evaluation limit {EXACT_EVAL_SUPPORT}"
             )
-        pts = []
-        for n in range(0, input_len + 1):
-            for bits in itertools.product((0, 1), repeat=n):
-                pts.append(turing.pre(list(bits), fam.S))
-        return FiniteUniformPrompts(tuple(pts))
+        bit_strings = BitStringPrompts(0, input_len).support()
+        return FiniteUniformPrompts(tuple(turing.pre(x.tokens, fam.S) for x in bit_strings))
     return BitStringPrompts(1, input_len)
 
 

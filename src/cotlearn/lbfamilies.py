@@ -132,15 +132,13 @@ class LookupFamily(GeneratorFamily):
         idx = self._replay_index(k, len(cont))
         return 0 if idx is None else b[idx]
 
+    @cached_property
+    def _point_table(self) -> dict[tuple[int, ...], int]:
+        return {p: k for k, p in enumerate(self._points, start=1)}
+
     def _point_number(self, head: Sequence[int]) -> int | None:
         """k when the ``point_len`` tokens after the leading zeros are point k."""
-        if head[0] != 1:
-            return None
-        value = 0
-        for bit in head[1:]:
-            value = (value << 1) | bit
-        k = value + 1
-        return k if k <= len(self._points) else None
+        return self._point_table.get(tuple(head))
 
     def _decode(self, tokens: Sequence[int]):
         """(point number k, continuation) when the input is a point plus a tail, else None."""
@@ -260,15 +258,15 @@ class E1Family(LookupFamily):
         return oracle
 
     def find_e2e_consistent(self, pairs, T: int):
-        """Fast path for canonical-point prompts: answer k pins bit b_k.
+        """Fast path for canonical-point prompts: at any horizon T, the answer
+        on point k is the bit ``_replay_index(k, T - 1)`` names, and 0 for
+        every member when that index is None.
 
         Matches the generic first-member scan exactly (the zero fill is
         the enumeration-minimal completion of forced bits); non-point
         prompts fall back to the generic scan.
         """
-        if T != self.T:
-            return super().find_e2e_consistent(pairs, T)
-        assign: dict[int, int] = {}
+        assign: dict[int | None, int] = {None: 0}  # index None: every member answers 0
         for x, y in pairs:
             dec = self._decode(x.tokens)
             if dec is None or dec[1] != ():
@@ -317,12 +315,6 @@ class CollapseFamily(LookupFamily):
     @cached_property
     def _points(self) -> tuple[tuple[int, ...], ...]:
         return _numbered_points(self.D, trailing_one=True)
-
-    def _point_number(self, head: Sequence[int]) -> int | None:
-        try:
-            return self._points.index(tuple(head)) + 1
-        except ValueError:
-            return None
 
     def _replay_index(self, k: int, r: int) -> int | None:
         return k - 1 if r == 0 else None

@@ -294,8 +294,6 @@ def pac_trial(
 
     if mode == "cot":
         oracle = family.cons_oracle()
-        if oracle is None:
-            raise ValueError("family offers no next-token consistency oracle")
         learned = cons_cot(CoTDataset(tuple(map(labels.record, distinct)), T), oracle)
     else:
         pairs = tuple((x, labels.answer(x)) for x in distinct)

@@ -62,6 +62,14 @@ class IntegerThreshold:
                 acc += w
         return acc
 
+    @cached_property
+    def weight_at(self) -> tuple[int, ...]:
+        """The scaled weight at each offset 0..window; offset 0 and gaps hold 0."""
+        row = [0] * (max((i for i, _ in self.terms), default=0) + 1)
+        for i, w in self.terms:
+            row[i] = w
+        return tuple(row)
+
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
         """``total`` of a growing list, one call per appended token (see
         ``Generator.stepper``).
@@ -70,10 +78,8 @@ class IntegerThreshold:
         call sums the weights at their offsets: it visits the set bits,
         not every nonzero weight.
         """
-        window = max((i for i, _ in self.terms), default=0)
-        weight_at = [0] * (window + 1)
-        for i, w in self.terms:
-            weight_at[i] = w
+        weight_at = self.weight_at
+        window = len(weight_at) - 1
         ones: deque[int] = deque()
         seen = 0
 

@@ -28,6 +28,9 @@ class GuardExceededError(ValueError):
 
 
 MEMBER_GUARD = 1 << 16
+# Longest generation horizon (also a machine file's T): a T-step generation
+# holds T tokens. Above every compiled circuit's T, which is below COMPILE_MAX_D.
+GENERATION_MAX_T = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,14 +196,21 @@ def apply_and_append(f: Generator, x: TokenSeq) -> TokenSeq:
     return x.append(f.next_token(x))
 
 
+def check_horizon(T: int) -> None:
+    """Refuse a generation length below 1 or above ``GENERATION_MAX_T``."""
+    if T < 1:
+        raise ValueError("generation length T must be at least 1")
+    if T > GENERATION_MAX_T:
+        raise GuardExceededError(f"generation length T={T} exceeds the guard {GENERATION_MAX_T}")
+
+
 def _generate(f: Generator, x: TokenSeq, T: int) -> list[int]:
     """The prompt's tokens followed by ``T`` generated ones, as one list.
 
     Runs ``f.stepper`` over that list, so the cost per token is the
     generator's step, not the history length.
     """
-    if T < 1:
-        raise ValueError("generation length T must be at least 1")
+    check_horizon(T)
     _check_alphabet(f, x)
     tokens = list(x.tokens)
     step = f.stepper(tokens)
@@ -281,9 +291,9 @@ class GeneratorFamily(ABC):
     def default_member(self) -> Generator:
         return next(iter(self.members()))
 
-    def cons_oracle(self) -> Callable[[Sequence[tuple[TokenSeq, int]]], Generator] | None:
-        """Family-specific next-token consistency procedure, if one exists."""
-        return None
+    def cons_oracle(self) -> Callable[[Sequence[tuple[TokenSeq, int]]], Generator]:
+        """Family-specific next-token consistency procedure; this default has none."""
+        raise ValueError("family offers no next-token consistency oracle")
 
     def find_e2e_consistent(self, pairs: Sequence[tuple[TokenSeq, int]], T: int) -> Generator | None:
         """First member (canonical order) whose T-step answers match all pairs.

@@ -22,6 +22,7 @@ from .seqcore import (
     GeneratorFamily,
     NotRealizableError,
     TokenSeq,
+    check_horizon,
 )
 
 BLANK = "_"
@@ -95,8 +96,9 @@ class TMSpec:
     table: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.S < 1 or self.T < 1:
-            raise ValueError("need S >= 1 and T >= 1")
+        if self.S < 1:
+            raise ValueError("need S >= 1")
+        check_horizon(self.T)
         if len(self.table) != 3 * self.S:
             raise ValueError(f"transition table must have {3 * self.S} entries")
         for s2, a, b in self.table:

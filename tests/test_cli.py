@@ -379,6 +379,8 @@ class TestExperiment:
         # Grids too large to build: each size and trial is a job built up front.
         {"sizes": "1000000000"}, {"trials": 1000000000}, {"eval_n": 1000000000},
         {"sizes": ",".join(map(str, range(40))), "trials": 4096},
+        # A horizon above GENERATION_MAX_T: refused before any job is built.
+        {"t": 100000000},
     ])
     def test_rejects_unusable_config_values(self, tmp_path, capsys, monkeypatch, override):
         from cotlearn import cli
@@ -474,13 +476,48 @@ class TestExperiment:
         assert out.strip().startswith("6 ")
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cotlearn.cli", "vcdim", "--family", "e1:D=1,T=2", "--mode", "e2e"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "2"
+
+
+_HUGE_T = 100000000
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["generate", "{}", "--kind", "threshold", "--prompt", "1", "--T", str(_HUGE_T)], "2 -2 1 1\n"),
+    (["simulate-tm", "{}", "--input", "0"], format_tm(ALWAYS_ONE).replace("1 2", f"1 {_HUGE_T}", 1)),
+    (["vcdim", "--family", "e1:D=2,T=2", "--mode", "e2e", "--T", str(_HUGE_T)], None),
+], ids=["generate", "simulate-tm", "vcdim"])
+def test_huge_horizon_exits_two_with_one_error_line(tmp_path, argv, content):
+    """A horizon above GENERATION_MAX_T is refused before its tokens are
+    held: exit 2 and one "error:" line, even under a 400 MB address-space
+    cap, where building the generation would end in a MemoryError."""
+    import resource
+
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    cap = 400 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotlearn.cli", *(str(path) if a == "{}" else a for a in argv)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
 
 
 # A good input file for each file-reading command, and the command line
@@ -538,8 +575,7 @@ def test_malformed_input_file_exits_two_with_one_error_line(tmp_path, capsys, co
             path.mkdir()
         elif content is not None:
             path.write_bytes(content)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     procs = {
         name: subprocess.Popen(
             [sys.executable, "-m", "cotlearn.cli", *fill(tmp_path / name)],

@@ -7,7 +7,16 @@ import reference_learning
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cotlearn import learning
-from cotlearn.seqcore import BINARY, Alphabet, Generator, NotRealizableError, cot, e2e
+from cotlearn.seqcore import (
+    BINARY,
+    Alphabet,
+    ConstantGenerator,
+    Generator,
+    GeneratorFamily,
+    NotRealizableError,
+    cot,
+    e2e,
+)
 from cotlearn.learning import (
     BitStringPrompts,
     CoTDataset,
@@ -175,17 +184,35 @@ class TestConsE2E:
             cons_e2e(E2EDataset(((x, 0), (x, 1)), 2), fam)
 
     def test_fast_path_matches_enumeration(self):
-        # the family's shortcut must return the same member as the generic scan
+        """The family's shortcut returns the same member as the generic scan
+        at every horizon, the family's own T = 3 and the rest, on labels
+        from a member and at random, and on points behind leading zeros."""
         fam = E1Family(2, 3)
         rng = random.Random(3)
+        pts = [x.tokens for x in fam.canonical_points()]
+        for T in range(1, 6):
+            for _ in range(60):
+                prompts = [seq((0,) * rng.randint(0, 2) + rng.choice(pts)) for _ in range(rng.randint(0, 5))]
+                if rng.random() < 0.5:
+                    f_star = fam.random_member(rng)
+                    pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
+                else:
+                    pairs = tuple((x, rng.randint(0, 1)) for x in prompts)
+                fast = fam.find_e2e_consistent(pairs, T)
+                slow = super(type(fam), fam).find_e2e_consistent(pairs, T)
+                assert fast == slow, (T, pairs)
+
+    def test_fast_path_off_its_own_T_needs_no_member_scan(self):
+        # 2^24 members: above the enumeration guard, so no scan could answer
+        fam = E1Family(3, 8)
+        f_star = fam.random_member(random.Random(5))
         pts = fam.canonical_points()
-        for _ in range(30):
-            f_star = fam.random_member(rng)
-            prompts = [pts[rng.randrange(len(pts))] for _ in range(rng.randint(0, 5))]
-            pairs = tuple((x, e2e(f_star, x, 3)) for x in prompts)
-            fast = fam.find_e2e_consistent(pairs, 3)
-            slow = super(type(fam), fam).find_e2e_consistent(pairs, 3)
-            assert fast == slow
+        for T in (4, 9):
+            pairs = tuple((x, e2e(f_star, x, T)) for x in pts)
+            learned = cons_e2e(E2EDataset(pairs, T), fam)
+            assert all(e2e(learned, x, T) == y for x, y in pairs)
+        with pytest.raises(NotRealizableError):
+            cons_e2e(E2EDataset(((pts[0], 1),), 9), fam)
 
 
 class TestZeroOneError:
@@ -233,6 +260,26 @@ class TestPacTrial:
         a = pac_trial(fam, f_star, dist, 5, 2, "cot", eval_n=50, seed=13)
         b = pac_trial(fam, f_star, dist, 5, 2, "cot", eval_n=50, seed=13)
         assert a.error == b.error and a.learned == b.learned
+
+    def test_family_without_oracle_refuses_full_record_learning(self):
+        class Constants(GeneratorFamily):
+            alphabet = BINARY
+
+            def size(self):
+                return 2
+
+            def members(self):
+                return iter((ConstantGenerator(BINARY, 0), ConstantGenerator(BINARY, 1)))
+
+            def random_member(self, rng):
+                return ConstantGenerator(BINARY, rng.randint(0, 1))
+
+        fam = Constants()
+        dist = BitStringPrompts(1, 2)
+        f_star = ConstantGenerator(BINARY, 1)
+        with pytest.raises(ValueError, match="family offers no next-token consistency oracle"):
+            pac_trial(fam, f_star, dist, 3, 2, "cot", eval_n=8, seed=15)
+        assert pac_trial(fam, f_star, dist, 3, 2, "e2e", eval_n=8, seed=15).error == 0
 
     def test_monte_carlo_path(self):
         # a support too large for exact evaluation falls back to sampling
