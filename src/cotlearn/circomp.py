@@ -28,6 +28,7 @@ from .linthresh import IntegerThreshold, LinearThreshold, parse_fraction
 
 VERIFY_MAX_INPUTS = 12
 COMPILE_MAX_D = 1 << 16
+RANDOM_WEIGHT_MAX = 2
 
 
 @dataclass(frozen=True)
@@ -396,14 +397,14 @@ def _input_failures(x, sums: list[int], values, compiled: CompiledThreshold, sca
     return out
 
 
-def random_normalized_circuit(rng, n: int, s: int, L: int, weight_range: int = 2) -> ThresholdCircuit:
-    """Random integer-weight circuit already satisfying the normal form."""
+def random_normalized_circuit(rng, n: int, s: int, L: int) -> ThresholdCircuit:
+    """Random circuit already satisfying the normal form, weights in [-2, 2]."""
     layers = []
     for l in range(L):
         preds = n + l * s
         layer = []
         for _ in range(s):
-            gate = [Fraction(rng.randint(-weight_range, weight_range)) for _ in range(preds)]
+            gate = [Fraction(rng.randint(-RANDOM_WEIGHT_MAX, RANDOM_WEIGHT_MAX)) for _ in range(preds)]
             for i in _dummy_positions(n, s, l):
                 gate[i] = Fraction(0)
             layer.append(tuple(gate))

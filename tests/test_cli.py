@@ -492,6 +492,21 @@ def test_installed_entry_point_runs():
     assert proc.returncode == 0 and proc.stdout.strip() == "2"
 
 
+def test_learn_cot_fits_zero_answers_after_conflicting_continuations(tmp_path):
+    """Point 1 of e1:D=3,T=8, once followed by 1 and once by 0, answered 0
+    both times: the all-zero member fits both, although 2^24 members are
+    far above the enumeration guard."""
+    data = tmp_path / "records.txt"
+    data.write_text("1,0,0,0,0,0,1,0\n1,0,0,0,0,0,0,0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotlearn.cli", "learn", "--family", "e1:D=3,T=8", "--mode", "cot",
+         "--T", "1", "--data", str(data)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "b=" + "0" * 24
+
+
 _HUGE_T = 100000000
 
 

@@ -9,6 +9,7 @@ from cotlearn.lbfamilies import (
     CollapseFamily,
     E1Family,
     LdimFamily,
+    LookupFamily,
     PointPool,
     default_pool,
     growth_count,
@@ -241,19 +242,39 @@ class TestOracles:
         learned = fam.cons_oracle()(pairs)
         assert all(learned.next_token(u) == v for u, v in pairs)
 
-    def test_e1_fast_paths_verify_without_asserts(self, monkeypatch):
+    def test_e1_oracle_fits_zero_answers_after_conflicting_continuations(self):
+        # each pair is fit by a broken replay or by a 0 answer, so the
+        # all-zero member fits both; 2^24 members, so no scan could answer
+        fam = E1Family(3, 8)
+        p1 = fam.canonical_points()[0].tokens
+        learned = fam.cons_oracle()([(seq(p1 + (1,)), 0), (seq(p1 + (0,)), 0)])
+        assert learned.b == (0,) * 24
+
+    def test_search_verifies_without_asserts(self, monkeypatch):
         # a wrong member slipped in is a solver fault that ``python -O`` must not hide
-        fam = E1Family(2, 2)
-        f_star = fam.member(9)
-        pts = fam.canonical_points()
-        cot_pairs = prefix_expand(CoTDataset(tuple(cot(f_star, x, 2) for x in pts), 2)).pairs
-        e2e_pairs = [(x, e2e(f_star, x, 2)) for x in pts]
-        complement = E1Family.from_bits
-        monkeypatch.setattr(E1Family, "from_bits", lambda self, bits: complement(self, [1 - b for b in bits]))
-        with pytest.raises(RuntimeError, match="post-verification"):
-            fam.cons_oracle()(cot_pairs)
-        with pytest.raises(RuntimeError, match="post-verification"):
-            fam.find_e2e_consistent(e2e_pairs, 2)
+        complement = LookupFamily.from_bits
+        for fam, e2e_T in ((E1Family(2, 2), 2), (LdimFamily(3), 2), (CollapseFamily(3), 1)):
+            f_star = fam.member(fam.size() * 9 // 16)
+            pts = fam.canonical_points()
+            cot_pairs = prefix_expand(CoTDataset(tuple(cot(f_star, x, 2) for x in pts), 2)).pairs
+            e2e_pairs = [(x, e2e(f_star, x, e2e_T)) for x in pts]
+            with monkeypatch.context() as patched:
+                patched.setattr(LookupFamily, "from_bits", lambda self, bits: complement(self, [1 - b for b in bits]))
+                with pytest.raises(RuntimeError, match="post-verification"):
+                    fam.cons_oracle()(cot_pairs)
+                with pytest.raises(RuntimeError, match="post-verification"):
+                    fam.find_e2e_consistent(e2e_pairs, e2e_T)
+
+    def test_search_scans_when_only_a_loose_pair_misses(self):
+        # (p1, 1) forces b_2 = 1, so the zero fill replays p3's continuation
+        # (0,) faithfully and answers 1 there; a member with b_0 = 1 breaks
+        # that replay and fits both pairs
+        fam = E1Family(2, 3)
+        p1, p3 = fam.canonical_points()[0].tokens, fam.canonical_points()[2].tokens
+        pairs = [(seq(p1), 1), (seq(p3 + (0,)), 0)]
+        learned = fam.find_e2e_consistent(pairs, 2)
+        assert learned.b == (1, 0, 1, 0, 0, 0)
+        assert all(e2e(learned, x, 2) == y for x, y in pairs)
 
     def test_enumeration_oracle_for_small_families(self):
         fam = CollapseFamily(3)

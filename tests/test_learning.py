@@ -35,7 +35,7 @@ from cotlearn.learning import (
     trial_seed,
     zero_one_error,
 )
-from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily
+from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupFamily
 from cotlearn.linthresh import SparseThresholdFamily, ThresholdFamily, cons_lp, make_threshold
 from cotlearn.turing import TMFamily, TMGenerator, pre, tm_alphabet
 
@@ -184,23 +184,36 @@ class TestConsE2E:
             cons_e2e(E2EDataset(((x, 0), (x, 1)), 2), fam)
 
     def test_fast_path_matches_enumeration(self):
-        """The family's shortcut returns the same member as the generic scan
-        at every horizon, the family's own T = 3 and the rest, on labels
-        from a member and at random, and on points behind leading zeros."""
-        fam = E1Family(2, 3)
+        """The one lookup search returns the generic scan's first member on
+        every lookup family at every horizon, the family's own and the rest:
+        on labels from a member and at random, on points behind leading
+        zeros, with continuations, and on prompts that are not points. At
+        T = 1 the next-token oracle returns that member too."""
         rng = random.Random(3)
-        pts = [x.tokens for x in fam.canonical_points()]
-        for T in range(1, 6):
-            for _ in range(60):
-                prompts = [seq((0,) * rng.randint(0, 2) + rng.choice(pts)) for _ in range(rng.randint(0, 5))]
-                if rng.random() < 0.5:
-                    f_star = fam.random_member(rng)
-                    pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
-                else:
-                    pairs = tuple((x, rng.randint(0, 1)) for x in prompts)
-                fast = fam.find_e2e_consistent(pairs, T)
-                slow = super(type(fam), fam).find_e2e_consistent(pairs, T)
-                assert fast == slow, (T, pairs)
+        bits = lambda n: tuple(rng.randint(0, 1) for _ in range(n))
+        for fam in (E1Family(2, 3), LdimFamily(3), CollapseFamily(3)):
+            pts = [x.tokens for x in fam.canonical_points()]
+            oracle = fam.cons_oracle()
+            for T in range(1, 6):
+                for _ in range(100):
+                    prompts = [
+                        seq(bits(rng.randint(0, fam.point_len + 1)) if rng.random() < 0.15
+                            else (0,) * rng.randint(0, 2) + rng.choice(pts) + bits(rng.choice((0, 0, 1, 2))))
+                        for _ in range(rng.randint(0, 5))
+                    ]
+                    if rng.random() < 0.5:
+                        f_star = fam.random_member(rng)
+                        pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
+                    else:
+                        pairs = tuple((x, rng.randint(0, 1)) for x in prompts)
+                    scan = GeneratorFamily.find_e2e_consistent(fam, pairs, T)
+                    assert fam.find_e2e_consistent(pairs, T) == scan, (fam, T, pairs)
+                    if T == 1:
+                        try:
+                            learned = oracle(pairs)
+                        except NotRealizableError:
+                            learned = None
+                        assert learned == scan, (fam, pairs)
 
     def test_fast_path_off_its_own_T_needs_no_member_scan(self):
         # 2^24 members: above the enumeration guard, so no scan could answer
@@ -480,6 +493,33 @@ class TestGenerationCounts:
         distinct = len({dist.sample(rng) for _ in range(m)})
         assert distinct < m
         assert seen == [distinct * T if mode == "cot" else distinct]
+
+    @pytest.mark.parametrize("fam, T, mode", [
+        (E1Family(3, 4), 4, "cot"),
+        (E1Family(3, 4), 4, "e2e"),
+        (LdimFamily(6), 7, "cot"),
+        (LdimFamily(6), 7, "e2e"),
+        (CollapseFamily(6), 2, "cot"),
+        (CollapseFamily(6), 2, "e2e"),
+    ], ids=str)
+    def test_trials_on_member_data_scan_no_member(self, monkeypatch, fam, T, mode):
+        # the lookup search forces what member data pins down and zero-fills
+        # the rest, which fits every pair, so the generic scan never runs
+        scanned = []
+        real_members = LookupFamily.members
+
+        def members(family):
+            for f in real_members(family):
+                scanned.append(f)
+                yield f
+
+        monkeypatch.setattr(LookupFamily, "members", members)
+        dist = _lookup(fam)
+        for seed in range(6):
+            f_star = fam.random_member(random.Random(seed))
+            for m in (1, 4, 12, 48):
+                pac_trial(fam, f_star, dist, m, T, mode, 50, trial_seed(seed, m))
+        assert scanned == []
 
 
 class TestTrialSeed:
