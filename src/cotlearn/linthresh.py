@@ -241,18 +241,41 @@ def enumerate_threshold_functions(d: int) -> set[tuple[int, ...]]:
     """All dichotomies of {0,1}^d realizable by a window-d threshold.
 
     Each function is returned as its truth table over the 2^d points in
-    lexicographic order; every candidate dichotomy is decided by its own
-    LP feasibility problem.
+    lexicographic order, the oldest bit first. The window-0 functions are
+    the two constants; each longer window is built from the one before by
+    ``_threshold_level``.
     """
+    if d < 0:
+        raise ValueError("window length must be nonnegative")
     if d > ENUMERATION_MAX_D:
         raise GuardExceededError(f"d={d} exceeds the exhaustive-enumeration guard {ENUMERATION_MAX_D}")
-    offsets = range(1, d + 1)
-    rows = [_label_rows(BINARY.seq(p), offsets) for p in itertools.product((0, 1), repeat=d)]
-    realizable: set[tuple[int, ...]] = set()
-    for labels in itertools.product((0, 1), repeat=len(rows)):
-        constraints = [row[v] for row, v in zip(rows, labels)]
-        if solve_feasibility(constraints, d + 1) is not None:
-            realizable.add(labels)
+    realizable = {(0,), (1,)}
+    for k in range(1, d + 1):
+        realizable = _threshold_level(realizable, k)
+    return realizable
+
+
+def _threshold_level(shorter: set[tuple[int, ...]], k: int) -> set[tuple[int, ...]]:
+    """The window-k threshold functions, from the window-(k-1) ones.
+
+    A window-k truth table is g + h, its restrictions with the oldest bit
+    at 0 and at 1. Both are window-(k-1) threshold functions, and they are
+    pointwise comparable, since the oldest weight has one sign. When g == h
+    the oldest weight can be 0, so no LP is needed. When g < h, one LP on
+    g + h decides h + g as well: negating the oldest bit (w1 -> -w1,
+    b -> b + w1) swaps the two halves.
+    """
+    offsets = range(1, k + 1)
+    rows = [_label_rows(BINARY.seq(p), offsets) for p in itertools.product((0, 1), repeat=k)]
+    realizable = {g + g for g in shorter}
+    ordered = sorted(shorter)  # pointwise g <= h, g != h implies g < h in this order
+    for i, g in enumerate(ordered):
+        for h in ordered[i + 1:]:
+            if all(a <= b for a, b in zip(g, h)):
+                constraints = [row[v] for row, v in zip(rows, g + h)]
+                if solve_feasibility(constraints, k + 1) is not None:
+                    realizable.add(g + h)
+                    realizable.add(h + g)
     return realizable
 
 

@@ -176,10 +176,10 @@ class TestEnumeration:
             count = len(enumerate_threshold_functions(d))
             assert count <= (2 * math.e * 2**d) ** (d + 1)
 
-    def test_complementation_symmetry(self):
-        # flip all input bits and negate the output: closed for d <= 2
-        for d in (1, 2):
-            fns = enumerate_threshold_functions(d)
+    def test_complementation_symmetry(self, window_four):
+        # flip all input bits and negate the output
+        for d in (1, 2, 3, 4):
+            fns = window_four if d == 4 else enumerate_threshold_functions(d)
             points = list(itertools.product((0, 1), repeat=d))
             index = {p: i for i, p in enumerate(points)}
             for table in fns:
@@ -188,9 +188,45 @@ class TestEnumeration:
                 )
                 assert flipped in fns
 
+    def test_window_four_count(self, window_four):
+        assert len(window_four) == 1882  # OEIS A000609
+
+    def test_window_four_closed_under_window_permutation_and_input_negation(self, window_four):
+        points = list(itertools.product((0, 1), repeat=4))
+        index = {p: i for i, p in enumerate(points)}
+        moves = [lambda p, perm=perm: tuple(p[i] for i in perm) for perm in itertools.permutations(range(4))]
+        moves += [lambda p, i=i: p[:i] + (1 - p[i],) + p[i + 1:] for i in range(4)]
+        for move in moves:
+            source = [index[move(p)] for p in points]
+            assert all(tuple(table[j] for j in source) in window_four for table in window_four)
+
+    def test_one_lp_per_comparable_pair_of_restrictions(self, monkeypatch):
+        """Deterministic twin of the level-by-level enumeration: LPs per call.
+
+        Brute force solves 2^(2^d) LPs: 4, 16, 256 and 65,536 for d = 1..4.
+        """
+        lps = []
+        solve = linthresh.solve_feasibility
+        monkeypatch.setattr(linthresh, "solve_feasibility", lambda constraints, n: lps.append(n) or solve(constraints, n))
+        counts = []
+        for d in (1, 2, 3, 4):
+            lps.clear()
+            enumerate_threshold_functions(d)
+            counts.append(len(lps))
+        assert counts == [1, 6, 59, 1764]
+
     def test_guard(self):
         with pytest.raises(GuardExceededError):
             enumerate_threshold_functions(5)
+
+    def test_negative_window_refused(self):
+        with pytest.raises(ValueError, match="window length must be nonnegative"):
+            enumerate_threshold_functions(-1)
+
+
+@pytest.fixture(scope="module")
+def window_four():
+    return enumerate_threshold_functions(4)
 
 
 class TestPostVerification:

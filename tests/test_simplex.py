@@ -1,13 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+import reference_threshold
 from fraction_simplex import solve_feasibility as fraction_solve
 from hypothesis import given, settings, strategies as st
 
-from cotlearn import linthresh, simplex
+from cotlearn import circomp, linthresh, simplex
 from cotlearn.learning import CoTDataset, prefix_expand
 from cotlearn.seqcore import BINARY, cot
 from cotlearn.simplex import solve_feasibility
@@ -158,9 +160,13 @@ class TestAgainstFractionTableau:
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_threshold_enumeration_matches(self, d, monkeypatch):
-        got = linthresh.enumerate_threshold_functions(d)
+        """Both kernels give the brute-force set (tests/reference_threshold.py)."""
+        expected = reference_threshold.enumerate_threshold_functions(d)
+        assert linthresh.enumerate_threshold_functions(d) == expected
         monkeypatch.setattr(linthresh, "solve_feasibility", fraction_solve)
-        assert got == linthresh.enumerate_threshold_functions(d)
+        monkeypatch.setattr(reference_threshold, "solve_feasibility", fraction_solve)
+        assert linthresh.enumerate_threshold_functions(d) == expected
+        assert reference_threshold.enumerate_threshold_functions(d) == expected
 
 
 def _fit_pairs(seed, d, m, T):
@@ -238,43 +244,78 @@ class TestPinnedVertices:
         assert (None if got is None else " ".join(map(str, got))) == point
 
 
-def test_support_only_updates_write_a_quarter_of_the_dense_entries(monkeypatch):
-    """Deterministic twin of the kernel's wall-time gain, on a d = 6, 320-pair fit.
+class _WatchedRow(list):
+    """A tableau row that counts the entries written into it."""
 
-    Every pivot equal to the previous one is run twice: through the
-    support-only update on watched copies of the rows, counting the entries
-    it writes, and through the dense update those rows would get otherwise.
-    The rows must come out the same, and the support-only update must
-    write at most a quarter of the dense entries.
+    writes = 0
+
+    def __setitem__(self, j, v):
+        self.writes += 1
+        super().__setitem__(j, v)
+
+
+def _watch_pivots(monkeypatch):
+    """Count the pivots of ``simplex._pivot`` and the tableau entries each writes.
+
+    Every row is watched during a pivot: a row updated in place counts
+    its writes, a row rebuilt counts its length. "dense" counts the
+    entries a dense update of every row with f != 0 would write (every
+    row but the pivot row, on a rescaling pivot). Each row due an update
+    must equal the dense formula (p*a - f*b) // q, and every other row
+    must come out unchanged.
     """
-    written = {"support_only": 0, "dense": 0}
-    dense, on_support = simplex._eliminate, simplex._eliminate_on_support
+    count = {"pivots": 0, "written": 0, "dense": 0}
+    pivot_rows = simplex._pivot
 
-    class WatchedRow(list):
-        def __setitem__(self, j, v):
-            written["support_only"] += 1
-            super().__setitem__(j, v)
+    def watched(tab, leave, pivot, q, c):
+        p = pivot[c]
+        updated = [i != leave and (row[c] != 0 or p != q) for i, row in enumerate(tab)]
+        expected = [[(p * a - row[c] * b) // q for a, b in zip(row, pivot)] if u else list(row)
+                    for row, u in zip(tab, updated)]
+        count["pivots"] += 1
+        count["dense"] += sum(len(row) for row, u in zip(tab, updated) if u)
+        before = [_WatchedRow(row) for row in tab]
+        tab[:] = before
+        pivot_rows(tab, leave, pivot, q, c)
+        count["written"] += sum(row.writes if row is old else len(row) for row, old in zip(tab, before))
+        assert tab == expected
+        tab[:] = [list(row) for row in tab]
 
-    def counting_dense(row, prow, p, q, c):  # a rescaling pivot: the same dense update either way
-        out = dense(row, prow, p, q, c)
-        written["support_only"] += len(out)
-        written["dense"] += len(out)
-        return out
+    monkeypatch.setattr(simplex, "_pivot", watched)
+    return count
 
-    def counting_on_support(rows, prow, q, c):
-        rows = list(rows)
-        updated = [row[c] != 0 and row is not prow for row in rows]
-        expected = [dense(row, prow, q, q, c) if u else row for row, u in zip(rows, updated)]
-        written["dense"] += sum(len(row) for row, u in zip(rows, updated) if u)
-        watched = [WatchedRow(row) for row in rows]
-        on_support(watched, next(w for w, row in zip(watched, rows) if row is prow), q, c)
-        assert watched == expected
-        for row, w in zip(rows, watched):
-            row[:] = w
 
-    monkeypatch.setattr(simplex, "_eliminate", counting_dense)
-    monkeypatch.setattr(simplex, "_eliminate_on_support", counting_on_support)
+def test_support_only_updates_write_a_quarter_of_the_dense_entries(monkeypatch):
+    """Deterministic twin of the kernel's wall-time gains, on a d = 6, 320-pair fit.
+
+    Support-only updates write at most a quarter of the entries dense
+    updates would. The pivots are those of the tableau that also stored
+    the x- and artificial columns, which wrote 20,011 entries on this fit.
+    """
+    count = _watch_pivots(monkeypatch)
     fit, weights = TestPinnedVertices.FITS[0]
     assert fit[1:] == (6, 40, 8)
     assert linthresh.format_threshold(linthresh.cons_lp(_fit_pairs(*fit), 6)) == weights
-    assert 0 < 4 * written["support_only"] <= written["dense"], written
+    assert count["pivots"] == 46
+    assert 0 < 4 * count["written"] <= count["dense"], count
+    assert count["written"] <= 0.8 * 20_011, count
+
+
+def test_narrow_tableau_writes_about_half_the_entries_on_a_circuit_lp(monkeypatch):
+    """The same twin on a compiled-circuit LP: d = 27, 8 records, 96 distinct rows.
+
+    Most of its pivots rescale (p != q) and so rewrite every row; the
+    tableau that also stored the x- and artificial columns wrote
+    2,471,893 entries over the same 654 pivots.
+    """
+    circuit = circomp.random_normalized_circuit(random.Random(2), 4, 1, 2)
+    compiled = circomp.compile_circuit(circuit)
+    f, T = compiled.generator(), compiled.T
+    records = [cot(f, circomp.feature_map(x, T), T) for x in list(itertools.product((0, 1), repeat=4))[:8]]
+    pairs = prefix_expand(CoTDataset(tuple(records), T)).pairs
+    assert (compiled.d, len(pairs)) == (27, 96)
+    count = _watch_pivots(monkeypatch)
+    learned = linthresh.cons_lp(pairs, compiled.d)
+    assert linthresh.format_threshold(learned) == "27 0 0 -1 -1 -1 -1 -1 -1 -1 0 -1 -1 -1 0 0 0 0 0 0 0 0 0 -1 -1 0 0 0 0"
+    assert count["pivots"] == 654
+    assert count["written"] <= 0.55 * 2_471_893, count
