@@ -1,14 +1,16 @@
 """Explicit lookup families with known base and end-to-end dimensions,
 plus brute-force shattering and growth-function estimators.
 
-Each family indexes members by a bit vector b and evaluates by decoding
+Each family indexes members by a bit vector b and evaluates by reading
 the input against a canonical point set: strings "1 followed by the bit
 representation of the point number" (numbering from zero so the fixed
 bit width is never overflowed), optionally extended by a continuation
 that must replay earlier b-bits. Everything off-pattern maps to 0.
 
-One search learns every family from records (T = 1 pairs) or answers:
-``LookupFamily.find_e2e_consistent``, with the member scan as its fallback.
+Member evaluation, generation and learning share one reader of histories,
+``LookupFamily._read``. One search learns every family from records (T = 1
+pairs) or answers, ``LookupFamily.find_e2e_consistent``; only a label-0
+pair after a continuation that its zero fill misses scans the members.
 """
 
 from __future__ import annotations
@@ -60,45 +62,27 @@ class LookupGenerator(Generator):
         return self.family._eval(self.b, x.tokens)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """Decode state: the point is decoded once, then one bit is checked per token.
-
-        Leading zeros are skipped as they arrive and the body is kept until
-        it is ``point_len`` tokens long; then the family decodes the point
-        number k once. From there each new token must equal the bit the
-        member replays at that continuation position, and the next such bit
-        is the output. A token that does not match, a body that is not a
-        point, or a position past the pattern's end (no replay index) puts the
-        member off the pattern, where it answers 0 for good, as ``_eval``
-        does on every longer history.
+        """The first call reads the prompt (``_read``) and checks its
+        continuation once; off the pattern the member answers 0 for good.
+        Every later token is the stepper's own output, so it replays
+        faithfully: the next token is ``b[_replay_index(k, r)]`` at
+        continuation length r, or 0 while emitted zeros still complete the
+        point (r < 0) or past the pattern's end.
         """
         family, b = self.family, self.b
-        plen = family.point_len
-        head: list[int] = []
-        k = want = None  # want: the index in b of the bit the next token must replay
-        ell = seen = 0
-        off = False
+        state = None  # (k, end) once read; k is None off the pattern
 
         def step() -> int:
-            nonlocal k, want, ell, seen, off
-            n = len(tokens)
-            while seen < n and not off:
-                t = tokens[seen]
-                seen += 1
-                if k is not None:
-                    if want is None or t != b[want]:
-                        off = True
-                    else:
-                        ell += 1
-                        want = family._replay_index(k, ell)
-                elif head or t:
-                    head.append(t)
-                    if len(head) == plen:
-                        k = family._point_number(head)
-                        if k is None:
-                            off = True
-                        else:
-                            want = family._replay_index(k, 0)
-            return 0 if off or want is None else b[want]
+            nonlocal state
+            if state is None:
+                read = family._read(tokens)
+                state = read if read is not None and family._replays(b, tokens, *read) else (None, 0)
+            k, end = state
+            if k is None:
+                return 0
+            r = len(tokens) - end
+            idx = family._replay_index(k, r) if r >= 0 else None
+            return 0 if idx is None else b[idx]
 
         return step
 
@@ -121,38 +105,45 @@ class LookupFamily(GeneratorFamily):
         tokens of point k, or None past the pattern's end (and for every larger r)."""
         raise NotImplementedError
 
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
-        """The reference: decode, check each continuation token against the
-        replay rule, and return the rule's next bit, or 0 off the pattern."""
-        dec = self._decode(tokens)
-        if dec is None:
-            return 0
-        k, cont = dec
-        for r, bit in enumerate(cont):
-            idx = self._replay_index(k, r)
-            if idx is None or b[idx] != bit:
-                return 0
-        idx = self._replay_index(k, len(cont))
-        return 0 if idx is None else b[idx]
-
     @cached_property
     def _point_table(self) -> dict[tuple[int, ...], int]:
         return {p: k for k, p in enumerate(self._points, start=1)}
 
-    def _point_number(self, head: Sequence[int]) -> int | None:
-        """k when the ``point_len`` tokens after the leading zeros are point k."""
-        return self._point_table.get(tuple(head))
+    def _read(self, tokens: Sequence[int]) -> tuple[int, int] | None:
+        """How every member reads a history: (k, end) or None.
 
-    def _decode(self, tokens: Sequence[int]):
-        """(point number k, continuation) when the input is a point plus a tail, else None."""
+        (k, end) means point k, whose last token sits at list position
+        ``end - 1``, followed by the continuation ``tokens[end:]``. The point
+        starts at the first nonzero token; a body shorter than a point is
+        completed by the zeros every member emits while it is, so ``end``
+        may lie past the end of the history. None means every member
+        answers 0 at every horizon: the body, completed, is not a point.
+        """
         start, n = 0, len(tokens)
         while start < n and tokens[start] == 0:
             start += 1
-        plen = self.point_len
-        if n - start < plen:
-            return None
-        k = self._point_number(tokens[start:start + plen])
-        return None if k is None else (k, tokens[start + plen:])
+        end = start + self.point_len
+        k = self._point_table.get(tuple(tokens[start:end]) + (0,) * (end - n))
+        return None if k is None else (k, end)
+
+    def _replays(self, b: tuple[int, ...], tokens: Sequence[int], k: int, end: int) -> bool:
+        """Whether the continuation ``tokens[end:]`` replays b under point k's rule."""
+        for r in range(len(tokens) - end):
+            idx = self._replay_index(k, r)
+            if idx is None or b[idx] != tokens[end + r]:
+                return False
+        return True
+
+    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
+        """The reference: read the history, check its continuation against
+        the replay rule, and return the rule's next bit, or 0 off the pattern."""
+        read = self._read(tokens)
+        if read is None or not self._replays(b, tokens, *read):
+            return 0
+        k, end = read
+        r = len(tokens) - end
+        idx = self._replay_index(k, r) if r >= 0 else None
+        return 0 if idx is None else b[idx]
 
     def size(self) -> int:
         return 1 << self.index_bits
@@ -185,38 +176,39 @@ class LookupFamily(GeneratorFamily):
     def find_e2e_consistent(self, pairs, T: int):
         """First member in canonical order whose T-step answers match every pair, or None.
 
-        On point k plus a continuation c a member answers
-        ``b[_replay_index(k, len(c) + T - 1)]`` if c replays faithfully, else 0.
-        Label 1 forces c's replayed bits and the answer bit, an empty c forces
-        the answer bit to the label, and an index of None forces label 0.
+        Every member reads a prompt x as point k and a continuation c
+        (``_read``), and answers ``b[_replay_index(k, len(x) - end + T - 1)]``
+        if c replays faithfully, else 0. A read of None, a negative answer
+        position or an index of None forces label 0; label 1 forces c's
+        replayed bits and the answer bit; an empty c forces the answer bit.
         Every consistent member carries the forced bits, so the zero fill of
-        the rest is the scan's first member whenever it fits. The generic scan
-        decides when it misses a loose pair (label 0 after a continuation),
-        and for a prompt that is not a point plus a continuation when T > 1.
+        the rest is the scan's first member whenever it fits. Only a loose
+        pair (label 0 after a continuation) that it misses scans the members.
         """
         assign: dict[int, int] = {}
         forced, loose = [], []
         for x, y in pairs:
             if x.alphabet != BINARY or y not in (0, 1):
                 raise ValueError("family data must be binary")
-            dec = self._decode(x.tokens)
-            if dec is None:
-                if T > 1:
-                    return GeneratorFamily.find_e2e_consistent(self, pairs, T)
-                idx = None
-            else:
-                k, cont = dec
-                idx = self._replay_index(k, len(cont) + T - 1)
+            tokens = x.tokens
+            read = self._read(tokens)
+            idx = None
+            if read is not None:
+                k, end = read
+                ell = len(tokens) - end
+                if ell + T - 1 >= 0:
+                    idx = self._replay_index(k, ell + T - 1)
             if idx is None:  # every member answers 0
                 if y:
                     return None
                 forced.append((x, y))
-            elif y or not cont:
-                want = [(self._replay_index(k, r), bit) for r, bit in enumerate(cont)] if y else []
-                want.append((idx, y))
-                for j, bit in want:
+            elif y or ell <= 0:
+                for r in range(ell):  # empty unless y: a label 0 reaches here only without c
+                    j, bit = self._replay_index(k, r), tokens[end + r]
                     if assign.setdefault(j, bit) != bit:
                         return None
+                if assign.setdefault(idx, y) != y:
+                    return None
                 forced.append((x, y))
             else:
                 loose.append((x, y))

@@ -161,10 +161,11 @@ class Generator(ABC):
         """Decode state over a growing token list; each call returns the next token.
 
         The caller appends every returned token to ``tokens`` (and changes
-        the list in no other way) before the next call. Subclasses carry
-        forward what ``next_token`` re-derives from the full history, the
-        way a transformer's key/value cache does; each call must equal
-        ``next_token`` on the current list. This default is that
+        the list in no other way) before the next call, so a stepper may
+        rely on each token appended after the prompt being its own output.
+        Subclasses carry forward what ``next_token`` re-derives from the full
+        history, the way a transformer's key/value cache does; each call
+        must equal ``next_token`` on the current list. This default is that
         reference, one full-history call per token.
         """
         alphabet = self.alphabet

@@ -91,3 +91,11 @@ _EVALS = {E1Family: e1_eval, LdimFamily: ldim_eval, CollapseFamily: collapse_eva
 def next_token(f: LookupGenerator, tokens: Sequence[int]) -> int:
     """The member's next token on the history, by its family's own body."""
     return _EVALS[type(f.family)](f.family, f.b, tokens)
+
+
+def generate(f: LookupGenerator, tokens: Sequence[int], T: int) -> tuple[int, ...]:
+    """The prompt and T generated tokens, each by the family's own body on the whole history."""
+    out = list(tokens)
+    for _ in range(T):
+        out.append(next_token(f, out))
+    return tuple(out)

@@ -507,6 +507,27 @@ def test_learn_cot_fits_zero_answers_after_conflicting_continuations(tmp_path):
     assert proc.stdout.strip() == "b=" + "0" * 24
 
 
+@pytest.mark.parametrize("pairs, index", [
+    ("0\t0\n1,0,0,0,0,0\t1\n", 0),
+    ("1,0\t1\n", 9),
+], ids=["all-zero-prompt", "partial-point"])
+def test_learn_e2e_reads_prompts_that_are_not_points(tmp_path, pairs, index):
+    """Answers of e1:D=3,T=8 at T = 8 on prompts that are not a point plus a
+    continuation. An all-zero prompt answers 0 under every member. On 1,0
+    four emitted zeros complete point 1, and the answer replays b at
+    _replay_index(1, 3) = 9. Neither pins more than one bit, so the search
+    answers although 2^24 members are far above the enumeration guard."""
+    data = tmp_path / "pairs.tsv"
+    data.write_text(pairs)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotlearn.cli", "learn", "--family", "e1:D=3,T=8", "--mode", "e2e",
+         "--data", str(data)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "b=" + "".join("1" if j == index else "0" for j in range(24))
+
+
 _HUGE_T = 100000000
 
 

@@ -186,21 +186,16 @@ class TestConsE2E:
     def test_fast_path_matches_enumeration(self):
         """The one lookup search returns the generic scan's first member on
         every lookup family at every horizon, the family's own and the rest:
-        on labels from a member and at random, on points behind leading
-        zeros, with continuations, and on prompts that are not points. At
-        T = 1 the next-token oracle returns that member too."""
+        on labels from a member and at random, on every kind of
+        ``_lookup_prompt``: all-zero prompts, partial points, bare points and
+        non-point heads, with and without a tail. At T = 1 the next-token
+        oracle returns that member too."""
         rng = random.Random(3)
-        bits = lambda n: tuple(rng.randint(0, 1) for _ in range(n))
         for fam in (E1Family(2, 3), LdimFamily(3), CollapseFamily(3)):
-            pts = [x.tokens for x in fam.canonical_points()]
             oracle = fam.cons_oracle()
             for T in range(1, 6):
                 for _ in range(100):
-                    prompts = [
-                        seq(bits(rng.randint(0, fam.point_len + 1)) if rng.random() < 0.15
-                            else (0,) * rng.randint(0, 2) + rng.choice(pts) + bits(rng.choice((0, 0, 1, 2))))
-                        for _ in range(rng.randint(0, 5))
-                    ]
+                    prompts = [_lookup_prompt(rng, fam) for _ in range(rng.randint(0, 5))]
                     if rng.random() < 0.5:
                         f_star = fam.random_member(rng)
                         pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
@@ -349,6 +344,37 @@ def _tm_prompts(S: int, max_len: int) -> FiniteUniformPrompts:
 
 def _lookup(fam):
     return FiniteUniformPrompts(fam.canonical_points())
+
+
+def _lookup_prompt(rng, fam, kinds=("zeros", "partial", "head", "tail")):
+    """One prompt of a kind drawn from ``kinds``, after up to two leading
+    zeros: all zeros; a point's first tokens, which emitted zeros may
+    complete; a point-length head led by 1, which is a point or not; or such
+    a head and a tail of one or two bits."""
+    bits = lambda n: tuple(rng.randint(0, 1) for _ in range(n))
+    plen = fam.point_len
+    kind = rng.choice(kinds)
+    zeros = (0,) * rng.randint(0, 2)
+    if kind == "zeros":
+        return seq(zeros + (0,) * rng.randint(0, plen - 1))
+    if kind == "partial":
+        return seq(zeros + rng.choice(fam.canonical_points()).tokens[:rng.randint(1, plen - 1)])
+    head = zeros + (1,) + bits(plen - 1)
+    return seq(head + (bits(rng.randint(1, 2)) if kind == "tail" else ()))
+
+
+def _count_member_scans(monkeypatch) -> list:
+    """The members ``LookupFamily.members`` yields from now on, in order."""
+    scanned = []
+    real_members = LookupFamily.members
+
+    def members(family):
+        for f in real_members(family):
+            scanned.append(f)
+            yield f
+
+    monkeypatch.setattr(LookupFamily, "members", members)
+    return scanned
 
 
 def _oracle_cases():
@@ -505,20 +531,27 @@ class TestGenerationCounts:
     def test_trials_on_member_data_scan_no_member(self, monkeypatch, fam, T, mode):
         # the lookup search forces what member data pins down and zero-fills
         # the rest, which fits every pair, so the generic scan never runs
-        scanned = []
-        real_members = LookupFamily.members
-
-        def members(family):
-            for f in real_members(family):
-                scanned.append(f)
-                yield f
-
-        monkeypatch.setattr(LookupFamily, "members", members)
+        scanned = _count_member_scans(monkeypatch)
         dist = _lookup(fam)
         for seed in range(6):
             f_star = fam.random_member(random.Random(seed))
             for m in (1, 4, 12, 48):
                 pac_trial(fam, f_star, dist, m, T, mode, 50, trial_seed(seed, m))
+        assert scanned == []
+
+    def test_member_answers_without_continuations_scan_no_member(self, monkeypatch):
+        # all-zero prompts, partial points, non-point heads and bare points
+        # leave no label-0 pair after a continuation, which alone can scan
+        scanned = _count_member_scans(monkeypatch)
+        rng = random.Random(8)
+        for fam in (E1Family(2, 3), LdimFamily(3), CollapseFamily(3)):
+            for T in (2, 3, 5):
+                for _ in range(20):
+                    f_star = fam.random_member(rng)
+                    prompts = [_lookup_prompt(rng, fam, ("zeros", "partial", "head")) for _ in range(rng.randint(1, 5))]
+                    pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
+                    learned = fam.find_e2e_consistent(pairs, T)
+                    assert all(e2e(learned, x, T) == y for x, y in pairs)
         assert scanned == []
 
 

@@ -78,6 +78,9 @@ LOOKUP_FAMILIES = (
 
 
 def test_lookup_generators():
+    """The stepper against next_token, which shares ``_read`` with it, and
+    against generation by the per-family bodies of ``reference_lookup``,
+    which share no code with it."""
     rng = random.Random(11)
     for fam, pattern_len in LOOKUP_FAMILIES:
         for f in (fam.random_member(rng), fam.random_member(rng)):
@@ -85,7 +88,9 @@ def test_lookup_generators():
                 assert f.next_token(x) == reference_lookup.next_token(f, x.tokens), (fam, f.b, x)
             for T in (1, 3, pattern_len + 3):
                 for x in BINARY_PROMPTS:
-                    assert cot(f, x, T) == reference_cot(f, x, T), (fam, f.b, x, T)
+                    z = cot(f, x, T)
+                    assert z == reference_cot(f, x, T), (fam, f.b, x, T)
+                    assert z.tokens == reference_lookup.generate(f, x.tokens, T), (fam, f.b, x, T)
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -195,9 +200,9 @@ def test_cot_is_linear_by_count(f, x, monkeypatch):
 @pytest.mark.parametrize("run, seqs", [(cot, 1), (e2e, 0)], ids=["cot", "e2e"])
 def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
     """Deterministic twin of the lookup generators' timing: a long generation
-    never evaluates a member on the whole history, cot builds one sequence
-    and e2e builds none."""
-    counts = {"seqs": 0, "eval": 0}
+    never evaluates a member on the whole history and reads the prompt once;
+    cot builds one sequence and e2e builds none."""
+    counts = {"seqs": 0, "eval": 0, "read": 0}
     post_init = TokenSeq.__post_init__
 
     def counting_post_init(self):
@@ -212,8 +217,15 @@ def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
         return reference(self, b, tokens)
 
     monkeypatch.setattr(LookupFamily, "_eval", counting_eval)
+    read = LookupFamily._read
+
+    def counting_read(self, tokens):
+        counts["read"] += 1
+        return read(self, tokens)
+
+    monkeypatch.setattr(LookupFamily, "_read", counting_read)
     run(f, x, 4000)
-    assert counts == {"seqs": seqs, "eval": 0}
+    assert counts == {"seqs": seqs, "eval": 0, "read": 1}
 
 
 def _generator_and_prompt(data):
