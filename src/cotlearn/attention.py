@@ -4,6 +4,13 @@ Average hard attention at position i returns the mean of the values
 whose key scores ⟨q[i], k[j]⟩, j <= i, attain the maximum. All scores
 and outputs are exact rationals: the tape lookup distinguishes scores
 like -1/6 and -1/7, which floating point must not be trusted to order.
+A value that is always a whole number is held as an ``int``, which is an
+exact rational too: in the tape reader's causal pass the moves, the head
+positions, the symbol values 0 and 1 and every query and key entry but
+the 1/j term are ints. Only that term, the blank's value 1/2, the
+uniform-attention averages and the public ``TapeView`` fields are
+``Fraction``s. An ``int`` plus a ``Fraction`` is a ``Fraction``, so
+every score stays exact and no float appears.
 
 Two uses are composed here: head positions come from uniform attention
 (all scores tie, so the output is a prefix average), and the symbol
@@ -28,12 +35,19 @@ from .turing import (
     _TapeScan,
 )
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[Fraction | int, ...]
+"""One query, key or value: exact rationals, each a ``Fraction`` or, where
+it is always a whole number, an ``int``."""
 
 
 @dataclass(frozen=True)
 class AttentionBatch:
-    """Aligned query/key/value vectors for one sequence of length N."""
+    """Aligned query/key/value vectors for one sequence of length N.
+
+    Entries are exact rationals. ``make_batch`` makes every entry a
+    ``Fraction``; the tape reader's causal pass holds its whole-number
+    entries as ``int``s.
+    """
 
     q: tuple[Vec, ...]
     k: tuple[Vec, ...]
@@ -64,8 +78,9 @@ def make_batch(q, k, v) -> AttentionBatch:
     )
 
 
-def _dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a: Vec, b: Vec) -> Fraction | int:
+    """Exact score: an ``int`` when every product is one, else a ``Fraction``."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _argmax(scores: Iterable[Fraction]) -> tuple[list[int], Fraction]:
@@ -83,9 +98,12 @@ def _argmax(scores: Iterable[Fraction]) -> tuple[list[int], Fraction]:
 
 
 def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
-    """Argmax index set (1-based) and best score among keys j <= i."""
-    q = batch.q[i - 1]
-    return _argmax(_dot(q, key) for key in batch.k[:i])
+    """Argmax index set (1-based) and best score among keys j <= i, for a
+    position 1 <= i <= len(batch); the best score is a ``Fraction``."""
+    if not 1 <= i <= len(batch):
+        raise IndexError(f"position {i} outside 1..{len(batch)}")
+    members, best = _argmax(_dot(batch.q[i - 1], key) for key in batch.k[:i])
+    return members, Fraction(best)
 
 
 def aha(batch: AttentionBatch) -> list[Vec]:
@@ -128,18 +146,19 @@ def _history_parts(z: TokenSeq):
     return [decode[t] for t in z.tokens]
 
 
-def uniform_attention(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def uniform_attention(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """aha output for scalar values under all-zero queries and keys.
 
     Every prefix score ties, so position i averages all of v[1..i]; this
     computes those prefix averages directly and is tested against the
-    generic aha evaluation.
+    generic aha evaluation. Each average is a ``Fraction``, also when the
+    values are ints.
     """
     out = []
-    acc = Fraction(0)
+    acc = 0
     for i, v in enumerate(values, start=1):
         acc += v
-        out.append(acc / i)
+        out.append(Fraction(acc, i))
     return tuple(out)
 
 
@@ -150,8 +169,8 @@ def _tape_view(toks: Sequence[TMToken]) -> TapeView:
     the moves gives npos[i]/i, and their ratio recovers the position
     sums. pos[i] then follows by locally subtracting token i's own move.
     """
-    is_first = [Fraction(1 if t.symb == BLANK else 0) for t in toks]
-    moves = [Fraction(t.move) for t in toks]
+    is_first = [1 if t.symb == BLANK else 0 for t in toks]
+    moves = [t.move for t in toks]
     idx_inv = uniform_attention(is_first)
     scaled_npos = uniform_attention(moves)
     npos = tuple(s / inv for s, inv in zip(scaled_npos, idx_inv))
@@ -164,60 +183,81 @@ def positions_via_attention(z: TokenSeq) -> TapeView:
     return _tape_view(_history_parts(z))
 
 
-def _causal_pass(z: TokenSeq) -> tuple[TapeView, list[TMToken], AttentionBatch]:
+@dataclass(frozen=True)
+class _CausalPass:
     """The tape view, the decoded tokens and the lookup batch of a history.
 
-    The batch holds one query per position i, encoding the head npos[i]
-    after token i's move. Against it key j scores
-    -2 (npos[i] - pos[j])^2 - 1/j for j >= 2, and the begin marker's key
-    scores a flat -1. Value j encodes token j's written symbol.
+    ``npos`` and ``pos`` are the view's positions as the batch reads them.
+    Each is a whole number (npos[i] is the ratio of two averages over the
+    same i tokens), so each is held as an int.
+    """
+
+    view: TapeView
+    toks: list[TMToken]
+    npos: list[int]
+    pos: list[int]
+    batch: AttentionBatch
+
+
+def _causal_pass(z: TokenSeq) -> _CausalPass:
+    """One query per position i, encoding the head npos[i] after token i's
+    move. Against it key j scores -2 (npos[i] - pos[j])^2 - 1/j for
+    j >= 2, and the begin marker's key scores a flat -1. Value j encodes
+    token j's written symbol. Only the 1/j key entry is a ``Fraction``.
     """
     toks = _history_parts(z)
     view = _tape_view(toks)
-    zero, minus_one = Fraction(0), Fraction(-1)
-    q = tuple((-h * h, h, minus_one, minus_one) for h in view.npos)
-    k = ((zero, zero, zero, view.idx_inv[0]),) + tuple(
-        (Fraction(2), 4 * p, 2 * p * p, inv) for p, inv in zip(view.pos[1:], view.idx_inv[1:])
+    npos = [int(h) for h in view.npos]
+    pos = [int(p) for p in view.pos]
+    q = tuple((-h * h, h, -1, -1) for h in npos)
+    k = ((0, 0, 0, view.idx_inv[0]),) + tuple(
+        (2, 4 * p, 2 * p * p, inv) for p, inv in zip(pos[1:], view.idx_inv[1:])
     )
     v = tuple((_symb_value(t.symb),) for t in toks)
-    return view, toks, AttentionBatch(q, k, v)
+    return _CausalPass(view, toks, npos, pos, AttentionBatch(q, k, v))
 
 
-def _lookup_at(view: TapeView, batch: AttentionBatch, i: int) -> tuple[object, Fraction, list[int]]:
+def _lookup_at(cp: _CausalPass, i: int) -> tuple[object, Fraction, list[int]]:
     """Symbol under the head after token i, the best score and the argmax set.
 
     Each key j <= i is scored once against query i, and each score must
     equal its closed form. Exact matches beat the marker, the 1/j term
     picks the most recent match, and with no match the marker wins and
     its blank symbol is returned, so the argmax set must be a singleton.
+    Both checks are post-verification and raise ``RuntimeError``.
     """
-    q, npos = batch.q[i - 1], view.npos[i - 1]
+    batch, npos, pos = cp.batch, cp.npos[i - 1], cp.pos
+    q = batch.q[i - 1]
     scores = []
     for j, key in enumerate(batch.k[:i], start=1):
         score = _dot(q, key)
-        assert score == _lookup_score(npos, view.pos[j - 1], j), "lookup score closed form violated"
+        if score != _lookup_score(npos, pos[j - 1], j):
+            raise RuntimeError(f"lookup score {score} of key {j} at position {i} "
+                               "failed post-verification against its closed form")
         scores.append(score)
     members, best = _argmax(scores)
-    assert len(members) == 1, "tape lookup argmax must be a singleton"
+    if len(members) != 1:
+        raise RuntimeError(f"lookup argmax {members} at position {i} "
+                           "failed post-verification: not a singleton")
     return _value_symb(batch.v[members[0] - 1][0]), best, members
 
 
-def _lookup_score(npos: Fraction, pos_j: Fraction, j: int) -> Fraction:
+def _lookup_score(npos: int, pos_j: int, j: int) -> Fraction | int:
     """Closed form of key j's lookup score against the query for head position npos."""
     if j == 1:
-        return Fraction(-1)
+        return -1
     return -2 * (npos - pos_j) ** 2 - Fraction(1, j)
 
 
 _BLANK_VALUE = Fraction(1, 2)
 
 
-def _symb_value(symb) -> Fraction:
+def _symb_value(symb) -> Fraction | int:
     # Injective numeric encoding; safe because lookup argmax is a singleton.
-    return _BLANK_VALUE if symb == BLANK else Fraction(symb)
+    return _BLANK_VALUE if symb == BLANK else symb
 
 
-def _value_symb(value: Fraction):
+def _value_symb(value: Fraction | int):
     if value == _BLANK_VALUE:
         return BLANK
     if value in (0, 1):
@@ -228,15 +268,15 @@ def _value_symb(value: Fraction):
 def read_tape_attention_all(z: TokenSeq) -> list[tuple[int, object]]:
     """(state, symbol under the head) after every token, by one causal
     attention pass: entry i - 1 is the read of the length-i prefix."""
-    view, toks, batch = _causal_pass(z)
-    return [(t.state, _lookup_at(view, batch, i)[0]) for i, t in enumerate(toks, start=1)]
+    cp = _causal_pass(z)
+    return [(t.state, _lookup_at(cp, i)[0]) for i, t in enumerate(cp.toks, start=1)]
 
 
 def read_tape_attention(z: TokenSeq) -> tuple[int, object]:
     """(current state, symbol under the head) computed purely by attention:
     the last position of the causal pass, which scores n keys."""
-    view, toks, batch = _causal_pass(z)
-    return toks[-1].state, _lookup_at(view, batch, len(toks))[0]
+    cp = _causal_pass(z)
+    return cp.toks[-1].state, _lookup_at(cp, len(cp.toks))[0]
 
 
 def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
@@ -251,7 +291,7 @@ def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
     -1/j > -1 for every j >= 2, so it beats the marker. Distinct j give
     distinct scores, so the winner is unique and no scan is needed. The
     marker writes blank, which is what the direct read returns for a
-    cell with no later writer. ``read_tape_attention`` still asserts the
+    cell with no later writer. ``read_tape_attention`` still checks the
     singleton at every position it reads.
     """
     scan, toks, read = _decoded(_alphabet_states(z.alphabet), z.tokens)
@@ -286,10 +326,11 @@ class AttentionTMGenerator(TMGenerator):
 def tape_view_table(z: TokenSeq) -> str:
     """Debug TSV: per position, the view values plus that position's lookup
     best score and argmax set (the causal pass's read of the length-i prefix)."""
-    view, toks, batch = _causal_pass(z)
+    cp = _causal_pass(z)
+    view = cp.view
     rows = ["i\tmove\tpos\tnpos\tidx_inv\tbest_score\targmax_set"]
-    for i, t in enumerate(toks, start=1):
-        _, best, members = _lookup_at(view, batch, i)
+    for i, t in enumerate(cp.toks, start=1):
+        _, best, members = _lookup_at(cp, i)
         rows.append(
             f"{i}\t{t.move}\t{view.pos[i-1]}\t{view.npos[i-1]}\t{view.idx_inv[i-1]}"
             f"\t{best}\t{{{','.join(map(str, members))}}}"

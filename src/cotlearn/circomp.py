@@ -196,6 +196,12 @@ class CompiledThreshold:
     L: int
 
     def generator(self) -> LinearThreshold:
+        """The compiled threshold; one object per compiled circuit, so its
+        integer form is built once."""
+        return self._generator
+
+    @cached_property
+    def _generator(self) -> LinearThreshold:
         return LinearThreshold(self.w, Fraction(0))
 
 
@@ -241,7 +247,9 @@ def compile_circuit(circuit: ThresholdCircuit) -> CompiledThreshold:
         block: list[Fraction] = []
         for gate in reversed(layer):
             emb = embed(gate, l - 1)
-            assert len(emb) == tilde_p[l - 1], "padded gate size must equal the ladder value"
+            if len(emb) != tilde_p[l - 1]:
+                raise RuntimeError(f"padded gate size {len(emb)} failed post-verification "
+                                   f"against the ladder value {tilde_p[l - 1]}")
             block.extend(emb)
         blocks.append(block)
         total_l1 += sum(abs(w) for gate in layer for w in gate)
@@ -253,7 +261,9 @@ def compile_circuit(circuit: ThresholdCircuit) -> CompiledThreshold:
         times = tuple(prev_last + i * tilde_p[l - 1] for i in range(1, s + 1))
         gate_times.append(times)
         prev_last = times[-1]
-    assert gate_times[-1][-1] == T, "the output gate must be scheduled at step T"
+    if gate_times[-1][-1] != T:
+        raise RuntimeError(f"output gate step {gate_times[-1][-1]} failed post-verification "
+                           f"against T = {T}")
     scheduled = frozenset(t for times in gate_times for t in times)
 
     B = 1 + total_l1
@@ -267,7 +277,9 @@ def compile_circuit(circuit: ThresholdCircuit) -> CompiledThreshold:
         w.extend(block)
     w.extend(Fraction(0) for _ in range(n - 1))
     d = len(w)
-    assert d == T + tilde_p[L] - 1 and d <= 2 * tilde_p[L]
+    if not (d == T + tilde_p[L] - 1 and d <= 2 * tilde_p[L]):
+        raise RuntimeError(f"d = {d} failed post-verification against T + p[L] - 1 <= 2 p[L] "
+                           f"(T = {T}, p[L] = {tilde_p[L]})")
 
     return CompiledThreshold(
         w=tuple(w),

@@ -1,5 +1,11 @@
+import ast
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import reference_tape
@@ -60,6 +66,23 @@ class TestAha:
         batch = make_batch([[0], [0]], [[1], [1]], [[4], [8]])
         members, best = aha_argmax(batch, 2)
         assert members == [1, 2] and best == 0
+
+    def test_argmax_best_is_a_fraction(self):
+        batch = make_batch([[1], [2]], [[3], [1]], [[4], [8]])
+        assert aha_argmax(batch, 2) == ([1], Fraction(6))
+        assert isinstance(aha_argmax(batch, 2)[1], Fraction)
+        # width-0 queries and keys score an empty sum, which is still a Fraction
+        empty = make_batch([[]] * 2, [[]] * 2, [[4], [8]])
+        members, best = aha_argmax(empty, 2)
+        assert members == [1, 2] and best == 0 and isinstance(best, Fraction)
+        assert aha(empty) == [(Fraction(4),), (Fraction(6),)]
+
+    def test_argmax_rejects_positions_outside_the_batch(self):
+        batch = make_batch([[0], [1]], [[0], [1]], [[5], [7]])
+        for i in (0, -1, 3):
+            with pytest.raises(IndexError):
+                aha_argmax(batch, i)
+        assert aha_argmax(batch, 1) == ([1], Fraction(0))
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
@@ -173,6 +196,96 @@ class TestPipeline:
         view = positions_via_attention(z)
         for field in (view.pos, view.npos, view.idx_inv):
             assert all(isinstance(v, Fraction) for v in field)
+
+
+def golden_history():
+    return cot(TMGenerator(3, TMFamily(3).random_spec(random.Random(5), 50).table), pre([1, 0, 1, 1], 3), 50)
+
+
+def test_causal_pass_holds_whole_numbers_as_ints():
+    """Of the 8n query and key entries of an n-token history, only the n
+    1/j key entries are Fractions; the rest are ints, and none is a float."""
+    from cotlearn import attention
+
+    rng = random.Random(7)
+    histories = [golden_history()] + [
+        cot(TMFamily(S).random_member(rng), pre([rng.randint(0, 1) for _ in range(4)], S), rng.randint(1, 40))
+        for S in (1, 2, 3, 4)
+    ]
+    for z in histories:
+        n = len(z)
+        cp = attention._causal_pass(z)
+        entries = [x for vecs in (cp.batch.q, cp.batch.k) for vec in vecs for x in vec]
+        assert len(entries) == 8 * n
+        assert sum(isinstance(x, Fraction) for x in entries) <= n
+        assert all(type(x) in (int, Fraction) for x in entries)
+        assert [vec[3] for vec in cp.batch.k] == list(cp.view.idx_inv)
+        assert cp.npos == list(cp.view.npos) and cp.pos == list(cp.view.pos)
+        assert all(type(h) is int for h in cp.npos + cp.pos)
+
+
+def test_golden_digests():
+    """tape_view_table and read_tape_attention_all on a 55-token run,
+    digests recorded when every entry of the pass was a Fraction."""
+    z = golden_history()
+    assert len(z) == 55
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert digest(tape_view_table(z)) == "a33c1c1df2eaeedf69b8ef6d085500539c4b2045ffed9090dd4098281f555f20"
+    assert digest(repr(read_tape_attention_all(z))) == (
+        "66a83a9870e925c396b4077f83f8e9cd9dd989f193e03ca7190e1f4cdeee8eff"
+    )
+
+
+class TestPostVerification:
+    """A lookup score off its closed form, or a tied lookup argmax, is a fault
+    of the pass; it must raise, also under ``python -O``."""
+
+    @pytest.fixture
+    def off_by_one_over_j(self, monkeypatch):
+        from cotlearn import attention
+
+        closed_form = attention._lookup_score
+        monkeypatch.setattr(attention, "_lookup_score", lambda npos, pos_j, j: closed_form(npos, pos_j, j) + Fraction(1, j))
+
+    @pytest.mark.parametrize("read", [read_tape_attention, read_tape_attention_all, tape_view_table])
+    def test_closed_form(self, off_by_one_over_j, read):
+        with pytest.raises(RuntimeError, match="post-verification"):
+            read(pre([1, 0], 2))
+
+    def test_singleton(self, monkeypatch):
+        from cotlearn import attention
+
+        argmax = attention._argmax
+        monkeypatch.setattr(attention, "_argmax", lambda scores: ([1, 1], argmax(scores)[1]))
+        with pytest.raises(RuntimeError, match="not a singleton"):
+            read_tape_attention(pre([1, 0], 2))
+
+    def test_raises_under_python_O(self):
+        script = "\n".join([
+            "from fractions import Fraction",
+            "from cotlearn import attention",
+            "from cotlearn.turing import pre",
+            "assert False, 'asserts are stripped under -O'",
+            "closed_form = attention._lookup_score",
+            "attention._lookup_score = lambda npos, pos_j, j: closed_form(npos, pos_j, j) + Fraction(1, j)",
+            "try:",
+            "    attention.read_tape_attention(pre([1, 0], 2))",
+            "except RuntimeError as err:",
+            "    print(err)",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "post-verification" in proc.stdout
+
+    def test_library_has_no_assert_statements(self):
+        """``python -O`` strips asserts, so library checks are explicit raises."""
+        paths = sorted((Path(__file__).resolve().parents[1] / "src" / "cotlearn").glob("*.py"))
+        assert len(paths) > 5
+        for path in paths:
+            tree = ast.parse(path.read_text(), str(path))
+            assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 def marker_led_histories(S):

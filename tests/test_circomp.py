@@ -7,7 +7,7 @@ import pytest
 import reference_circomp
 from hypothesis import given, settings, strategies as st
 
-from cotlearn.linthresh import IntegerThreshold
+from cotlearn.linthresh import IntegerThreshold, LinearThreshold, format_threshold
 from cotlearn.seqcore import GuardExceededError, e2e
 from cotlearn import circomp
 from cotlearn.circomp import (
@@ -199,6 +199,13 @@ class TestCompile:
         monkeypatch.setattr(circomp, "COMPILE_MAX_D", d - 1)
         with pytest.raises(GuardExceededError, match=f"exceeds the guard {d - 1}"):
             compile_circuit(c)
+
+    def test_generator_is_built_once(self):
+        comp = compile_circuit(random_normalized_circuit(random.Random(3), 2, 2, 2))
+        f = comp.generator()
+        assert comp.generator() is f
+        assert f.integer_form is comp.generator().integer_form
+        assert format_threshold(f) == format_threshold(LinearThreshold(comp.w, Fraction(0)))
 
 
 class TestVerify:
