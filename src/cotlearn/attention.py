@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .seqcore import TokenSeq
+from .seqcore import TokenSeq, _check_alphabet
 from .turing import (
     BLANK,
     TMGenerator,
@@ -307,6 +307,7 @@ class AttentionTMGenerator(TMGenerator):
     """
 
     def next_token(self, z: TokenSeq) -> int:
+        _check_alphabet(self, z)
         state, read = read_tape_attention(z)
         return self._step_token(state, read)
 

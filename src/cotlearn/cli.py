@@ -58,6 +58,10 @@ def _read(path: str) -> str:
 
 
 def cmd_generate(args) -> int:
+    if args.kind == "tm" and args.prompt is not None:
+        raise ValueError("--prompt does not apply to --kind tm; give the machine's input with --input")
+    if args.kind == "threshold" and args.input is not None:
+        raise ValueError("--input does not apply to --kind threshold; give the prompt with --prompt")
     if args.kind == "tm":
         spec = turing.parse_tm(_read(args.file))
         omega = _parse_bits(args.input if args.input is not None else "")

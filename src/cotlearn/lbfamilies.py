@@ -9,8 +9,8 @@ that must replay earlier b-bits. Everything off-pattern maps to 0.
 
 Member evaluation, generation and learning share one reader of histories,
 ``LookupFamily._read``. One search learns every family from records (T = 1
-pairs) or answers, ``LookupFamily.find_e2e_consistent``; only a label-0
-pair after a continuation that its zero fill misses scans the members.
+pairs) or answers, ``LookupFamily.find_e2e_consistent``, over forced bits and
+the bits that label-0 pairs after a continuation read; it enumerates no member.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from typing import Callable, Iterator, Sequence
 from .linthresh import SparseThresholdFamily, ThresholdFamily
 from .seqcore import (
     BINARY,
+    MEMBER_GUARD,
     Generator,
     GeneratorFamily,
     GuardExceededError,
     NotRealizableError,
     TokenSeq,
+    _check_alphabet,
     cot,
     e2e,
 )
@@ -59,6 +61,7 @@ class LookupGenerator(Generator):
     alphabet = BINARY
 
     def next_token(self, x: TokenSeq) -> int:
+        _check_alphabet(self, x)
         return self.family._eval(self.b, x.tokens)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
@@ -181,12 +184,15 @@ class LookupFamily(GeneratorFamily):
         if c replays faithfully, else 0. A read of None, a negative answer
         position or an index of None forces label 0; label 1 forces c's
         replayed bits and the answer bit; an empty c forces the answer bit.
-        Every consistent member carries the forced bits, so the zero fill of
-        the rest is the scan's first member whenever it fits. Only a loose
-        pair (label 0 after a continuation) that it misses scans the members.
+        A loose pair (label 0 after c) reads only c's replayed bits and its
+        answer bit. So the candidates keep the forced bits, zero every bit no
+        loose pair reads, and count the free read bits upward, highest index
+        most significant: the first is the zero fill, and the first to fit
+        every loose pair is the scan's first member. ``GuardExceededError``
+        after ``MEMBER_GUARD`` candidates; no member is enumerated.
         """
         assign: dict[int, int] = {}
-        forced, loose = [], []
+        forced, loose, read_bits = [], [], set()
         for x, y in pairs:
             if x.alphabet != BINARY or y not in (0, 1):
                 raise ValueError("family data must be binary")
@@ -212,14 +218,20 @@ class LookupFamily(GeneratorFamily):
                 forced.append((x, y))
             else:
                 loose.append((x, y))
-        f = self.from_bits(tuple(assign.get(j, 0) for j in range(self.index_bits)))
+                read_bits.update([idx, *(self._replay_index(k, r) for r in range(ell))])
+        free = sorted(read_bits.difference(assign))
         # next_token is the T = 1 answer without e2e's generation overhead
-        fits = (lambda x, y: f.next_token(x) == y) if T == 1 else (lambda x, y: e2e(f, x, T) == y)
-        if not all(fits(x, y) for x, y in forced):
-            raise RuntimeError("lookup search result failed post-verification")
-        if all(fits(x, y) for x, y in loose):
-            return f
-        return GeneratorFamily.find_e2e_consistent(self, pairs, T)
+        fits = (lambda f, x, y: f.next_token(x) == y) if T == 1 else (lambda f, x, y: e2e(f, x, T) == y)
+        for c in range(1 << len(free)):
+            if c == MEMBER_GUARD:
+                raise GuardExceededError(f"lookup search tried {c} candidates over {len(free)} free bits")
+            assign.update((j, c >> i & 1) for i, j in enumerate(free))
+            f = self.from_bits(tuple(assign.get(j, 0) for j in range(self.index_bits)))
+            if all(fits(f, x, y) for x, y in loose):  # forced pairs hold on every candidate
+                if not all(fits(f, x, y) for x, y in forced):
+                    raise RuntimeError("lookup search result failed post-verification")
+                return f
+        return None
 
     def cons_oracle(self):
         """The search above at T = 1, on (prefix, next token) pairs."""

@@ -23,6 +23,7 @@ from .seqcore import (
     GeneratorFamily,
     NotRealizableError,
     TokenSeq,
+    check_horizon,
     cot,
     e2e,
 )
@@ -38,8 +39,7 @@ class E2EDataset:
     T: int
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("generation length T must be at least 1")
+        check_horizon(self.T)
         if not self.pairs:
             return
         alphabet = self.alphabet
@@ -62,16 +62,18 @@ class E2EDataset:
 
 @dataclass(frozen=True)
 class CoTDataset:
-    """Full generation records; record i is the prompt followed by its T outputs."""
+    """Full generation records; record i is the prompt followed by its T outputs.
+
+    A record of length exactly T has the empty prompt.
+    """
 
     seqs: tuple[TokenSeq, ...]
     T: int
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("generation length T must be at least 1")
+        check_horizon(self.T)
         for z in self.seqs:
-            if len(z) < self.T + 1:
+            if len(z) < self.T:
                 raise ValueError(
                     f"record of length {len(z)} cannot carry {self.T} generated tokens"
                 )
@@ -239,8 +241,7 @@ class LabelledSupport:
     """
 
     def __init__(self, f_star: Generator, T: int):
-        if T < 1:
-            raise ValueError("generation length T must be at least 1")
+        check_horizon(T)
         self.f_star = f_star
         self.T = T
         self._answers: dict[TokenSeq, int] = {}

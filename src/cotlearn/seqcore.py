@@ -2,8 +2,10 @@
 
 Token sequences use 1-based positions with inclusive slices, and negative
 positions count from the end (``seq[-1]`` is the last token, ``seq[i:j]``
-keeps both endpoints). Every other module indexes sequences through this
-one utility so the convention cannot drift. All types are immutable;
+keeps both endpoints). ``CoTDataset.prompt``, ``loss_class_behavior_count``
+and the tests use this notation. ``lbfamilies``, ``turing``, ``linthresh``,
+``learning`` and ``attention`` mostly read the ``tokens`` tuple instead,
+with Python's 0-based, end-exclusive indices. All types are immutable;
 generation operators return new sequences.
 """
 
@@ -187,7 +189,8 @@ class ConstantGenerator(Generator):
 
 
 def _check_alphabet(f: Generator, x: TokenSeq) -> None:
-    if f.alphabet != x.alphabet:
+    """Refuse a history over another alphabet; an identity test settles the usual case."""
+    if f.alphabet is not x.alphabet and f.alphabet != x.alphabet:
         raise AlphabetMismatchError("generator and sequence use different alphabets")
 
 

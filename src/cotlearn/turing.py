@@ -22,6 +22,7 @@ from .seqcore import (
     GeneratorFamily,
     NotRealizableError,
     TokenSeq,
+    _check_alphabet,
     check_horizon,
 )
 
@@ -290,6 +291,7 @@ class TMGenerator(Generator):
         return tm_alphabet(self.S)
 
     def next_token(self, z: TokenSeq) -> int:
+        _check_alphabet(self, z)
         state, symb = _read_tape(self.S, z.tokens)
         return self._step_token(state, symb)
 

@@ -49,6 +49,19 @@ class TestGenerate:
         assert main(["generate", str(p), "--kind", "threshold", "--prompt", "1,0", "--T", "3"]) == 0
         assert capsys.readouterr().out.strip() == "1,0,0,0,0"
 
+    @pytest.mark.parametrize("kind, option, value", [
+        ("threshold", "--input", "11"),
+        ("tm", "--prompt", "1,0"),
+    ])
+    def test_option_of_the_other_kind_is_input_error(self, tmp_path, capsys, kind, option, value):
+        p = tmp_path / "generator.txt"
+        p.write_text("2 -1 1 1\n" if kind == "threshold" else format_tm(ALWAYS_ONE))
+        # ignoring the option would generate from the empty prompt or input
+        assert main(["generate", str(p), "--kind", kind, option, value, "--T", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option} does not apply") and captured.err.count("\n") == 1
+
     def test_bad_file_is_input_error(self, tmp_path):
         assert main(["generate", str(tmp_path / "nope"), "--kind", "tm", "--input", "0", "--T", "1"]) == 2
 
@@ -89,6 +102,13 @@ class TestLearn:
         ])
         assert code == 0
         assert out_path.read_text().startswith("2 6\n")
+
+    def test_learn_cot_record_with_empty_prompt(self, tmp_path, capsys):
+        # a record of length T is T tokens generated from the empty prompt
+        data = tmp_path / "records.txt"
+        data.write_text("1,1,1\n")
+        assert main(["learn", "--family", "linthresh:d=2", "--mode", "cot", "--T", "3", "--data", str(data)]) == 0
+        assert capsys.readouterr().out.strip() == "2 0 0 0"
 
     def test_learn_e1_e2e(self, tmp_path, capsys):
         fam = E1Family(2, 2)
@@ -528,6 +548,22 @@ def test_learn_e2e_reads_prompts_that_are_not_points(tmp_path, pairs, index):
     assert proc.stdout.strip() == "b=" + "".join("1" if j == index else "0" for j in range(24))
 
 
+def test_learn_e2e_solves_label_zero_pairs_after_a_continuation(tmp_path):
+    """The zero fill of e1:D=3,T=8 at T = 2 replays the second prompt's
+    continuation and answers 1 there; the search counts the bits that pair
+    reads upward and returns the member with bits 1 and 4 set, although
+    2^24 members are far above the enumeration guard."""
+    data = tmp_path / "pairs.tsv"
+    data.write_text("1,0,0,0,0,1\t1\n1,0,0,1,0,0,0,1,0,0,0,0\t0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotlearn.cli", "learn", "--family", "e1:D=3,T=8", "--mode", "e2e",
+         "--T", "2", "--data", str(data)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "b=010010000000000000000000"
+
+
 _HUGE_T = 100000000
 
 
@@ -562,9 +598,11 @@ _E1 = E1Family(1, 2)
 _CONTRACT = {
     "generate-tm": (["generate", "{}", "--kind", "tm", "--input", "0", "--T", "1"], format_tm(ALWAYS_ONE)),
     "generate-threshold": (["generate", "{}", "--kind", "threshold", "--prompt", "1", "--T", "1"], "2 -2 1 1\n"),
+    # prompts start with a zero, so half the first line ends in a comma: half
+    # of "1,0,1,1" would be "1,0", a well-formed record with the empty prompt
     "learn-cot": (
         ["learn", "--family", "e1:D=1,T=2", "--mode", "cot", "--data", "{}"],
-        "".join(cot(_E1.member(1), x, 2).render() + "\n" for x in _E1.canonical_points()),
+        "".join(cot(_E1.member(1), _E1.alphabet.seq((0, *x)), 2).render() + "\n" for x in _E1.canonical_points()),
     ),
     "learn-e2e": (
         ["learn", "--family", "e1:D=1,T=2", "--mode", "e2e", "--data", "{}"],

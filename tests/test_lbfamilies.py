@@ -3,7 +3,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cotlearn.seqcore import BINARY, GuardExceededError, NotRealizableError, cot, e2e
+from cotlearn import lbfamilies
+from cotlearn.seqcore import (
+    BINARY,
+    Alphabet,
+    AlphabetMismatchError,
+    GuardExceededError,
+    NotRealizableError,
+    cot,
+    e2e,
+)
 from cotlearn.learning import CoTDataset, prefix_expand
 from cotlearn.lbfamilies import (
     CollapseFamily,
@@ -265,16 +274,43 @@ class TestOracles:
                 with pytest.raises(RuntimeError, match="post-verification"):
                     fam.find_e2e_consistent(e2e_pairs, e2e_T)
 
-    def test_search_scans_when_only_a_loose_pair_misses(self):
+    def test_search_solves_a_loose_pair_the_zero_fill_misses(self, monkeypatch):
         # (p1, 1) forces b_2 = 1, so the zero fill replays p3's continuation
-        # (0,) faithfully and answers 1 there; a member with b_0 = 1 breaks
-        # that replay and fits both pairs
+        # (0,) faithfully and answers 1 there; the next candidate sets the
+        # free read bit b_0, breaks that replay and fits both pairs
         fam = E1Family(2, 3)
         p1, p3 = fam.canonical_points()[0].tokens, fam.canonical_points()[2].tokens
         pairs = [(seq(p1), 1), (seq(p3 + (0,)), 0)]
+        monkeypatch.setattr(LookupFamily, "members", None)  # no member scan
         learned = fam.find_e2e_consistent(pairs, 2)
         assert learned.b == (1, 0, 1, 0, 0, 0)
         assert all(e2e(learned, x, 2) == y for x, y in pairs)
+
+    def test_search_guard_counts_tried_candidates(self, monkeypatch):
+        # (p1, 1) at T = 3 forces b_2 = 1; point 3 continued by each of the
+        # four pairs of bits reads b_0, b_1 and answers b_2 = 1 when they
+        # replay, so every candidate over the two free bits misses one
+        fam = LdimFamily(3)
+        p1, p3 = fam.canonical_points()[0].tokens, fam.canonical_points()[2].tokens
+        pairs = [(seq(p1), 1)] + [(seq(p3 + (a, b)), 0) for a in (0, 1) for b in (0, 1)]
+        assert fam.find_e2e_consistent(pairs, 3) is None
+        monkeypatch.setattr(lbfamilies, "MEMBER_GUARD", 4)  # all four tried, none fits
+        assert fam.find_e2e_consistent(pairs, 3) is None
+        monkeypatch.setattr(lbfamilies, "MEMBER_GUARD", 3)
+        with pytest.raises(GuardExceededError, match="tried 3 candidates over 2 free bits"):
+            fam.find_e2e_consistent(pairs, 3)
+        # the 192 pairs of the all-zero E1(3,8) member's records read 21 free
+        # bits, and the zero fill, the first candidate, fits them
+        monkeypatch.setattr(lbfamilies, "MEMBER_GUARD", 1)
+        e1 = E1Family(3, 8)
+        zero = e1.member(0)
+        records = CoTDataset(tuple(cot(zero, x, 8) for x in e1.canonical_points()), 8)
+        assert e1.cons_oracle()(prefix_expand(records).pairs) == zero
+
+    def test_next_token_refuses_another_alphabet(self):
+        ternary = Alphabet(("0", "1", "2"))
+        with pytest.raises(AlphabetMismatchError):
+            E1Family(2, 2).member(3).next_token(ternary.seq((1, 0, 2)))
 
     def test_enumeration_oracle_for_small_families(self):
         fam = CollapseFamily(3)

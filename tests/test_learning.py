@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cotlearn import learning
 from cotlearn.seqcore import (
     BINARY,
+    GENERATION_MAX_T,
     Alphabet,
     ConstantGenerator,
     Generator,
     GeneratorFamily,
+    GuardExceededError,
     NotRealizableError,
     cot,
     e2e,
@@ -45,9 +47,33 @@ seq = BINARY.seq
 class TestDatasets:
     def test_cot_record_length_validated(self):
         with pytest.raises(ValueError):
-            CoTDataset((seq([1, 0]),), 2)  # needs length >= T + 1
+            CoTDataset((seq([1]),), 2)  # needs length >= T
         data = CoTDataset((seq([1, 0, 1]),), 2)
         assert data.prompt(0).tokens == (1,)
+        data = CoTDataset((seq([1, 0]),), 2)
+        assert data.prompt(0).tokens == ()
+        learned = cons_cot(data, lambda pairs: cons_lp(pairs, 2))
+        assert cot(learned, seq(), 2) == seq([1, 0])
+
+    def test_cot_trial_on_empty_prompts(self):
+        # BitStringPrompts(0, 1) draws the empty prompt, whose record has length T
+        f = make_threshold([1, -1], 0)
+        assert cot(f, seq(), 3) == seq([1, 0, 1])
+        r = pac_trial(ThresholdFamily(2), f, BitStringPrompts(0, 1), 6, 3, "cot", 50, 1)
+        assert r.error == 0 and r.exact_eval
+
+    @pytest.mark.parametrize("build", [
+        lambda T: E2EDataset((), T),
+        lambda T: CoTDataset((), T),
+        lambda T: LabelledSupport(ConstantGenerator(BINARY, 0), T),
+    ], ids=["E2EDataset", "CoTDataset", "LabelledSupport"])
+    def test_horizon_is_checked_once(self, build):
+        build(1)
+        build(GENERATION_MAX_T)
+        with pytest.raises(ValueError, match="at least 1"):
+            build(0)
+        with pytest.raises(GuardExceededError, match="exceeds the guard"):
+            build(GENERATION_MAX_T + 1)
 
     def test_e2e_labels_validated(self):
         with pytest.raises(ValueError):
@@ -183,16 +209,43 @@ class TestConsE2E:
         with pytest.raises(NotRealizableError):
             cons_e2e(E2EDataset(((x, 0), (x, 1)), 2), fam)
 
-    def test_fast_path_matches_enumeration(self):
+    def test_fast_path_matches_enumeration(self, monkeypatch):
         """The one lookup search returns the generic scan's first member on
         every lookup family at every horizon, the family's own and the rest:
         on labels from a member and at random, on every kind of
         ``_lookup_prompt``: all-zero prompts, partial points, bare points and
         non-point heads, with and without a tail. At T = 1 the next-token
-        oracle returns that member too."""
+        oracle returns that member too.
+
+        Member-labelled E1 and Ldim sets, every bare point plus points
+        continued by ``_continued_prompt``, give label-0 pairs after a
+        continuation that the zero fill misses (45 of these 1,200 sets); the
+        search solves them over the bits they read. It scans no member on
+        any set here, while the scan it is compared with does."""
         rng = random.Random(3)
+        scanned = _count_member_scans(monkeypatch)
+        tried = []
+        from_bits = LookupFamily.from_bits
+        monkeypatch.setattr(LookupFamily, "from_bits", lambda fam, bits: tried.append(bits) or from_bits(fam, bits))
+        loose_misses = 0
+
+        def compare(fam, pairs, T):
+            nonlocal loose_misses
+            scan = GeneratorFamily.find_e2e_consistent(fam, pairs, T)
+            assert scanned
+            scanned.clear()
+            tried.clear()
+            assert fam.find_e2e_consistent(pairs, T) == scan, (fam, T, pairs)
+            loose_misses += len(tried) > 1  # the zero fill is the first candidate
+            if T == 1:
+                try:
+                    learned = fam.cons_oracle()(pairs)
+                except NotRealizableError:
+                    learned = None
+                assert learned == scan, (fam, pairs)
+            assert scanned == [], (fam, T, pairs)
+
         for fam in (E1Family(2, 3), LdimFamily(3), CollapseFamily(3)):
-            oracle = fam.cons_oracle()
             for T in range(1, 6):
                 for _ in range(100):
                     prompts = [_lookup_prompt(rng, fam) for _ in range(rng.randint(0, 5))]
@@ -201,14 +254,15 @@ class TestConsE2E:
                         pairs = tuple((x, e2e(f_star, x, T)) for x in prompts)
                     else:
                         pairs = tuple((x, rng.randint(0, 1)) for x in prompts)
-                    scan = GeneratorFamily.find_e2e_consistent(fam, pairs, T)
-                    assert fam.find_e2e_consistent(pairs, T) == scan, (fam, T, pairs)
-                    if T == 1:
-                        try:
-                            learned = oracle(pairs)
-                        except NotRealizableError:
-                            learned = None
-                        assert learned == scan, (fam, pairs)
+                    compare(fam, pairs, T)
+        for fam in (E1Family(2, 3), E1Family(1, 4), LdimFamily(3), LdimFamily(4)):
+            for T in range(1, 6):
+                for _ in range(60):
+                    f_star = fam.random_member(rng)
+                    extra = [_continued_prompt(rng, fam, f_star) for _ in range(rng.randint(1, 4))]
+                    prompts = list(fam.canonical_points()) + extra
+                    compare(fam, tuple((x, e2e(f_star, x, T)) for x in prompts), T)
+        assert loose_misses >= 20, loose_misses
 
     def test_fast_path_off_its_own_T_needs_no_member_scan(self):
         # 2^24 members: above the enumeration guard, so no scan could answer
@@ -361,6 +415,21 @@ def _lookup_prompt(rng, fam, kinds=("zeros", "partial", "head", "tail")):
         return seq(zeros + rng.choice(fam.canonical_points()).tokens[:rng.randint(1, plen - 1)])
     head = zeros + (1,) + bits(plen - 1)
     return seq(head + (bits(rng.randint(1, 2)) if kind == "tail" else ()))
+
+
+def _continued_prompt(rng, fam, f_star):
+    """A point after up to two zeros, continued by one to three tokens: zeros
+    half the time (the zero fill's replay where no bit is forced), else
+    f_star's own generation with one token flipped, or random bits."""
+    head = (0,) * rng.randint(0, 2) + rng.choice(fam.canonical_points()).tokens
+    n, kind = rng.randint(1, 3), rng.random()
+    if kind < 0.5:
+        return seq(head + (0,) * n)
+    if kind < 0.75:
+        return seq(head + tuple(rng.randint(0, 1) for _ in range(n)))
+    tokens = list(cot(f_star, seq(head), n).tokens)
+    tokens[rng.randrange(len(head), len(tokens))] ^= 1
+    return seq(tokens)
 
 
 def _count_member_scans(monkeypatch) -> list:
@@ -541,7 +610,7 @@ class TestGenerationCounts:
 
     def test_member_answers_without_continuations_scan_no_member(self, monkeypatch):
         # all-zero prompts, partial points, non-point heads and bare points
-        # leave no label-0 pair after a continuation, which alone can scan
+        # leave no label-0 pair after a continuation, so the zero fill fits
         scanned = _count_member_scans(monkeypatch)
         rng = random.Random(8)
         for fam in (E1Family(2, 3), LdimFamily(3), CollapseFamily(3)):

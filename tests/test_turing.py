@@ -4,8 +4,16 @@ import pytest
 from reference_tape import read_tape_cost
 from hypothesis import given, settings, strategies as st
 
-from cotlearn.attention import read_tape_attention_fast
-from cotlearn.seqcore import Alphabet, GuardExceededError, NotRealizableError, TokenSeq, cot, e2e
+from cotlearn.attention import AttentionTMGenerator, read_tape_attention_fast
+from cotlearn.seqcore import (
+    Alphabet,
+    AlphabetMismatchError,
+    GuardExceededError,
+    NotRealizableError,
+    TokenSeq,
+    cot,
+    e2e,
+)
 from cotlearn.learning import CoTDataset, cons_cot, prefix_expand
 from cotlearn.turing import (
     BLANK,
@@ -274,3 +282,14 @@ class TestFileFormat:
         spec = TMSpec(1, 1, ((1, 0, 0),) * 3)
         text = format_tm(spec)
         assert "_ ->" in text and "⊔" not in text
+
+
+@pytest.mark.parametrize("cls", [TMGenerator, AttentionTMGenerator], ids=lambda c: c.__name__)
+def test_next_token_refuses_another_alphabet(cls):
+    # a 3-state history read by a 1-state machine, as cot refuses it
+    f = cls(1, ((1, 0, 0),) * 3)
+    z = TokenSeq(tm_alphabet(3), (8, 20, 23))
+    with pytest.raises(AlphabetMismatchError):
+        f.next_token(z)
+    with pytest.raises(AlphabetMismatchError):
+        cot(f, z, 1)
