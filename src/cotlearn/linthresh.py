@@ -71,28 +71,51 @@ class IntegerThreshold:
         return tuple(row)
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """``total`` of a growing list, one call per appended token (see
-        ``Generator.stepper``).
+        """The threshold bit, 1 iff ``total >= 0``, of a growing list, one
+        call per appended token (see ``Generator.stepper``).
 
-        Keeps the list positions of the 1-bits inside the window, so a
-        call sums the weights at their offsets: it visits the set bits,
-        not every nonzero weight.
+        The bit depends only on the last ``window`` bits, which the stepper
+        holds as the int ``state`` (bits before the start count as 0). Every
+        appended token is the stepper's own output, so equal states give
+        equal futures: the chain walks on at most 2^window states and is
+        periodic from the first state that repeats. Brent's cycle check
+        finds that repeat in O(1) memory, one checkpoint state saved at
+        steps 0, 2, 6, 14, ... and compared once per step, within about
+        three times the preperiod plus the period. Until then a call sums
+        the weights at the window's 1-bits, whose list positions it keeps,
+        so it visits the set bits, not every nonzero weight; from then on
+        it returns ``tokens[-period]``.
         """
-        weight_at = self.weight_at
+        weight_at, bias = self.weight_at, self.bias
         window = len(weight_at) - 1
-        ones: deque[int] = deque()
-        seen = 0
+        mask = (1 << window) - 1
+        start = max(0, len(tokens) - window)
+        ones = deque(p for p in range(start, len(tokens)) if tokens[p])
+        state = 0
+        for p in range(start, len(tokens)):
+            state = state << 1 | tokens[p]
+        checkpoint, power, lam, period = -1, 1, 1, 0
 
-        def total() -> int:
-            nonlocal seen
+        def step() -> int:
+            nonlocal state, checkpoint, power, lam, period
+            if period:
+                return tokens[-period]
+            if state == checkpoint:
+                period = lam
+                return tokens[-period]
+            if lam == power:
+                checkpoint, power, lam = state, 2 * power, 0
             n = len(tokens)
-            ones.extend(p for p in range(seen, n) if tokens[p])
-            seen = n
             while ones and n - ones[0] > window:
                 ones.popleft()
-            return self.bias + sum(weight_at[n - p] for p in ones)
+            bit = 1 if bias + sum(weight_at[n - p] for p in ones) >= 0 else 0
+            if bit:
+                ones.append(n)
+            state = (state << 1 | bit) & mask
+            lam += 1
+            return bit
 
-        return total
+        return step
 
 
 @dataclass(frozen=True)
@@ -123,8 +146,11 @@ class LinearThreshold(Generator):
         return 1 if self.integer_form.total(x.tokens) >= 0 else 0
 
     def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        total = self.integer_form.stepper(tokens)
-        return lambda: 1 if total() >= 0 else 0
+        """The integer form's stepper. The window takes at most 2^window
+        states, so the chain is eventually periodic; an O(1)-memory cycle
+        check finds the first repeated state, and from there each call
+        replays ``tokens[-period]`` instead of summing the window."""
+        return self.integer_form.stepper(tokens)
 
 
 def make_threshold(weights: Iterable, bias) -> LinearThreshold:

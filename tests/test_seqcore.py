@@ -6,6 +6,7 @@ from cotlearn.seqcore import (
     Alphabet,
     AlphabetMismatchError,
     ConstantGenerator,
+    TokenSeq,
     apply_and_append,
     cot,
     cot_time_dependent,
@@ -82,6 +83,17 @@ class TestIndexing:
         assert s.tokens == (0,) and s2.tokens == (0, 1)
         with pytest.raises(ValueError):
             s.append(7)
+
+    @pytest.mark.parametrize("tokens", [(0.5,), (-1,), (2,), (1, 0, 2), (0, -1, 1)])
+    def test_rejects_tokens_outside_the_alphabet(self, tokens):
+        """0.5 lies between 0 and 2 but is no token index; render() would die on it."""
+        with pytest.raises(ValueError, match="token index out of range for the alphabet"):
+            TokenSeq(BINARY, tokens)
+
+    def test_accepts_every_index_and_the_empty_sequence(self):
+        a = Alphabet(("x", "y", "z"))
+        assert TokenSeq(a, (2, 0, 1, 2)).render() == "z,x,y,z"
+        assert TokenSeq(a, ()).render() == ""
 
 
 class TestGeneration:

@@ -14,7 +14,7 @@ import reference_lookup
 import reference_tape
 from hypothesis import given, settings, strategies as st
 
-from cotlearn import circomp
+from cotlearn import circomp, linthresh
 from cotlearn.attention import AttentionTMGenerator
 from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupFamily
 from cotlearn.linthresh import LinearThreshold, SparseLinearThreshold, make_threshold
@@ -96,16 +96,20 @@ def test_lookup_generators():
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
+def _threshold(data, d):
+    """A dense or a sparse window-d threshold, drawn."""
+    if data.draw(st.booleans(), label="sparse"):
+        k = data.draw(st.integers(0, d), label="k")
+        support = tuple(sorted(data.draw(st.sets(st.integers(1, d), max_size=k) if d else st.just(set()))))
+        return SparseLinearThreshold(d, k, support, tuple(data.draw(fractions) for _ in support), data.draw(fractions))
+    return LinearThreshold(tuple(data.draw(st.lists(fractions, min_size=d, max_size=d))), data.draw(fractions))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_threshold_steppers(data):
     d = data.draw(st.integers(0, 9), label="d")
-    if data.draw(st.booleans(), label="sparse"):
-        k = data.draw(st.integers(0, d), label="k")
-        support = tuple(sorted(data.draw(st.sets(st.integers(1, d), max_size=k) if d else st.just(set()))))
-        f = SparseLinearThreshold(d, k, support, tuple(data.draw(fractions) for _ in support), data.draw(fractions))
-    else:
-        f = LinearThreshold(tuple(data.draw(st.lists(fractions, min_size=d, max_size=d))), data.draw(fractions))
+    f = _threshold(data, d)
     x = BINARY.seq(data.draw(st.lists(st.integers(0, 1), max_size=d + 2), label="prompt"))
     T = data.draw(st.integers(1, 25), label="T")
     assert cot(f, x, T) == reference_cot(f, x, T)
@@ -115,6 +119,109 @@ def test_threshold_stepper_with_empty_prompt_and_long_window():
     f = make_threshold([1, -1, 2, 0, 0, -3, 1, 1], Fraction(-1, 2))
     for x in (BINARY.seq(), BINARY.seq([1]), BINARY.seq([0, 1, 1])):
         assert cot(f, x, 30) == reference_cot(f, x, 30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_threshold_steppers_past_the_first_repeat(data):
+    """Horizons past the 2^d window states, so the chain repeats a window and
+    the stepper replays its period."""
+    d = data.draw(st.integers(0, 6), label="d")
+    f = _threshold(data, d)
+    x = BINARY.seq(data.draw(st.lists(st.integers(0, 1), max_size=d + 2), label="prompt"))
+    T = data.draw(st.integers(1, 2 ** (d + 1) + 20), label="T")
+    assert cot(f, x, T) == reference_cot(f, x, T)
+
+
+def _preperiod_and_period(tokens, n0, d):
+    """Steps from the prompt's end to the first window that repeats, and the
+    distance back to its earlier visit; bits before the start count as 0."""
+    seen = {}
+    for n in range(n0, len(tokens) + 1):
+        window = tuple(tokens[max(0, n - d):n])
+        window = (0,) * (d - len(window)) + window
+        if window in seen:
+            return seen[window], n - n0 - seen[window]
+        seen[window] = n - n0
+    return None
+
+
+@pytest.mark.parametrize(
+    "f, prompt, shape",
+    [
+        (make_threshold([], 0), [], (0, 1)),
+        (make_threshold([], Fraction(1, 2)), [1, 0], (0, 1)),
+        (make_threshold([], Fraction(-1, 2)), [1, 1], (0, 1)),
+        (make_threshold([1], -1), [1], (0, 1)),
+        (make_threshold([-1], 0), [1], (0, 2)),
+        (make_threshold([-3, 2, -1], Fraction(1, 2)), [0, 1, 1], (6, 2)),
+        (SparseLinearThreshold(6, 2, (1, 3), (Fraction(-1), Fraction(2)), Fraction(-1, 2)), [1, 1, 0, 1, 0, 0, 1], (0, 3)),
+    ],
+    ids=["d0-bias-zero", "d0-bias-positive", "d0-bias-negative", "fixed-point", "alternation",
+         "preperiod-past-window", "sparse-short-support"],
+)
+def test_threshold_stepper_replay_cases(f, prompt, shape):
+    """``shape`` is (preperiod, period) over the integer form's window, which
+    is shorter than d when the largest support offset is below d."""
+    x = BINARY.seq(prompt)
+    z = cot(f, x, 60)
+    assert z == reference_cot(f, x, 60)
+    assert _preperiod_and_period(z.tokens, len(x), len(f.integer_form.weight_at) - 1) == shape
+    for T in (1, 2, 3, 7, 59):
+        assert cot(f, x, T) == z[:len(x) + T]
+
+
+def test_time_dependent_thresholds():
+    """Each threshold of the list builds a fresh stepper and steps once."""
+    rng = random.Random(20)
+    for _ in range(200):
+        d = rng.randint(0, 6)
+        fs = [
+            make_threshold([rng.randint(-3, 3) for _ in range(rng.randint(0, d))], Fraction(rng.randint(-6, 6), 2))
+            for _ in range(rng.randint(1, 12))
+        ]
+        x = BINARY.seq(rng.randint(0, 1) for _ in range(rng.randint(0, d + 2)))
+        tokens = list(x.tokens)
+        for f in fs:
+            tokens.append(f.next_token(TokenSeq(BINARY, tuple(tokens))))
+        assert cot_time_dependent(fs, x).tokens == tuple(tokens)
+
+
+def _window_sums(monkeypatch, f, x, T):
+    """The threshold window sums a T-step ``cot`` computes: the calls of
+    ``sum`` in ``linthresh``, one per step that is not a replay."""
+    count = 0
+
+    def counting_sum(values):
+        nonlocal count
+        count += 1
+        return sum(values)
+
+    monkeypatch.setattr(linthresh, "sum", counting_sum, raising=False)
+    cot(f, x, T)
+    monkeypatch.delattr(linthresh, "sum")
+    return count
+
+
+def test_threshold_cot_sums_only_distinct_windows(monkeypatch):
+    """Deterministic twin of the threshold generation's timing: a window-5
+    chain repeats a window within 3 * 2^5 steps, and then costs no sums."""
+    f, x = make_threshold([1, -2, 3, -1, 2], Fraction(-1, 2)), BINARY.seq([1, 0, 1])
+    sums = _window_sums(monkeypatch, f, x, 4000)
+    assert sums == _window_sums(monkeypatch, f, x, 400) <= 3 * 2 ** 5
+    assert cot(f, x, 4000) == reference_cot(f, x, 4000)
+
+
+def test_compiled_circuit_cot_sums_every_step(monkeypatch):
+    """A compiled circuit's window spans the prompt's leading 1 and the whole
+    generation, so no window repeats: one sum per step."""
+    circuit = circomp.random_normalized_circuit(random.Random(7), 4, 2, 2)
+    compiled = circomp.compile_circuit(circuit)
+    f = compiled.generator()
+    for bits in ((0, 0, 0, 0), (1, 0, 1, 1)):
+        x = circomp.feature_map(bits, compiled.T)
+        assert _window_sums(monkeypatch, f, x, compiled.T) == compiled.T
+        assert cot(f, x, compiled.T) == reference_cot(f, x, compiled.T)
 
 
 def test_compiled_circuit_generator():
