@@ -262,7 +262,7 @@ def _value_symb(value: Fraction | int):
         return BLANK
     if value in (0, 1):
         return int(value)
-    raise AssertionError(f"non-symbol attention output {value}")
+    raise RuntimeError(f"attention output {value} failed post-verification: not a symbol")
 
 
 def read_tape_attention_all(z: TokenSeq) -> list[tuple[int, object]]:

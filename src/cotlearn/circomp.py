@@ -326,65 +326,109 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     For every input: (a) the step-T answer equals the circuit output,
     (b) the token at each scheduled step equals that gate's value,
     (c) every off-schedule token is 0 with pre-threshold sum <= -1.
-    Failures are reported, not raised.
+    Failures are reported, not raised. A circuit whose (n, s, L) differs
+    from the compiled one is refused with ``ValueError``.
 
-    Each input's T scaled pre-threshold sums are one integer list, built
-    by pushing contributions rather than re-reading the sequence: the
-    leading 1 (with the bias) and each set input bit add a fixed row, and
-    every emitted 1 adds the weight row shifted to the steps after it.
-    Inputs come in ``itertools.product`` order, so entry j of a stack of
-    partial lists holds the sums with the first j bits placed, and only
-    the entries below the first changed bit are rebuilt.
+    The off-schedule argument is proved once per circuit, before any
+    input: a step reads the leading 1 at a fixed offset and can see a set
+    bit (an input bit or an emitted 1) only at the offsets before it, so
+    if the leading-1 term plus every positive weight there is at most -1,
+    the step emits 0 and passes (c) on every input. ``_step_plan``
+    keeps the other steps: every scheduled step, the final step, and each
+    step that bound does not settle. For an honest compile, whose
+    sentinel -B has B above the circuit's l1 weight, that is exactly the
+    scheduled steps.
+
+    Per input, each summed step's scaled pre-threshold sum is its fixed
+    part (the leading 1 with the bias, plus a row per set input bit) plus
+    the weights of the 1s emitted at earlier summed steps. Inputs come in
+    ``itertools.product`` order, so entry j of a stack of partial lists
+    holds the fixed parts with the first j bits placed, and only the
+    entries below the first changed bit are rebuilt. The walk stops at
+    the first failed check; that input's T sums are then rebuilt in full
+    for its report.
     """
+    shape, compiled_shape = (circuit.n, circuit.width, circuit.depth), (compiled.n, compiled.s, compiled.L)
+    if shape != compiled_shape:
+        raise ValueError(f"circuit shape (n, s, L) = {shape} does not match the compiled shape {compiled_shape}")
     n = circuit.n
     if n > VERIFY_MAX_INPUTS:
         raise GuardExceededError(f"refusing to enumerate 2^{n} inputs (guard is {VERIFY_MAX_INPUTS})")
 
-    form = compiled.generator().integer_form
     T = compiled.T
-    scale = form.scale
-    # weight_at[k]: weight on the bit k positions back from the token being
-    # generated; zero past the window, and long enough for every slice below.
-    weight_at = form.weight_at + (0,) * (2 * T + n + 1 - len(form.weight_at))
-    # The prompt is a 1, then T-1 zeros, then x; the 0-based step t reads
-    # the leading 1 at offset T+n+t and input bit j at offset n-j+t.
-    lead = [form.bias + w for w in weight_at[T + n:2 * T + n]]
-    rows = [weight_at[n - j:n - j + T] for j in range(n)]
-    shifted = weight_at[1:T + 1]
-    gate_steps = [t - 1 for times in compiled.gate_times for t in times]
-    off_steps = [t for t in range(T) if t + 1 not in compiled.t_indices]
+    scale = compiled.generator().integer_form.scale
+    weight_at, lead, steps = _step_plan(compiled)
+    gate_at = {
+        t - 1: (l, i) for l, times in enumerate(compiled.gate_times) for i, t in enumerate(times)
+    }
+    checks = [(t, gate_at.get(t), t + 1 not in compiled.t_indices) for t in steps]
+    rows = [[weight_at[n - j + t] for t in steps] for j in range(n)]
 
     failures: list[VerificationFailure] = []
-    stack: list[list[int]] = [lead] * (n + 1)  # right for the all-zero input
-    prev = (0,) * n
-    count = 0
-    for x in itertools.product((0, 1), repeat=n):
-        count += 1
-        first = next((j for j in range(n) if x[j] != prev[j]), n)
-        for j in range(first, n):
+    stack: list[list[int]] = [[lead[t] for t in steps]] * (n + 1)  # right for the all-zero input
+    for count, x in enumerate(itertools.product((0, 1), repeat=n)):
+        # From input count-1 to count, the trailing bits of count flip.
+        for j in range(n - (count & -count).bit_length(), n):
             stack[j + 1] = list(map(add, stack[j], rows[j])) if x[j] else stack[j]
-        prev = x
-
-        sums = list(stack[n])
-        for t in range(T):
-            if sums[t] >= 0:
-                sums[t + 1:] = map(add, sums[t + 1:], shifted)
 
         values = eval_circuit_values(circuit, x)
-        if (
-            max(map(sums.__getitem__, off_steps), default=-scale) > -scale
-            or [1 if sums[t] >= 0 else 0 for t in gate_steps] != [v for layer in values for v in layer]
-            or (1 if sums[-1] >= 0 else 0) != values[-1][-1]
-        ):
-            failures.extend(_input_failures(x, sums, values, compiled, scale))
+        ones: list[int] = []
+        for acc, (t, gate, off) in zip(stack[n], checks):
+            acc += sum(map(weight_at.__getitem__, map(t.__sub__, ones)))
+            if (off and acc > -scale) or (gate is not None and (acc >= 0) != values[gate[0]][gate[1]]):
+                break
+            if acc >= 0:
+                ones.append(t)
+        else:  # every summed step passed; the last one is step T
+            if (acc >= 0) == values[-1][-1]:
+                continue
+        failures.extend(_input_failures(x, _trajectory(x, weight_at, lead), values, compiled, scale))
 
     return VerificationReport(
         ok=not failures,
-        inputs_checked=count,
+        inputs_checked=1 << n,
         failures=tuple(failures),
         T=T,
         d=compiled.d,
     )
+
+
+def _step_plan(compiled: CompiledThreshold) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The verifier's step terms, and the 0-based steps it sums per input.
+
+    Returns ``weight_at`` zero-padded for every slice the verifier takes,
+    each step's leading-1 term ``lead`` (bias included), and the steps
+    that are scheduled, final, or not proved silent. The prompt is a 1,
+    then T-1 zeros, then x; step t reads the leading 1 at offset T+n+t,
+    and its only bits that an input or an emission may set are at offsets
+    1..t+n. So with ``positive[k]`` the sum of the positive weights at
+    offsets 1..k, ``lead[t] + positive[t + n] <= -scale`` proves step t
+    emits 0 with a sum of at most -1 on every input.
+    """
+    form = compiled.generator().integer_form
+    T, n = compiled.T, compiled.n
+    weight_at = form.weight_at + (0,) * (2 * T + n + 1 - len(form.weight_at))
+    lead = [form.bias + w for w in weight_at[T + n:2 * T + n]]
+    positive = list(itertools.accumulate(max(0, w) for w in weight_at[:T + n]))  # weight_at[0] is 0
+    scheduled = {t - 1 for times in compiled.gate_times for t in times} | {T - 1}
+    steps = [t for t in range(T) if t in scheduled or lead[t] + positive[t + n] > -form.scale]
+    return weight_at, lead, steps
+
+
+def _trajectory(x, weight_at: tuple[int, ...], lead: list[int]) -> list[int]:
+    """All T scaled pre-threshold sums of one input: input bit j adds the
+    row read at offsets n-j+t, and each emitted 1 adds the weight row
+    shifted to the steps after it."""
+    n, T = len(x), len(lead)
+    sums = list(lead)
+    for j, bit in enumerate(x):
+        if bit:
+            sums = list(map(add, sums, weight_at[n - j:n - j + T]))
+    shifted = weight_at[1:T + 1]
+    for t in range(T):
+        if sums[t] >= 0:
+            sums[t + 1:] = map(add, sums[t + 1:], shifted)
+    return sums
 
 
 def _input_failures(x, sums: list[int], values, compiled: CompiledThreshold, scale: int) -> list[VerificationFailure]:

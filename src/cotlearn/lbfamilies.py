@@ -391,10 +391,10 @@ def vcdim_bruteforce(family: GeneratorFamily, pool: PointPool, mode: str = "base
             break
         found = False
         for subset in itertools.combinations(range(npoints), k):
-            projections = {
-                sum(((m >> p) & 1) << j for j, p in enumerate(subset)) for m in masks
-            }
-            if len(projections) == (1 << k):
+            # m & submask keeps the subset's bits in place: a bijection of
+            # the packed projection, so it counts the same labelings.
+            submask = sum(1 << p for p in subset)
+            if len({m & submask for m in masks}) == (1 << k):
                 found = True
                 break
         if not found:

@@ -6,10 +6,14 @@ Kept unchanged as a test oracle, written as plain functions of the family.
 Each body spells out its family's pattern on its own (E1's column replay,
 Ldim's replay of b, Collapse's exact point match), so it checks the shared
 rule rather than restating it.
+
+``shattered_dimension`` is the packed-projection subset test that
+``vcdim_bruteforce`` used before it compared masked behaviours.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupGenerator
@@ -99,3 +103,20 @@ def generate(f: LookupGenerator, tokens: Sequence[int], T: int) -> tuple[int, ..
     for _ in range(T):
         out.append(next_token(f, out))
     return tuple(out)
+
+
+def shattered_dimension(masks, npoints: int) -> int:
+    """The dimension search ``vcdim_bruteforce`` ran before it compared
+    masked behaviours: each mask's bits on the subset are repacked into a
+    k-bit projection, and a subset is shattered when all 2^k occur."""
+    dim = 0
+    for k in range(1, npoints + 1):
+        if len(masks) < (1 << k):
+            break
+        if not any(
+            len({sum(((m >> p) & 1) << j for j, p in enumerate(subset)) for m in masks}) == (1 << k)
+            for subset in itertools.combinations(range(npoints), k)
+        ):
+            break
+        dim = k
+    return dim

@@ -260,6 +260,23 @@ class TestPostVerification:
         with pytest.raises(RuntimeError, match="not a singleton"):
             read_tape_attention(pre([1, 0], 2))
 
+    @pytest.mark.parametrize("read", [read_tape_attention, read_tape_attention_all, tape_view_table])
+    def test_value_decodes_to_a_symbol(self, monkeypatch, read):
+        from cotlearn import attention
+
+        monkeypatch.setattr(attention, "_symb_value", lambda symb: Fraction(3, 2))
+        with pytest.raises(RuntimeError, match="failed post-verification: not a symbol"):
+            read(pre([1, 0], 2))
+
+    def test_value_symb_round_trip(self):
+        from cotlearn import attention
+
+        for symb in (0, 1, BLANK):
+            assert attention._value_symb(attention._symb_value(symb)) == symb
+        for value in (Fraction(3, 2), 2, -1):
+            with pytest.raises(RuntimeError, match="post-verification"):
+                attention._value_symb(value)
+
     def test_raises_under_python_O(self):
         script = "\n".join([
             "from fractions import Fraction",

@@ -317,6 +317,74 @@ class TestVerify:
             failed += not report.ok
         assert failed >= 50
 
+    def test_summed_steps_are_the_scheduled_steps(self):
+        """Deterministic twin of the verifier's speed, and the paper's B > l1
+        argument as a test: on an honest compile the sentinel settles every
+        off-schedule step before any input, so each input sums only the s·L
+        scheduled steps, out of T."""
+        rng = random.Random(21)
+        shapes = list(itertools.product(range(1, 9), range(1, 4), range(1, 4)))
+        shapes += [(6, 3, 4), (8, 4, 3), (1, 1, 10)]  # d = 3065, 1991, 2046
+        ds = set()
+        for n, s, L in shapes:
+            for _ in range(2):
+                comp = compile_circuit(random_normalized_circuit(rng, n, s, L))
+                steps = circomp._step_plan(comp)[2]
+                assert steps == sorted(t - 1 for t in comp.t_indices), (n, s, L)
+                assert len(steps) == s * L
+                ds.add(comp.d)
+        assert max(ds) == 3065
+
+    def test_zeroed_sentinel_entry_adds_its_step(self):
+        comp = compile_circuit(random_normalized_circuit(random.Random(12), 3, 2, 2))
+        scheduled = [t - 1 for t in comp.t_indices]
+        off = [t for t in range(1, comp.T + 1) if t not in comp.t_indices]
+        assert len(off) == comp.T - 4
+        for t in off:
+            w = list(comp.w)
+            w[comp.T - t] = Fraction(0)
+            bad = dataclasses.replace(comp, w=tuple(w))
+            assert circomp._step_plan(bad)[2] == sorted(scheduled + [t - 1])
+
+    def test_reports_match_oracle_near_the_sentinel_bound(self):
+        """Sentinel entries set to 0, or to one scaled unit either side of
+        the bound, against tests/reference_circomp.py. A step that fails
+        the bound is summed whether no input, some inputs or every input
+        breaks check (c); one at the bound or below it is not summed."""
+        rng = random.Random(2110)
+        seen = set()
+        for k in range(80):
+            c = random_normalized_circuit(rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2))
+            if k % 2:  # the same gates over thirds: the scale becomes 3
+                c = ThresholdCircuit(c.n, tuple(tuple(tuple(w / 3 for w in g) for g in layer) for layer in c.layers))
+            comp = compile_circuit(c)
+            weight_at = circomp._step_plan(comp)[0]
+            scale = comp.generator().integer_form.scale
+            off = [t for t in range(1, comp.T + 1) if t not in comp.t_indices]
+            if not off:
+                continue
+            t = rng.choice(off)
+            positive = sum(max(0, w) for w in weight_at[1:t + c.n])  # offsets 1..(t-1)+n
+            for delta in (None, -1, 0, 1):
+                w = list(comp.w)
+                w[comp.T - t] = Fraction(0) if delta is None else Fraction(-scale - positive + delta, scale)
+                bad = dataclasses.replace(comp, w=tuple(w))
+                report = verify_compilation(c, bad)
+                assert report == reference_circomp.verify_compilation(c, bad), (k, delta)
+                if bad.generator().integer_form.scale != scale:
+                    continue
+                summed = t - 1 in circomp._step_plan(bad)[2]
+                assert summed == (delta is None or delta > 0), (k, delta)
+                broken = len({f.x for f in report.failures if f.step == t})
+                seen.add((delta, "none" if not broken else "all" if broken == report.inputs_checked else "some"))
+        assert {(1, "none"), (1, "some"), (1, "all"), (0, "none"), (-1, "none"), (None, "some"), (None, "all")} <= seen, seen
+
+    def test_refuses_mismatched_shapes(self):
+        small = random_normalized_circuit(random.Random(13), 2, 1, 1)
+        comp = compile_circuit(random_normalized_circuit(random.Random(13), 2, 2, 2))
+        with pytest.raises(ValueError, match=r"\(2, 1, 1\).*\(2, 2, 2\)"):
+            verify_compilation(small, comp)
+
     def test_one_circuit_evaluation_per_input_by_count(self, monkeypatch):
         """Deterministic twin of the verifier's speed: one circuit
         evaluation per input, and no threshold stepping."""

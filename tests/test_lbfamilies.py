@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+import reference_lookup
+from hypothesis import given, settings, strategies as st
 
 from cotlearn import lbfamilies
 from cotlearn.seqcore import (
@@ -130,6 +132,16 @@ class TestDimensions:
         small = PointPool(pts[:2])
         large = PointPool(pts)
         assert vcdim_bruteforce(fam, small, "base") <= vcdim_bruteforce(fam, large, "base")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda npoints: st.tuples(st.just(npoints), st.sets(st.integers(0, (1 << npoints) - 1), max_size=1 << npoints))
+    ))
+    def test_masked_subset_test_matches_packed_projection(self, drawn):
+        npoints, masks = drawn
+        pool = PointPool(tuple(seq([1] + [0] * k) for k in range(npoints)))
+        with mock.patch.object(lbfamilies, "_behavior_masks", return_value=masks):
+            assert vcdim_bruteforce(E1Family(2, 2), pool) == reference_lookup.shattered_dimension(masks, npoints)
 
     def test_pool_guard(self):
         fam = E1Family(2, 2)
