@@ -341,12 +341,13 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
 
     Per input, each summed step's scaled pre-threshold sum is its fixed
     part (the leading 1 with the bias, plus a row per set input bit) plus
-    the weights of the 1s emitted at earlier summed steps. Inputs come in
+    a row per 1 emitted at an earlier summed step. Inputs come in
     ``itertools.product`` order, so entry j of a stack of partial lists
     holds the fixed parts with the first j bits placed, and only the
-    entries below the first changed bit are rebuilt. The walk stops at
-    the first failed check; that input's T sums are then rebuilt in full
-    for its report.
+    entries below the first changed bit are rebuilt. A failing input's
+    report reads these sums, and each proved step's leading-1 term in
+    place of its sum: both are at most -1, so the report is the one a
+    walk over all T steps gives.
     """
     shape, compiled_shape = (circuit.n, circuit.width, circuit.depth), (compiled.n, compiled.s, compiled.L)
     if shape != compiled_shape:
@@ -361,8 +362,9 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     gate_at = {
         t - 1: (l, i) for l, times in enumerate(compiled.gate_times) for i, t in enumerate(times)
     }
-    checks = [(t, gate_at.get(t), t + 1 not in compiled.t_indices) for t in steps]
+    checks = [(gate_at.get(t), t + 1 not in compiled.t_indices) for t in steps]
     rows = [[weight_at[n - j + t] for t in steps] for j in range(n)]
+    emits = [[weight_at[u - t] for u in steps[i + 1:]] for i, t in enumerate(steps)]  # a 1 at steps[i], read later
 
     failures: list[VerificationFailure] = []
     stack: list[list[int]] = [[lead[t] for t in steps]] * (n + 1)  # right for the all-zero input
@@ -372,17 +374,19 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
             stack[j + 1] = list(map(add, stack[j], rows[j])) if x[j] else stack[j]
 
         values = eval_circuit_values(circuit, x)
-        ones: list[int] = []
-        for acc, (t, gate, off) in zip(stack[n], checks):
-            acc += sum(map(weight_at.__getitem__, map(t.__sub__, ones)))
+        sums = stack[n][:]
+        failed = False
+        for i, (gate, off) in enumerate(checks):
+            acc = sums[i]
             if (off and acc > -scale) or (gate is not None and (acc >= 0) != values[gate[0]][gate[1]]):
-                break
+                failed = True
             if acc >= 0:
-                ones.append(t)
-        else:  # every summed step passed; the last one is step T
-            if (acc >= 0) == values[-1][-1]:
-                continue
-        failures.extend(_input_failures(x, _trajectory(x, weight_at, lead), values, compiled, scale))
+                sums[i + 1:] = map(add, sums[i + 1:], emits[i])
+        if failed or (acc >= 0) != values[-1][-1]:  # the last summed step is step T
+            full = list(lead)  # a proved step's lead, like its true sum, is at most -1
+            for t, acc in zip(steps, sums):
+                full[t] = acc
+            failures.extend(_input_failures(x, full, values, compiled, scale))
 
     return VerificationReport(
         ok=not failures,
@@ -413,22 +417,6 @@ def _step_plan(compiled: CompiledThreshold) -> tuple[tuple[int, ...], list[int],
     scheduled = {t - 1 for times in compiled.gate_times for t in times} | {T - 1}
     steps = [t for t in range(T) if t in scheduled or lead[t] + positive[t + n] > -form.scale]
     return weight_at, lead, steps
-
-
-def _trajectory(x, weight_at: tuple[int, ...], lead: list[int]) -> list[int]:
-    """All T scaled pre-threshold sums of one input: input bit j adds the
-    row read at offsets n-j+t, and each emitted 1 adds the weight row
-    shifted to the steps after it."""
-    n, T = len(x), len(lead)
-    sums = list(lead)
-    for j, bit in enumerate(x):
-        if bit:
-            sums = list(map(add, sums, weight_at[n - j:n - j + T]))
-    shifted = weight_at[1:T + 1]
-    for t in range(T):
-        if sums[t] >= 0:
-            sums[t + 1:] = map(add, sums[t + 1:], shifted)
-    return sums
 
 
 def _input_failures(x, sums: list[int], values, compiled: CompiledThreshold, scale: int) -> list[VerificationFailure]:
