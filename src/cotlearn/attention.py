@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .seqcore import TokenSeq, _check_alphabet
 from .turing import (
@@ -311,17 +311,14 @@ class AttentionTMGenerator(TMGenerator):
         state, read = read_tape_attention(z)
         return self._step_token(state, read)
 
-    def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """The direct stepper behind the begin-marker check, which runs first
-        and visits each token once; by the lemma in
-        ``read_tape_attention_fast`` its read is the attention read."""
-        check, step = _TapeScan(self.S).check_begin_marker, super().stepper(tokens)
-
-        def checked_step() -> int:
-            check(tokens)
-            return step()
-
-        return checked_step
+    def generate(self, tokens: list[int], T: int) -> None:
+        """The begin-marker check on the prompt, then the direct generator's
+        scan; by the lemma in ``read_tape_attention_fast`` its reads are the
+        attention reads. Generated tokens write bits, never the blank, so
+        they pass the check without a visit."""
+        scan = _TapeScan(self.S)
+        scan.check_begin_marker(tokens)
+        scan.run(tokens, T, self._entry_ids)
 
 
 def tape_view_table(z: TokenSeq) -> str:

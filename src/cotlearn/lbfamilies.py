@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .linthresh import SparseThresholdFamily, ThresholdFamily
 from .seqcore import (
@@ -64,30 +64,31 @@ class LookupGenerator(Generator):
         _check_alphabet(self, x)
         return self.family._eval(self.b, x.tokens)
 
-    def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """The first call reads the prompt (``_read``) and checks its
-        continuation once; off the pattern the member answers 0 for good.
-        Every later token is the stepper's own output, so it replays
-        faithfully: the next token is ``b[_replay_index(k, r)]`` at
-        continuation length r, or 0 while emitted zeros still complete the
-        point (r < 0) or past the pattern's end.
+    def generate(self, tokens: list[int], T: int) -> None:
+        """One ``_read`` of the prompt and one check of its continuation;
+        off the pattern the member answers 0 for good. Every later token is
+        the member's own output, so it replays faithfully: the token at
+        continuation length r is ``b[_replay_index(k, r)]``, or 0 while
+        emitted zeros still complete the point (r < 0) and from the
+        pattern's end on.
         """
         family, b = self.family, self.b
-        state = None  # (k, end) once read; k is None off the pattern
-
-        def step() -> int:
-            nonlocal state
-            if state is None:
-                read = family._read(tokens)
-                state = read if read is not None and family._replays(b, tokens, *read) else (None, 0)
-            k, end = state
-            if k is None:
-                return 0
-            r = len(tokens) - end
-            idx = family._replay_index(k, r) if r >= 0 else None
-            return 0 if idx is None else b[idx]
-
-        return step
+        n = len(tokens)
+        read = family._read(tokens)
+        if read is not None and family._replays(b, tokens, *read):
+            k, end = read
+            index, append = family._replay_index, tokens.append
+            for r in range(n - end, n - end + T):
+                if r < 0:
+                    append(0)
+                    continue
+                idx = index(k, r)
+                if idx is None:  # and for every larger r
+                    break
+                append(b[idx])
+            else:
+                return
+        tokens.extend([0] * (n + T - len(tokens)))
 
 
 class LookupFamily(GeneratorFamily):

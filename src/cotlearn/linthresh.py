@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .seqcore import (
     BINARY,
@@ -70,52 +70,51 @@ class IntegerThreshold:
             row[i] = w
         return tuple(row)
 
-    def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """The threshold bit, 1 iff ``total >= 0``, of a growing list, one
-        call per appended token (see ``Generator.stepper``).
+    def generate(self, tokens: list[int], T: int) -> None:
+        """Append ``T`` threshold bits to ``tokens``, each 1 iff ``total >= 0``
+        on the list before it (see ``Generator.generate``).
 
-        The bit depends only on the last ``window`` bits, which the stepper
+        The bit depends only on the last ``window`` bits, which the loop
         holds as the int ``state`` (bits before the start count as 0). Every
-        appended token is the stepper's own output, so equal states give
+        appended token is the chain's own output, so equal states give
         equal futures: the chain walks on at most 2^window states and is
         periodic from the first state that repeats. Brent's cycle check
         finds that repeat in O(1) memory, one checkpoint state saved at
         steps 0, 2, 6, 14, ... and compared once per step, within about
-        three times the preperiod plus the period. Until then a call sums
+        three times the preperiod plus the period. Until then a step sums
         the weights at the window's 1-bits, whose list positions it keeps,
         so it visits the set bits, not every nonzero weight; from then on
-        it returns ``tokens[-period]``.
+        the remaining bits are the last ``period`` bits repeated, appended
+        as one slice.
         """
         weight_at, bias = self.weight_at, self.bias
         window = len(weight_at) - 1
         mask = (1 << window) - 1
-        start = max(0, len(tokens) - window)
-        ones = deque(p for p in range(start, len(tokens)) if tokens[p])
+        n = len(tokens)
+        start = max(0, n - window)
+        ones = deque(p for p in range(start, n) if tokens[p])
         state = 0
-        for p in range(start, len(tokens)):
+        for p in range(start, n):
             state = state << 1 | tokens[p]
-        checkpoint, power, lam, period = -1, 1, 1, 0
-
-        def step() -> int:
-            nonlocal state, checkpoint, power, lam, period
-            if period:
-                return tokens[-period]
+        checkpoint, power, lam = -1, 1, 1
+        append = tokens.append
+        for left in range(T, 0, -1):
             if state == checkpoint:
-                period = lam
-                return tokens[-period]
+                period = tokens[-lam:]
+                q, r = divmod(left, lam)
+                tokens.extend(period * q + period[:r])
+                return
             if lam == power:
                 checkpoint, power, lam = state, 2 * power, 0
-            n = len(tokens)
             while ones and n - ones[0] > window:
                 ones.popleft()
             bit = 1 if bias + sum(weight_at[n - p] for p in ones) >= 0 else 0
             if bit:
                 ones.append(n)
+            append(bit)
+            n += 1
             state = (state << 1 | bit) & mask
             lam += 1
-            return bit
-
-        return step
 
 
 @dataclass(frozen=True)
@@ -145,12 +144,12 @@ class LinearThreshold(Generator):
             raise ValueError("linear thresholds are defined over the binary alphabet")
         return 1 if self.integer_form.total(x.tokens) >= 0 else 0
 
-    def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """The integer form's stepper. The window takes at most 2^window
+    def generate(self, tokens: list[int], T: int) -> None:
+        """The integer form's chain. The window takes at most 2^window
         states, so the chain is eventually periodic; an O(1)-memory cycle
-        check finds the first repeated state, and from there each call
-        replays ``tokens[-period]`` instead of summing the window."""
-        return self.integer_form.stepper(tokens)
+        check finds the first repeated state, and from there the rest of
+        the chain is the period repeated, not a window sum per bit."""
+        self.integer_form.generate(tokens, T)
 
 
 def make_threshold(weights: Iterable, bias) -> LinearThreshold:
@@ -191,7 +190,7 @@ class SparseLinearThreshold(Generator):
 
     # same evaluation, on the sparse integer form
     next_token = LinearThreshold.next_token
-    stepper = LinearThreshold.stepper
+    generate = LinearThreshold.generate
 
 
 def _window_coeffs(u: TokenSeq, offsets: Sequence[int]) -> list[int]:

@@ -155,8 +155,9 @@ class TokenSeq:
 class Generator(ABC):
     """Deterministic next-token function over a fixed alphabet.
 
-    Subclasses are immutable value objects: two generators with equal
-    parameters behave identically on every input.
+    ``next_token`` is the definition; ``generate`` appends a whole chain of
+    its tokens in one call. Subclasses are immutable value objects: two
+    generators with equal parameters behave identically on every input.
     """
 
     alphabet: Alphabet
@@ -165,19 +166,20 @@ class Generator(ABC):
     def next_token(self, x: TokenSeq) -> int:
         """The reference definition: the next token, derived from the whole history."""
 
-    def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """Decode state over a growing token list; each call returns the next token.
+    def generate(self, tokens: list[int], T: int) -> None:
+        """Append ``T`` tokens to ``tokens`` in place, one chain per call.
 
-        The caller appends every returned token to ``tokens`` (and changes
-        the list in no other way) before the next call, so a stepper may
-        rely on each token appended after the prompt being its own output.
-        Subclasses carry forward what ``next_token`` re-derives from the full
-        history, the way a transformer's key/value cache does; each call
-        must equal ``next_token`` on the current list. This default is that
-        reference, one full-history call per token.
+        Each appended token must equal ``next_token`` on the list before it,
+        and the list must change in no other way. A generator is time
+        invariant, so every token after the prompt is its own output:
+        subclasses read the prompt once and run one loop over what
+        ``next_token`` re-derives from the full history, the way a
+        transformer's key/value cache does. This default is that reference,
+        one full-history call per token.
         """
-        alphabet = self.alphabet
-        return lambda: self.next_token(TokenSeq(alphabet, tuple(tokens)))
+        alphabet, next_token, append = self.alphabet, self.next_token, tokens.append
+        for _ in range(T):
+            append(next_token(TokenSeq(alphabet, tuple(tokens))))
 
     def __call__(self, x: TokenSeq) -> int:
         return self.next_token(x)
@@ -214,23 +216,25 @@ def check_horizon(T: int) -> None:
         raise GuardExceededError(f"generation length T={T} exceeds the guard {GENERATION_MAX_T}")
 
 
-def _generate(f: Generator, x: TokenSeq, T: int) -> list[int]:
-    """The prompt's tokens followed by ``T`` generated ones, as one list.
+def _checked_generate(f: Generator, tokens: list[int], T: int, ids: frozenset[int]) -> None:
+    """``f.generate(tokens, T)``, then one check that it appended exactly
+    ``T`` tokens and that each is in ``ids``, the alphabet's indices."""
+    n = len(tokens)
+    f.generate(tokens, T)
+    if len(tokens) != n + T:
+        raise ValueError(f"{type(f).__name__}.generate appended {len(tokens) - n} tokens, not T={T}")
+    if not ids.issuperset(tokens[n:]):
+        raise ValueError("token index out of range for the alphabet")
 
-    Runs ``f.stepper`` over that list, so the cost per token is the
-    generator's step, not the history length.
-    """
+
+def _generate(f: Generator, x: TokenSeq, T: int) -> list[int]:
+    """The prompt's tokens followed by ``T`` generated ones, as one list,
+    from one ``f.generate`` call: the cost per token is the generator's
+    loop step, not the history length."""
     check_horizon(T)
     _check_alphabet(f, x)
     tokens = list(x.tokens)
-    step = f.stepper(tokens)
-    size = len(x.alphabet)
-    append = tokens.append
-    for _ in range(T):
-        token = step()
-        if not 0 <= token < size:
-            raise ValueError("token index out of range for the alphabet")
-        append(token)
+    _checked_generate(f, tokens, T, x.alphabet._ids)
     return tokens
 
 
@@ -258,13 +262,9 @@ def cot_time_dependent(fs: Sequence[Generator], x: TokenSeq) -> TokenSeq:
         if f.alphabet != fs[0].alphabet:
             raise AlphabetMismatchError("generators must share one alphabet")
     _check_alphabet(fs[0], x)
-    tokens = list(x.tokens)
-    size = len(x.alphabet)
+    tokens, ids = list(x.tokens), x.alphabet._ids
     for f in fs:
-        token = f.stepper(tokens)()
-        if not 0 <= token < size:
-            raise ValueError("token index out of range for the alphabet")
-        tokens.append(token)
+        _checked_generate(f, tokens, 1, ids)
     return TokenSeq(x.alphabet, tuple(tokens))
 
 

@@ -14,7 +14,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .seqcore import (
     Alphabet,
@@ -171,10 +171,16 @@ _NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first to
 
 
 @lru_cache(maxsize=None)
-def _scan_tables(S: int) -> tuple[tuple[TMToken, ...], tuple[int, ...]]:
-    """The decode table and each token's head move, for ``_TapeScan``."""
+def _scan_tables(S: int) -> tuple[tuple[TMToken, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The decode table, and each token's head move, transition-table row
+    offset (state - 1) * 3, and read code of its written symbol, for ``_TapeScan``."""
     decode = _decode_table(S)
-    return decode, tuple(t.move for t in decode)
+    return (
+        decode,
+        tuple(t.move for t in decode),
+        tuple((t.state - 1) * 3 for t in decode),
+        tuple(_READ_CODE[t.symb] for t in decode),
+    )
 
 
 class _TapeScan:
@@ -186,13 +192,14 @@ class _TapeScan:
     and how many tokens have passed the begin-marker check. ``extend``
     consumes only the tokens it has not yet seen, so a history decoded one
     token at a time costs one visit per token, and returns the direct
-    read. The caller keeps the token list and changes it only by appending.
+    read; ``run`` generates a machine's chain on the same state. The caller
+    keeps the token list and changes it only by appending.
     """
 
-    __slots__ = ("decode", "moves", "n", "head", "last", "checked")
+    __slots__ = ("decode", "moves", "rows", "codes", "n", "head", "last", "checked")
 
     def __init__(self, S: int):
-        self.decode, self.moves = _scan_tables(S)
+        self.decode, self.moves, self.rows, self.codes = _scan_tables(S)
         self.n = self.head = self.checked = 0
         self.last: dict[int, int] = {}
 
@@ -219,6 +226,27 @@ class _TapeScan:
         decode = self.decode
         j = last.get(head, 1 if head == 0 else 0)
         return decode[tokens[-1]].state, decode[tokens[j - 1]].symb if j else BLANK
+
+    def run(self, tokens: list[int], T: int, entry_ids: Sequence[int]) -> None:
+        """Consume the tokens not yet seen, then append ``T`` machine steps:
+        each appended token is ``entry_ids[(state - 1) * 3 + read code]`` of
+        the read of the list before it, and is consumed in turn, so each
+        token of the chain is visited once."""
+        if not tokens:
+            raise ValueError("cannot read the tape of an empty history")
+        state, symb = self.extend(tokens)
+        key = (state - 1) * 3 + _READ_CODE[symb]
+        moves, rows, codes = self.moves, self.rows, self.codes
+        n, head, last, append = self.n, self.head, self.last, tokens.append
+        for _ in range(T):
+            t = entry_ids[key]
+            append(t)
+            n += 1
+            last[head] = n
+            head += moves[t]
+            j = last.get(head, 1 if head == 0 else 0)
+            key = rows[t] + (codes[tokens[j - 1]] if j else 2)
+        self.n, self.head = n, head
 
     def check_begin_marker(self, tokens: Sequence[int]) -> None:
         """Reject a history unless exactly its first token writes a blank;
@@ -295,18 +323,10 @@ class TMGenerator(Generator):
         state, symb = _read_tape(self.S, z.tokens)
         return self._step_token(state, symb)
 
-    def stepper(self, tokens: list[int]) -> Callable[[], int]:
-        """A ``_TapeScan`` over the growing list, so a step costs O(1) at any
-        history length."""
-        extend, entry_ids = _TapeScan(self.S).extend, self._entry_ids
-
-        def step() -> int:
-            if not tokens:
-                raise ValueError("cannot read the tape of an empty history")
-            state, symb = extend(tokens)
-            return entry_ids[(state - 1) * 3 + _READ_CODE[symb]]  # _step_token, inlined
-
-        return step
+    def generate(self, tokens: list[int], T: int) -> None:
+        """One ``_TapeScan`` run over the list: the prompt is decoded once
+        and each step costs O(1) at any history length."""
+        _TapeScan(self.S).run(tokens, T, self._entry_ids)
 
     @cached_property
     def _entry_ids(self) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ each input's step sums as one integer trajectory.
 Kept as test oracles: the library must return equal gate values and an
 equal ``VerificationReport``, failures included. The verifier reads each
 step's sum with ``IntegerThreshold.total`` on the whole history, since the
-threshold stepper returns bits, not sums.
+threshold generation appends bits, not sums.
 """
 
 from __future__ import annotations

@@ -387,25 +387,25 @@ class TestVerify:
 
     def test_one_circuit_evaluation_per_input_by_count(self, monkeypatch):
         """Deterministic twin of the verifier's speed: one circuit
-        evaluation per input, and no threshold stepping."""
-        counts = {"eval": 0, "stepper": 0}
+        evaluation per input, and no threshold generation."""
+        counts = {"eval": 0, "generate": 0}
         evaluate = circomp.eval_circuit_values
-        stepper = IntegerThreshold.stepper
+        generate = IntegerThreshold.generate
 
         def counting_eval(circuit, x):
             counts["eval"] += 1
             return evaluate(circuit, x)
 
-        def counting_stepper(self, tokens):
-            counts["stepper"] += 1
-            return stepper(self, tokens)
+        def counting_generate(self, tokens, T):
+            counts["generate"] += 1
+            return generate(self, tokens, T)
 
         monkeypatch.setattr(circomp, "eval_circuit_values", counting_eval)
-        monkeypatch.setattr(IntegerThreshold, "stepper", counting_stepper)
+        monkeypatch.setattr(IntegerThreshold, "generate", counting_generate)
         c = random_normalized_circuit(random.Random(10), 8, 2, 3)
         report = verify_compilation(c, compile_circuit(c))
         assert report.ok and report.inputs_checked == 256
-        assert counts == {"eval": 256, "stepper": 0}
+        assert counts == {"eval": 256, "generate": 0}
 
 
 class TestFileFormat:

@@ -516,7 +516,7 @@ class TestDistinctPrompts:
 
 
 class CountingGenerator(Generator):
-    """A target behind a stepper that counts its generations."""
+    """A target that counts its generations, one per ``generate`` call."""
 
     def __init__(self, f: Generator):
         self.f = f
@@ -526,9 +526,9 @@ class CountingGenerator(Generator):
     def next_token(self, x):
         return self.f.next_token(x)
 
-    def stepper(self, tokens):
+    def generate(self, tokens, T):
         self.generations += 1
-        return self.f.stepper(tokens)
+        self.f.generate(tokens, T)
 
 
 class TestGenerationCounts:

@@ -1,8 +1,10 @@
-"""Decode-state steppers against the stateless reference.
+"""Whole-chain generation against the stateless reference.
 
-``cot`` runs ``Generator.stepper`` over one growing list; ``next_token`` on
-the whole history is the paper's definition. Every generator kind must give
-the same tokens, and raise the same errors, both ways.
+``cot`` makes one ``Generator.generate`` call that appends the whole chain
+to one list; ``next_token`` on the whole history is the paper's definition.
+Every generator kind must give the same tokens, and raise the same errors,
+both ways. The former per-token stepper loops of the machine generators are
+the oracles in ``tests/reference_tape.py``.
 """
 
 import itertools
@@ -16,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from cotlearn import circomp, linthresh
 from cotlearn.attention import AttentionTMGenerator
-from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupFamily
+from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupFamily, LookupGenerator
 from cotlearn.linthresh import LinearThreshold, SparseLinearThreshold, make_threshold
 from cotlearn.seqcore import (
     BINARY,
     Alphabet,
     ConstantGenerator,
+    Generator,
     TokenSeq,
     cot,
     cot_time_dependent,
@@ -52,6 +55,22 @@ def test_tm_stepper_on_corpus(tm_corpus):
         x = pre(run.omega, run.spec.S)
         assert run.generated == reference_cot(gen, x, run.spec.T)
         assert run.generated == reference_tape.cot(reference_tape.tm_stepper, gen, x, run.spec.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tm_generate_on_any_history(data):
+    """The direct generator reads any nonempty history, so the prompt may
+    lack the begin marker or repeat it, and cell 0 may hold a bit."""
+    S = data.draw(st.integers(1, 3), label="S")
+    token = st.tuples(st.integers(1, S), st.sampled_from((0, 1, BLANK)), st.sampled_from((-1, 0, 1)))
+    triples = data.draw(st.lists(token, min_size=1, max_size=12), label="history")
+    x = TokenSeq(tm_alphabet(S), tuple(encode_token(S, TMToken(*t)) for t in triples))
+    f = TMFamily(S).random_member(random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+    T = data.draw(st.integers(1, 20), label="T")
+    z = cot(f, x, T)
+    assert z == reference_cot(f, x, T)
+    assert z == reference_tape.cot(reference_tape.tm_stepper, f, x, T)
 
 
 def test_attention_stepper_on_corpus_sample(tm_corpus):
@@ -91,6 +110,40 @@ def test_lookup_generators():
                     z = cot(f, x, T)
                     assert z == reference_cot(f, x, T), (fam, f.b, x, T)
                     assert z.tokens == reference_lookup.generate(f, x.tokens, T), (fam, f.b, x, T)
+
+
+@st.composite
+def _lookup_member_and_prompt(draw):
+    """A lookup member and a prompt on its pattern or off it: leading zeros,
+    a whole or cut point, a faithful or flipped partial continuation, and
+    random bits after it; or the empty prompt."""
+    fam = draw(st.sampled_from([E1Family(2, 4), E1Family(3, 3), E1Family(1, 5), LdimFamily(3), LdimFamily(5),
+                                CollapseFamily(3), CollapseFamily(6)]), label="family")
+    f = fam.from_bits(draw(st.lists(st.integers(0, 1), min_size=fam.index_bits, max_size=fam.index_bits), label="b"))
+    if draw(st.booleans(), label="empty"):
+        return f, BINARY.seq()
+    point = fam.canonical_points()[draw(st.integers(0, fam.index_bits - 1), label="k")].tokens
+    replay = reference_lookup.generate(f, point, 8)[len(point):]  # faithful continuation, by the family's own body
+    cont = list(replay[:draw(st.integers(0, len(replay)), label="r")])
+    if cont and draw(st.booleans(), label="flip"):
+        cont[draw(st.integers(0, len(cont) - 1), label="at")] ^= 1
+    cut = draw(st.integers(0, 2), label="cut") if not cont else 0  # a point completed by emitted zeros
+    tokens = (
+        [0] * draw(st.integers(0, 2), label="zeros")
+        + list(point[:len(point) - cut])
+        + cont
+        + draw(st.lists(st.integers(0, 1), max_size=3), label="suffix")
+    )
+    return f, BINARY.seq(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lookup_member_and_prompt(), st.integers(1, 12))
+def test_lookup_generate_matches_next_token(member_and_prompt, T):
+    f, x = member_and_prompt
+    z = cot(f, x, T)
+    assert z == reference_cot(f, x, T)
+    assert e2e(f, x, T) == z.tokens[-1]
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -146,6 +199,22 @@ def _preperiod_and_period(tokens, n0, d):
     return None
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_threshold_generate_replays_a_cut_period(data):
+    """Horizons past the cycle check's repeat that are not a whole number of
+    periods past the preperiod, so the replayed slice ends mid-period."""
+    d = data.draw(st.integers(0, 6), label="d")
+    f = _threshold(data, d)
+    x = BINARY.seq(data.draw(st.lists(st.integers(0, 1), max_size=d + 2), label="prompt"))
+    window = len(f.integer_form.weight_at) - 1
+    pre, period = _preperiod_and_period(cot(f, x, 2 ** window + 1).tokens, len(x), window)
+    q = data.draw(st.integers(3 * (pre + period) // period + 1, 3 * (pre + period) // period + 4), label="q")
+    rem = data.draw(st.integers(1, period - 1), label="rem") if period > 1 else 0
+    T = pre + q * period + rem
+    assert cot(f, x, T) == reference_cot(f, x, T)
+
+
 @pytest.mark.parametrize(
     "f, prompt, shape",
     [
@@ -172,7 +241,8 @@ def test_threshold_stepper_replay_cases(f, prompt, shape):
 
 
 def test_time_dependent_thresholds():
-    """Each threshold of the list builds a fresh stepper and steps once."""
+    """Each threshold of the list appends one token, through its own
+    ``generate`` call."""
     rng = random.Random(20)
     for _ in range(200):
         d = rng.randint(0, 6)
@@ -231,6 +301,97 @@ def test_compiled_circuit_generator():
     for bits in range(2 ** circuit.n):
         x = circomp.feature_map([(bits >> j) & 1 for j in range(circuit.n)], compiled.T)
         assert cot(f, x, compiled.T) == reference_cot(f, x, compiled.T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 2), st.integers(1, 2), st.data())
+def test_compiled_circuit_generate_matches_next_token(seed, n, s, L, data):
+    compiled = circomp.compile_circuit(circomp.random_normalized_circuit(random.Random(seed), n, s, L))
+    f = compiled.generator()
+    x = circomp.feature_map(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="x"), compiled.T)
+    assert cot(f, x, compiled.T) == reference_cot(f, x, compiled.T)
+
+
+def _binary_generator(data):
+    """A binary generator of a drawn kind: dense or sparse threshold, lookup
+    member, compiled circuit or constant."""
+    kind = data.draw(st.sampled_from(["threshold", "lookup", "circuit", "constant"]), label="kind")
+    if kind == "threshold":
+        return _threshold(data, data.draw(st.integers(0, 5), label="d"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if kind == "lookup":
+        return data.draw(st.sampled_from([E1Family(2, 3), LdimFamily(3), CollapseFamily(4)]), label="family").random_member(rng)
+    if kind == "circuit":
+        return circomp.compile_circuit(circomp.random_normalized_circuit(rng, 2, 1, 1)).generator()
+    return ConstantGenerator(BINARY, data.draw(st.integers(0, 1), label="token"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_time_dependent_mixed_kinds(data):
+    """``cot_time_dependent`` over a list of generators of mixed kinds, one
+    ``generate(tokens, 1)`` each, against ``next_token`` on each history:
+    binary kinds on a binary prompt, or direct and attention machines on a
+    machine prompt."""
+    if data.draw(st.booleans(), label="machines"):
+        S = data.draw(st.integers(1, 3), label="S")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        fs = [
+            data.draw(st.sampled_from([TMGenerator, AttentionTMGenerator]), label="cls")(S, TMFamily(S).random_member(rng).table)
+            for _ in range(data.draw(st.integers(1, 8), label="steps"))
+        ]
+        x = pre(data.draw(st.lists(st.integers(0, 1), max_size=4), label="omega"), S)
+    else:
+        fs = [_binary_generator(data) for _ in range(data.draw(st.integers(1, 8), label="steps"))]
+        x = BINARY.seq(data.draw(st.lists(st.integers(0, 1), max_size=8), label="prompt"))
+    tokens = list(x.tokens)
+    for f in fs:
+        tokens.append(f.next_token(TokenSeq(x.alphabet, tuple(tokens))))
+    assert cot_time_dependent(fs, x).tokens == tuple(tokens)
+
+
+class AppendsOutOfAlphabet(Generator):
+    """Faulty: the last token it appends is not a binary index."""
+
+    alphabet = BINARY
+
+    def next_token(self, x):
+        return 0
+
+    def generate(self, tokens, T):
+        tokens.extend([0] * (T - 1) + [2])
+
+
+class AppendsWrongCount(Generator):
+    """Faulty: appends ``T + extra`` tokens."""
+
+    alphabet = BINARY
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def next_token(self, x):
+        return 0
+
+    def generate(self, tokens, T):
+        tokens.extend([0] * (T + self.extra))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [cot, e2e, lambda f, x, T: cot_time_dependent([f] * T, x)],
+    ids=["cot", "e2e", "time-dependent"],
+)
+@pytest.mark.parametrize("T", [1, 5])
+def test_generation_checks_what_generate_appends(run, T):
+    """The contract is checked once per call, on the appended slice: a token
+    outside the alphabet, or a count other than T, raises ValueError."""
+    x = BINARY.seq([1, 0])
+    with pytest.raises(ValueError, match="out of range for the alphabet"):
+        run(AppendsOutOfAlphabet(), x, T)
+    for extra in (-1, 1):
+        with pytest.raises(ValueError, match=r"appended \d+ tokens, not T="):
+            run(AppendsWrongCount(extra), x, T)
 
 
 class TestSameErrors:
@@ -380,15 +541,16 @@ def test_attention_cot_scores_one_key_per_cell(monkeypatch):
     product and decodes each token once. For a machine that reaches a new
     cell at almost every step, four times the steps cost about four times
     the decode work; a scan over every written cell grew 15.4 times. A
-    machine that never moves decodes each token once too."""
+    machine that never moves decodes each token once too, and checks only
+    the prompt for the begin marker."""
     from cotlearn import attention, turing
 
     counts = {"tokens": 0, "dots": 0}
-    extend, check, dot = turing._TapeScan.extend, turing._TapeScan.check_begin_marker, attention._dot
+    run, check, dot = turing._TapeScan.run, turing._TapeScan.check_begin_marker, attention._dot
 
-    def counting_extend(scan, tokens):
-        counts["tokens"] += len(tokens) - scan.n
-        return extend(scan, tokens)
+    def counting_run(scan, tokens, T, entry_ids):
+        counts["tokens"] += len(tokens) - scan.n + T
+        return run(scan, tokens, T, entry_ids)
 
     def counting_check(scan, tokens):
         counts["tokens"] += len(tokens) - scan.checked
@@ -398,7 +560,7 @@ def test_attention_cot_scores_one_key_per_cell(monkeypatch):
         counts["dots"] += 1
         return dot(a, b)
 
-    monkeypatch.setattr(turing._TapeScan, "extend", counting_extend)
+    monkeypatch.setattr(turing._TapeScan, "run", counting_run)
     monkeypatch.setattr(turing._TapeScan, "check_begin_marker", counting_check)
     monkeypatch.setattr(attention, "_dot", counting_dot)
 
@@ -413,5 +575,56 @@ def test_attention_cot_scores_one_key_per_cell(monkeypatch):
     assert decode_work(roaming, x, 400) <= 4.1 * decode_work(roaming, x, 100)
     still, x = TMGenerator(2, ((2, 1, 0), (1, 0, 0), (2, 0, 0)) * 2), pre([1, 0, 1, 1], 2)
     T = 2000
-    assert decode_work(still, x, T) == 2 * (len(x) + T - 1)
+    assert decode_work(still, x, T) == len(x) + (len(x) + T)
     assert counts["dots"] == 0
+
+
+def test_one_generate_call_per_chain(monkeypatch):
+    """Deterministic twin of whole-chain generation: each cot and e2e makes
+    exactly one ``generate`` call, ``cot_time_dependent`` one per generator,
+    and a machine chain consumes each prompt token and each generated token
+    once (one head-move read per token)."""
+    from cotlearn import turing
+
+    calls = []
+    for cls in (Generator, TMGenerator, AttentionTMGenerator, LookupGenerator, LinearThreshold, SparseLinearThreshold):
+        def counting_generate(self, tokens, T, _generate=cls.generate):
+            calls.append(T)
+            return _generate(self, tokens, T)
+
+        monkeypatch.setattr(cls, "generate", counting_generate)
+    moves_read = 0
+
+    class CountingMoves(tuple):
+        def __getitem__(self, t):
+            nonlocal moves_read
+            moves_read += 1
+            return tuple.__getitem__(self, t)
+
+    scan_tables = turing._scan_tables
+
+    def counting_tables(S):
+        decode, moves, rows, codes = scan_tables(S)
+        return decode, CountingMoves(moves), rows, codes
+
+    monkeypatch.setattr(turing, "_scan_tables", counting_tables)
+    table = TMFamily(3).random_member(random.Random(3)).table
+    generators = [
+        (TMGenerator(3, table), pre([1, 0, 1], 3)),
+        (AttentionTMGenerator(3, table), pre([0, 1], 3)),
+        (E1Family(3, 8).random_member(random.Random(4)), E1Family(3, 8).canonical_points()[13]),
+        (make_threshold([1, -2, 3, -1, 2], Fraction(-1, 2)), BINARY.seq([1, 0, 1])),
+        (SparseLinearThreshold(6, 2, (1, 3), (Fraction(-1), Fraction(2)), Fraction(-1, 2)), BINARY.seq([1, 1])),
+        (ConstantGenerator(BINARY, 1), BINARY.seq([0])),
+    ]
+    for f, x in generators:
+        for run in (cot, e2e):
+            calls.clear()
+            moves_read = 0
+            run(f, x, 300)
+            assert calls == [300], (f, run)
+            if isinstance(f, TMGenerator):
+                assert moves_read == len(x) + 300, (f, run)
+        calls.clear()
+        cot_time_dependent([f] * 4, x)
+        assert calls == [1] * 4, f
