@@ -88,7 +88,7 @@ class LookupGenerator(Generator):
                 append(b[idx])
             else:
                 return
-        tokens.extend([0] * (n + T - len(tokens)))
+        tokens.extend([0] * (n + T - len(tokens)))  # off the pattern, or past its end
 
 
 class LookupFamily(GeneratorFamily):
