@@ -344,10 +344,12 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     a row per 1 emitted at an earlier summed step. Inputs come in
     ``itertools.product`` order, so entry j of a stack of partial lists
     holds the fixed parts with the first j bits placed, and only the
-    entries below the first changed bit are rebuilt. A failing input's
-    report reads these sums, and each proved step's leading-1 term in
-    place of its sum: both are at most -1, so the report is the one a
-    walk over all T steps gives.
+    entries below the first changed bit are rebuilt. The walk over the
+    summed steps records each failed check as it meets it; a step is off
+    schedule when no gate is due at it. An input's report is its
+    gate-step failures, then its off-schedule failures in time order,
+    then the final-answer check. Proved steps pass every check on every
+    input, so they never enter a report.
     """
     shape, compiled_shape = (circuit.n, circuit.width, circuit.depth), (compiled.n, compiled.s, compiled.L)
     if shape != compiled_shape:
@@ -362,7 +364,7 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     gate_at = {
         t - 1: (l, i) for l, times in enumerate(compiled.gate_times) for i, t in enumerate(times)
     }
-    checks = [(gate_at.get(t), t + 1 not in compiled.t_indices) for t in steps]
+    checks = [(t + 1, gate_at.get(t)) for t in steps]
     rows = [[weight_at[n - j + t] for t in steps] for j in range(n)]
     emits = [[weight_at[u - t] for u in steps[i + 1:]] for i, t in enumerate(steps)]  # a 1 at steps[i], read later
 
@@ -375,18 +377,25 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
 
         values = eval_circuit_values(circuit, x)
         sums = stack[n][:]
-        failed = False
-        for i, (gate, off) in enumerate(checks):
+        off_failures: list[VerificationFailure] = []
+        for i, (t, gate) in enumerate(checks):
             acc = sums[i]
-            if (off and acc > -scale) or (gate is not None and (acc >= 0) != values[gate[0]][gate[1]]):
-                failed = True
+            if gate is None:
+                if acc >= 0:
+                    off_failures.append(VerificationFailure(x, t, "off-schedule-token", "got 1"))
+                if acc > -scale:
+                    off_failures.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(acc, scale)} > -1"))
+            elif (acc >= 0) != values[gate[0]][gate[1]]:
+                l, g = gate
+                failures.append(VerificationFailure(
+                    x, t, "gate-step", f"gate ({l + 1},{g + 1}) expected {values[l][g]} got {int(acc >= 0)}"
+                ))
             if acc >= 0:
                 sums[i + 1:] = map(add, sums[i + 1:], emits[i])
-        if failed or (acc >= 0) != values[-1][-1]:  # the last summed step is step T
-            full = list(lead)  # a proved step's lead, like its true sum, is at most -1
-            for t, acc in zip(steps, sums):
-                full[t] = acc
-            failures.extend(_input_failures(x, full, values, compiled, scale))
+        failures.extend(off_failures)
+        answer = values[-1][-1]
+        if (acc >= 0) != answer:  # the last summed step is step T
+            failures.append(VerificationFailure(x, 0, "final-answer", f"expected {answer} got {int(acc >= 0)}"))
 
     return VerificationReport(
         ok=not failures,
@@ -417,28 +426,6 @@ def _step_plan(compiled: CompiledThreshold) -> tuple[tuple[int, ...], list[int],
     scheduled = {t - 1 for times in compiled.gate_times for t in times} | {T - 1}
     steps = [t for t in range(T) if t in scheduled or lead[t] + positive[t + n] > -form.scale]
     return weight_at, lead, steps
-
-
-def _input_failures(x, sums: list[int], values, compiled: CompiledThreshold, scale: int) -> list[VerificationFailure]:
-    """Every failed check of one input, in report order: gate steps,
-    then off-schedule steps in time order, then the final answer."""
-    produced = [1 if acc >= 0 else 0 for acc in sums]
-    out = []
-    for l, (times, layer) in enumerate(zip(compiled.gate_times, values), start=1):
-        for i, (t, expect) in enumerate(zip(times, layer), start=1):
-            if produced[t - 1] != expect:
-                out.append(VerificationFailure(x, t, "gate-step", f"gate ({l},{i}) expected {expect} got {produced[t - 1]}"))
-    for t in range(1, compiled.T + 1):
-        if t in compiled.t_indices:
-            continue
-        if produced[t - 1] != 0:
-            out.append(VerificationFailure(x, t, "off-schedule-token", f"got {produced[t - 1]}"))
-        if sums[t - 1] > -scale:
-            out.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(sums[t - 1], scale)} > -1"))
-    answer = values[-1][-1]
-    if produced[-1] != answer:
-        out.append(VerificationFailure(x, 0, "final-answer", f"expected {answer} got {produced[-1]}"))
-    return out
 
 
 def random_normalized_circuit(rng, n: int, s: int, L: int) -> ThresholdCircuit:

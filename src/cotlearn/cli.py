@@ -294,6 +294,8 @@ def _experiment_dist(fam, input_len: int) -> PromptDist:
             )
         bit_strings = BitStringPrompts(0, input_len).support()
         return FiniteUniformPrompts(tuple(turing.pre(x.tokens, fam.S) for x in bit_strings))
+    if input_len < 1:
+        raise ValueError("input_len must be at least 1: threshold prompts hold 1 to input_len bits")
     return BitStringPrompts(1, input_len)
 
 

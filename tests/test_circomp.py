@@ -47,6 +47,16 @@ def circuits(draw, max_n=5, max_width=3, max_depth=3):
     return ThresholdCircuit(n, tuple(layers))
 
 
+def zero_off_schedule_sentinel(comp):
+    """The compile with every off-schedule sentinel entry set to 0, so no
+    step is proved silent and the verifier sums all T steps."""
+    w = list(comp.w)
+    for t in range(1, comp.T + 1):
+        if t not in comp.t_indices:
+            w[comp.T - t] = Fraction(0)
+    return dataclasses.replace(comp, w=tuple(w))
+
+
 def error_of(call):
     try:
         call()
@@ -350,9 +360,12 @@ class TestVerify:
         """Sentinel entries set to 0, or to one scaled unit either side of
         the bound, against tests/reference_circomp.py. A step that fails
         the bound is summed whether no input, some inputs or every input
-        breaks check (c); one at the bound or below it is not summed."""
+        breaks check (c); one at the bound or below it is not summed. With
+        every off-schedule entry zeroed, all T steps are summed and one
+        report interleaves all four failure kinds."""
         rng = random.Random(2110)
         seen = set()
+        kinds = set()
         for k in range(80):
             c = random_normalized_circuit(rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2))
             if k % 2:  # the same gates over thirds: the scale becomes 3
@@ -363,6 +376,11 @@ class TestVerify:
             off = [t for t in range(1, comp.T + 1) if t not in comp.t_indices]
             if not off:
                 continue
+            zeroed = zero_off_schedule_sentinel(comp)
+            assert circomp._step_plan(zeroed)[2] == list(range(comp.T)), k
+            report = verify_compilation(c, zeroed)
+            assert report == reference_circomp.verify_compilation(c, zeroed), k
+            kinds.add(frozenset(f.kind for f in report.failures))
             t = rng.choice(off)
             positive = sum(max(0, w) for w in weight_at[1:t + c.n])  # offsets 1..(t-1)+n
             for delta in (None, -1, 0, 1):
@@ -378,6 +396,7 @@ class TestVerify:
                 broken = len({f.x for f in report.failures if f.step == t})
                 seen.add((delta, "none" if not broken else "all" if broken == report.inputs_checked else "some"))
         assert {(1, "none"), (1, "some"), (1, "all"), (0, "none"), (-1, "none"), (None, "some"), (None, "all")} <= seen, seen
+        assert {"gate-step", "off-schedule-token", "off-schedule-sum", "final-answer"} in kinds, kinds
 
     def test_refuses_mismatched_shapes(self):
         small = random_normalized_circuit(random.Random(13), 2, 1, 1)
@@ -387,7 +406,9 @@ class TestVerify:
 
     def test_one_circuit_evaluation_per_input_by_count(self, monkeypatch):
         """Deterministic twin of the verifier's speed: one circuit
-        evaluation per input, and no threshold generation."""
+        evaluation per input, and no threshold generation. With every
+        off-schedule sentinel entry zeroed, all 256 inputs fail, and their
+        reports come from the same walk."""
         counts = {"eval": 0, "generate": 0}
         evaluate = circomp.eval_circuit_values
         generate = IntegerThreshold.generate
@@ -403,8 +424,13 @@ class TestVerify:
         monkeypatch.setattr(circomp, "eval_circuit_values", counting_eval)
         monkeypatch.setattr(IntegerThreshold, "generate", counting_generate)
         c = random_normalized_circuit(random.Random(10), 8, 2, 3)
-        report = verify_compilation(c, compile_circuit(c))
+        comp = compile_circuit(c)
+        report = verify_compilation(c, comp)
         assert report.ok and report.inputs_checked == 256
+        assert counts == {"eval": 256, "generate": 0}
+        counts.update(eval=0)
+        report = verify_compilation(c, zero_off_schedule_sentinel(comp))
+        assert len({f.x for f in report.failures}) == 256
         assert counts == {"eval": 256, "generate": 0}
 
 

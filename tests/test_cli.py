@@ -18,11 +18,12 @@ from cotlearn.turing import TMFamily, TMGenerator, TMSpec, format_tm, pre
 ALWAYS_ONE = TMSpec(1, 2, ((1, 1, 1),) * 3)
 
 
-def assert_one_error_line(capsys) -> str:
-    """Check stderr holds exactly one "error:" line; return what went to stdout."""
+def assert_one_error_line(capsys, names: str = "") -> str:
+    """Check stderr holds exactly one "error:" line, naming ``names`` when
+    given; return what went to stdout."""
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert len(err) == 1 and err[0].startswith("error:") and names in err[0], err
     return captured.out
 
 
@@ -401,6 +402,8 @@ class TestExperiment:
         {"sizes": ",".join(map(str, range(40))), "trials": 4096},
         # A horizon above GENERATION_MAX_T: refused before any job is built.
         {"t": 100000000},
+        # Threshold prompts hold 1 to input_len bits, so 0 leaves none.
+        {"family": "linthresh:d=2", "input_len": 0}, {"family": "sparse:d=2,k=1", "input_len": 0},
     ])
     def test_rejects_unusable_config_values(self, tmp_path, capsys, monkeypatch, override):
         from cotlearn import cli
@@ -412,7 +415,7 @@ class TestExperiment:
         cfg = tmp_path / "exp.cfg"
         _write_config(cfg, **override)
         assert main(["experiment", str(cfg)]) == 2
-        assert_one_error_line(capsys)
+        assert_one_error_line(capsys, "input_len" if "input_len" in override else "")
         assert not (tmp_path / "rows.csv").exists()
 
     @given(st.one_of(
@@ -434,6 +437,12 @@ class TestExperiment:
         with open(tmp_path / "rows.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4 and all(r["status"] == "ok" for r in rows)
+        # input_len=0 leaves a machine the empty input alone
+        _write_config(cfg, family="tm:S=2", t=5, sizes="2", trials=1, input_len=0)
+        assert main(["experiment", str(cfg)]) == 0
+        with open(tmp_path / "rows.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 and rows[-1]["status"] == "ok"
 
     def test_worker_pool_matches_serial(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "exp.cfg"
