@@ -179,8 +179,8 @@ class CompiledThreshold:
 
     ``w`` concatenates the step-schedule sentinel block with the padded
     per-layer gate blocks (deepest layer first); ``gate_times[l][i]`` is
-    the generation step at which gate (l+1, i+1) is emitted, and those
-    steps make up ``t_indices``. ``B`` exceeds the total l1 weight of the
+    the generation step at which gate (l+1, i+1) is emitted; every other
+    step is off schedule. ``B`` exceeds the total l1 weight of the
     circuit, which is what pins off-schedule sums at or below -1.
     """
 
@@ -189,7 +189,6 @@ class CompiledThreshold:
     d: int
     tilde_p: tuple[int, ...]
     gate_times: tuple[tuple[int, ...], ...]
-    t_indices: frozenset[int]
     B: Fraction
     n: int
     s: int
@@ -287,7 +286,6 @@ def compile_circuit(circuit: ThresholdCircuit) -> CompiledThreshold:
         d=d,
         tilde_p=tuple(tilde_p),
         gate_times=tuple(gate_times),
-        t_indices=scheduled,
         B=B,
         n=n,
         s=s,

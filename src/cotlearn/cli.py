@@ -311,11 +311,24 @@ def _run_trial(packed):
         return None, wall_ms, f"failed:{type(exc).__name__}"
 
 
+def _requested_workers() -> int:
+    """COTLEARN_WORKERS as a positive integer; unset means 1, serial."""
+    text = os.environ.get("COTLEARN_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"COTLEARN_WORKERS must be a positive integer, got {text!r}")
+    return workers
+
+
 def cmd_experiment(args) -> int:
     cfg = _parse_config(_read(args.config))
     if args.seed is not None:
         cfg["seed"] = args.seed
     _check_out_path(cfg["out"])
+    requested = _requested_workers()
     fam = lbfamilies.parse_family_spec(cfg["family"])
     T = cfg["t"]
     dist = _experiment_dist(fam, cfg["input_len"])
@@ -331,7 +344,7 @@ def cmd_experiment(args) -> int:
 
     # A fork-based pool starts every worker up front, so never ask for more
     # than there are jobs or CPUs.
-    workers = min(int(os.environ.get("COTLEARN_WORKERS", "1")), len(jobs), os.cpu_count() or 1)
+    workers = min(requested, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, [packed for (_, _, _, packed) in jobs]))

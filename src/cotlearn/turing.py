@@ -14,7 +14,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .seqcore import (
     Alphabet,
@@ -171,15 +171,18 @@ _NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first to
 
 
 @lru_cache(maxsize=None)
-def _scan_tables(S: int) -> tuple[tuple[TMToken, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The decode table, and each token's head move, transition-table row
-    offset (state - 1) * 3, and read code of its written symbol, for ``_TapeScan``."""
+def _scan_tables(S: int) -> tuple[tuple[TMToken, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...],
+                                  tuple[tuple[int, object], ...]]:
+    """The decode table, each token's head move, transition-table row
+    offset (state - 1) * 3 and read code of its written symbol, and the
+    read (state, symbol) at each table key, for ``_TapeScan``."""
     decode = _decode_table(S)
     return (
         decode,
         tuple(t.move for t in decode),
         tuple((t.state - 1) * 3 for t in decode),
         tuple(_READ_CODE[t.symb] for t in decode),
+        tuple((s, symb) for s in range(1, S + 1) for symb in _SYMBOLS),
     )
 
 
@@ -187,45 +190,37 @@ class _TapeScan:
     """Incremental decoder of a token-id history.
 
     Holds the head (the sum of the moves consumed), each written cell's
-    latest writer j >= 2 (1-based; the first token, the begin marker's
-    place, wrote cell 0 and is kept apart as the lookup's fallback key),
-    and how many tokens have passed the begin-marker check. ``extend``
-    consumes only the tokens it has not yet seen, so a history decoded one
-    token at a time costs one visit per token, and returns the direct
-    read; ``run`` generates a machine's chain on the same state. The caller
-    keeps the token list and changes it only by appending.
+    latest writer j (1-based), the read (state, symbol under the head)
+    after each token ``extend`` consumed, and how many leading tokens have
+    passed the begin-marker check. ``extend`` consumes only the tokens it
+    has not yet seen, so a history decoded one token at a time costs one
+    visit per token, and ``reads[N - 1]`` answers every prefix of length N
+    with no visit; ``run`` generates a machine's chain on the same state
+    and records no reads. The caller keeps the token list and changes it
+    only by appending.
     """
 
-    __slots__ = ("decode", "moves", "rows", "codes", "n", "head", "last", "checked")
+    __slots__ = ("decode", "moves", "rows", "codes", "read_of", "n", "head", "last", "reads", "checked")
 
     def __init__(self, S: int):
-        self.decode, self.moves, self.rows, self.codes = _scan_tables(S)
+        self.decode, self.moves, self.rows, self.codes, self.read_of = _scan_tables(S)
         self.n = self.head = self.checked = 0
         self.last: dict[int, int] = {}
+        self.reads: list[tuple[int, object]] = []
 
-    def extend(self, tokens: Sequence[int]) -> tuple[int, object] | None:
-        """Consume the tokens not yet seen; return (state, symbol under the
-        head) of the history so far, or None while it is empty. The symbol
-        is the head cell's latest writer's, the first token's at cell 0, and
-        blank on a cell never written."""
-        n, end = self.n, len(tokens)
-        head, last = self.head, self.last
-        if n < end:
-            moves = self.moves
-            if n == 0:
-                head = moves[tokens[0]]
-                n = 1
-            while n < end:
-                t = tokens[n]
-                n += 1
-                last[head] = n
-                head += moves[t]
-            self.head, self.n = head, n
-        elif not end:
-            return None
-        decode = self.decode
-        j = last.get(head, 1 if head == 0 else 0)
-        return decode[tokens[-1]].state, decode[tokens[j - 1]].symb if j else BLANK
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Consume the tokens not yet seen, recording the read of each new
+        prefix: the last token's state and the head cell's latest writer's
+        symbol, blank on a cell never written."""
+        n, head, last, append = self.n, self.head, self.last, self.reads.append
+        moves, rows, codes, read_of = self.moves, self.rows, self.codes, self.read_of
+        for n in range(n + 1, len(tokens) + 1):
+            t = tokens[n - 1]
+            last[head] = n
+            head += moves[t]
+            j = last.get(head, 0)
+            append(read_of[rows[t] + (codes[tokens[j - 1]] if j else 2)])
+        self.n, self.head = n, head
 
     def run(self, tokens: list[int], T: int, entry_ids: Sequence[int]) -> None:
         """Consume the tokens not yet seen, then append ``T`` machine steps:
@@ -234,7 +229,8 @@ class _TapeScan:
         token of the chain is visited once."""
         if not tokens:
             raise ValueError("cannot read the tape of an empty history")
-        state, symb = self.extend(tokens)
+        self.extend(tokens)
+        state, symb = self.reads[-1]
         key = (state - 1) * 3 + _READ_CODE[symb]
         moves, rows, codes = self.moves, self.rows, self.codes
         n, head, last, append = self.n, self.head, self.last, tokens.append
@@ -244,13 +240,14 @@ class _TapeScan:
             n += 1
             last[head] = n
             head += moves[t]
-            j = last.get(head, 1 if head == 0 else 0)
+            j = last.get(head, 0)
             key = rows[t] + (codes[tokens[j - 1]] if j else 2)
         self.n, self.head = n, head
 
     def check_begin_marker(self, tokens: Sequence[int]) -> None:
-        """Reject a history unless exactly its first token writes a blank;
-        each token is checked once, and a failing one is checked again."""
+        """Reject a history unless exactly its first token writes a blank.
+        ``checked`` only grows: each token is checked once, tokens of a
+        shorter prefix not at all, and a failing one is checked again."""
         if not tokens:
             raise ValueError("empty history")
         decode = self.decode
@@ -258,34 +255,37 @@ class _TapeScan:
             if (decode[tokens[i]].symb == BLANK) != (i == 0):
                 self.checked = i
                 raise ValueError(_NO_BEGIN_MARKER)
-        self.checked = len(tokens)
+        self.checked = max(self.checked, len(tokens))
 
 
 _last_decoded = threading.local()
 
 
 def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...], tuple[int, object] | None]:
-    """This thread's decoder advanced over ``tokens``, their tuple
-    snapshot, and the direct read (None for an empty history).
+    """This thread's decoder holding ``tokens``, their tuple snapshot, and
+    the direct read (None for an empty history).
 
     Each thread keeps its last decoded history as [S, tuple snapshot,
-    decoder]. When the tokens extend it under the same S, the decoder
-    resumes; any other history is decoded from empty. The snapshot is a
-    tuple, so a token list changed after a call cannot pass for the
-    history decoded then.
+    decoder]. Tokens that start that history under the same S are
+    answered from the decoder's reads with no visit; tokens that extend it
+    resume the decoder; any other history is decoded from empty. The
+    snapshot is a tuple, so a token list changed after a call cannot pass
+    for the history decoded then.
     """
     t = tuple(tokens)
     memo = getattr(_last_decoded, "memo", None)
     if memo is None:
         memo = _last_decoded.memo = [0, (), None]
-    if memo[0] == S and t[:len(memo[1])] == memo[1]:
-        scan = memo[2]
-    else:
-        scan = _TapeScan(S)
-    memo[0] = 0  # a decoder interrupted mid-extend is never resumed
-    read = scan.extend(t)
-    memo[:] = S, t, scan
-    return scan, t, read
+    held = memo[1]
+    if memo[0] != S or t[:len(held)] != held[:len(t)]:
+        held = ()
+        memo[:] = S, held, _TapeScan(S)
+    scan = memo[2]
+    if len(t) > len(held):
+        memo[0] = 0  # a decoder interrupted mid-extend is never resumed
+        scan.extend(t)
+        memo[:] = S, t, scan
+    return scan, t, scan.reads[len(t) - 1] if t else None
 
 
 def _read_tape(S: int, tokens: Sequence[int]) -> tuple[int, object]:
@@ -350,23 +350,12 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
 
     Each pair pins one table entry at the (state, read) recovered by
     read_tape; conflicting pins mean no table is consistent. Entries the
-    data never pins are fixed to (1, 0, 0) for reproducibility.
-
-    The pairs are read last to first: ``prefix_expand`` lists each
-    record's prefixes longest first, so in reverse each history extends
-    the one before and the tape decoder resumes, and the reads cost the
-    total record length. Whether a pair is bad, or two pins conflict, does
-    not depend on the order, and neither does the table; only which error
-    comes first does, so on an error the pairs are read again in their
-    given order to raise the first one.
+    data never pins are fixed to (1, 0, 0) for reproducibility. The pairs
+    are read once, in the given order, through the tape decoder's memo, so
+    a record's prefixes share one decode in either order: the longest is
+    decoded and the shorter ones are answered from its reads, or each
+    resumes the one before.
     """
-    try:
-        return _pin_table(reversed(pairs), S)
-    except Exception:
-        return _pin_table(pairs, S)
-
-
-def _pin_table(pairs: Iterable[tuple[TokenSeq, int]], S: int) -> TMGenerator:
     learned: dict[int, tuple[int, int, int]] = {}
     alphabet = None
     for u, v in pairs:

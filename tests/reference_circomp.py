@@ -69,6 +69,7 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
         for l, times in enumerate(compiled.gate_times)
         for i, t in enumerate(times)
     }
+    scheduled = set(time_of_gate.values())
 
     failures: list[VerificationFailure] = []
     count = 0
@@ -90,7 +91,7 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
             if produced[t - 1] != expect:
                 failures.append(VerificationFailure(x, t, "gate-step", f"gate ({l},{i}) expected {expect} got {produced[t - 1]}"))
         for t in range(1, T + 1):
-            if t in compiled.t_indices:
+            if t in scheduled:
                 continue
             if produced[t - 1] != 0:
                 failures.append(VerificationFailure(x, t, "off-schedule-token", f"got {produced[t - 1]}"))

@@ -47,13 +47,23 @@ def circuits(draw, max_n=5, max_width=3, max_depth=3):
     return ThresholdCircuit(n, tuple(layers))
 
 
+def scheduled_steps(comp):
+    """The steps at which some gate is emitted, read from ``gate_times``."""
+    return {t for times in comp.gate_times for t in times}
+
+
+def off_schedule_steps(comp):
+    """The steps 1..T at which no gate is emitted, in time order."""
+    scheduled = scheduled_steps(comp)
+    return [t for t in range(1, comp.T + 1) if t not in scheduled]
+
+
 def zero_off_schedule_sentinel(comp):
     """The compile with every off-schedule sentinel entry set to 0, so no
     step is proved silent and the verifier sums all T steps."""
     w = list(comp.w)
-    for t in range(1, comp.T + 1):
-        if t not in comp.t_indices:
-            w[comp.T - t] = Fraction(0)
+    for t in off_schedule_steps(comp):
+        w[comp.T - t] = Fraction(0)
     return dataclasses.replace(comp, w=tuple(w))
 
 
@@ -239,7 +249,7 @@ class TestVerify:
         c = normalize_circuit(make_circuit(1, [[[-1]]]))
         comp = compile_circuit(c)
         bad_w = list(comp.w)
-        t_bad = next(t for t in range(1, comp.T + 1) if t not in comp.t_indices)
+        t_bad = off_schedule_steps(comp)[0]
         bad_w[comp.T - t_bad] = Fraction(0)
         bad = dataclasses.replace(comp, w=tuple(bad_w))
         report = verify_compilation(c, bad)
@@ -340,15 +350,15 @@ class TestVerify:
             for _ in range(2):
                 comp = compile_circuit(random_normalized_circuit(rng, n, s, L))
                 steps = circomp._step_plan(comp)[2]
-                assert steps == sorted(t - 1 for t in comp.t_indices), (n, s, L)
+                assert steps == sorted(t - 1 for t in scheduled_steps(comp)), (n, s, L)
                 assert len(steps) == s * L
                 ds.add(comp.d)
         assert max(ds) == 3065
 
     def test_zeroed_sentinel_entry_adds_its_step(self):
         comp = compile_circuit(random_normalized_circuit(random.Random(12), 3, 2, 2))
-        scheduled = [t - 1 for t in comp.t_indices]
-        off = [t for t in range(1, comp.T + 1) if t not in comp.t_indices]
+        scheduled = [t - 1 for t in scheduled_steps(comp)]
+        off = off_schedule_steps(comp)
         assert len(off) == comp.T - 4
         for t in off:
             w = list(comp.w)
@@ -373,7 +383,7 @@ class TestVerify:
             comp = compile_circuit(c)
             weight_at = circomp._step_plan(comp)[0]
             scale = comp.generator().integer_form.scale
-            off = [t for t in range(1, comp.T + 1) if t not in comp.t_indices]
+            off = off_schedule_steps(comp)
             if not off:
                 continue
             zeroed = zero_off_schedule_sentinel(comp)

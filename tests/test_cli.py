@@ -454,6 +454,35 @@ class TestExperiment:
 
         assert _timeless_rows(tmp_path / "serial.csv") == _timeless_rows(tmp_path / "pooled.csv")
 
+    @pytest.mark.parametrize("workers", ["abc", "2.5", "0", "-3", ""])
+    def test_rejects_worker_count_that_is_not_positive(self, tmp_path, capsys, monkeypatch, workers):
+        from cotlearn import cli
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran before COTLEARN_WORKERS was refused")
+
+        monkeypatch.setattr(cli, "pac_trial", no_trial)
+        monkeypatch.setenv("COTLEARN_WORKERS", workers)
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg)
+        assert main(["experiment", str(cfg)]) == 2
+        assert_one_error_line(capsys, "COTLEARN_WORKERS")
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_one_worker_runs_serially(self, tmp_path, capsys, monkeypatch):
+        """COTLEARN_WORKERS=1, like leaving it unset, starts no pool."""
+        from cotlearn import cli
+
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("COTLEARN_WORKERS", "1")
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg)
+        assert main(["experiment", str(cfg)]) == 0
+        assert len(_timeless_rows(tmp_path / "rows.csv")) == 9
+
     @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (None, 1)])
     def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch, cpus, expected):
         """A huge COTLEARN_WORKERS asks for at most min(jobs, CPUs) processes."""

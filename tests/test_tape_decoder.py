@@ -1,11 +1,12 @@
 """The incremental tape decoder against the per-call rescans it replaced.
 
-``read_tape`` and ``read_tape_attention_fast`` resume this thread's last
-decoded history when the new one extends it, and decode from empty
-otherwise. Every call order must give what a fresh rescan gives: growing
-and shrinking prefixes, interleaved histories, repeats, alphabets of
-different S, histories without the begin marker, and a bad token after a
-good prefix that was decoded already.
+``read_tape`` and ``read_tape_attention_fast`` answer a prefix of this
+thread's last decoded history from its recorded reads, resume it when the
+new history extends it, and decode from empty otherwise. Every call order
+must give what a fresh rescan gives: growing and shrinking prefixes,
+interleaved histories, repeats, alphabets of different S, histories
+without the begin marker, and a bad token after a good prefix that was
+decoded already.
 """
 
 import random
@@ -19,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from cotlearn import turing
 from cotlearn.attention import read_tape_attention_fast
 from cotlearn.learning import CoTDataset, prefix_expand
-from cotlearn.seqcore import TokenSeq
-from cotlearn.turing import BLANK, TMFamily, TMGenerator, TMToken, cons_tm, encode_token, pre, read_tape, tm_alphabet
+from cotlearn.seqcore import NotRealizableError, TokenSeq
+from cotlearn.turing import BLANK, TMFamily, TMGenerator, TMToken, cons_tm, decode_token, encode_token, pre, read_tape, tm_alphabet
 
 CORPUS_STRIDE = 11  # each machine has 127 runs, so every machine is checked
 
@@ -172,14 +173,15 @@ def run_in_thread(fn):
     return out[0]
 
 
-@pytest.mark.parametrize("order, consumed", [
-    (lambda n: range(1, n + 1), lambda n: n),
-    (lambda n: range(n, 0, -1), lambda n: n * (n + 1) // 2),
+@pytest.mark.parametrize("order", [
+    lambda n: range(1, n + 1),
+    lambda n: range(n, 0, -1),
 ], ids=["ascending", "descending"])
-def test_sweep_decodes_tokens_by_count(order, consumed, monkeypatch):
-    """Deterministic twin of the sweep timing: a per-prefix sweep over a
-    growing history decodes each token once, and a shrinking one re-decodes
-    every prefix, as the per-call rescan always did."""
+def test_sweep_decodes_tokens_by_count(order, monkeypatch):
+    """Deterministic twin of the sweep timing: a per-prefix sweep decodes
+    each token once, whether each prefix extends the one before or the
+    longest comes first and the shorter ones are read from its reads (the
+    per-call rescan re-decoded every prefix, n(n+1)/2 tokens)."""
     z = machine_run(3, 400, 8)
     n = len(z)
     counts = count_decoded_tokens(monkeypatch)
@@ -191,7 +193,40 @@ def test_sweep_decodes_tokens_by_count(order, consumed, monkeypatch):
             read_tape_attention_fast(prefix)
 
     run_in_thread(sweep)
-    assert counts["tokens"] == consumed(n)
+    assert counts["tokens"] == n
+
+
+def test_begin_marker_check_on_prefix_hits(monkeypatch):
+    """A second blank at position k fails exactly the prefixes of length
+    >= k, in a descending sweep (each prefix read from the longest's
+    decode) and then an ascending one. A clean history swept the same way
+    checks each token once: checking a shorter prefix keeps the count of
+    tokens already checked."""
+    S, k = 2, 9
+    z = machine_run(S, 20, 3)
+    bad = TokenSeq(z.alphabet, z.tokens[:k - 1] + (encode_token(S, TMToken(1, BLANK, 1)),) + z.tokens[k:])
+    n = len(z)
+    sweep = [*range(n, 0, -1), *range(1, n + 1)]
+    no_marker = (ValueError, reference_tape.NO_BEGIN_MARKER)
+    decode = turing._decode_table(S)
+    failing = [N for N in range(1, n + 1) if outcome(reference_tape.check_begin_marker, bad.tokens[:N], decode) == no_marker]
+    assert failing == list(range(k, n + 1))
+
+    def fails(N):
+        return outcome(read_tape_attention_fast, TokenSeq(bad.alphabet, bad.tokens[:N])) == no_marker
+
+    assert run_in_thread(lambda: [N for N in sweep if fails(N)]) == failing[::-1] + failing
+
+    visits = {"tokens": 0}
+    check = turing._TapeScan.check_begin_marker
+
+    def counting_check(scan, tokens):
+        visits["tokens"] += max(len(tokens) - scan.checked, 0)
+        return check(scan, tokens)
+
+    monkeypatch.setattr(turing._TapeScan, "check_begin_marker", counting_check)
+    run_in_thread(lambda: [read_tape_attention_fast(TokenSeq(z.alphabet, z.tokens[:N])) for N in sweep])
+    assert visits["tokens"] == n
 
 
 def test_memo_is_per_thread(monkeypatch):
@@ -238,9 +273,9 @@ def test_threads_sweep_different_histories_at_once():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_cons_tm_matches_reading_in_order(data):
-    """cons_tm reads its pairs last to first; its table, and the error it
-    raises (that of the first bad pair in the given order), are those of
-    reading them in order."""
+    """cons_tm reads its pairs once, in the given order, through the
+    decoder memo; its table, and the error it raises (that of the first bad
+    pair in the given order), are those of a rescan of each pair in order."""
     S = data.draw(st.integers(1, 3), label="S")
     runs = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**32), st.integers(1, 6)),
                               max_size=3), label="runs")
@@ -257,14 +292,23 @@ def test_cons_tm_matches_reading_in_order(data):
 
 
 def test_cons_tm_decodes_each_record_once(monkeypatch):
-    """Deterministic twin of cons_tm's timing: a record's T prefixes are
-    read as one growing history, so each record costs its longest prefix."""
+    """Deterministic twin of cons_tm's timing: a record's T prefixes share
+    one decode, so each record costs its longest prefix, whether the pairs
+    come longest first (as ``prefix_expand`` lists them), reversed, or end
+    in a record whose label conflicts with an earlier record's."""
     S, T = 3, 12
     spec = TMFamily(S).random_spec(random.Random(6), T)
     gen = TMGenerator(S, spec.table)
     records = tuple(machine_run_from(gen, pre([a, b, c], S), T) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-    pairs = prefix_expand(CoTDataset(records, T)).pairs
+    z = records[0]
+    last = decode_token(S, z.tokens[-1])
+    other = encode_token(S, TMToken(last.state, 1 - last.symb, last.move))
+    conflicting = records + (TokenSeq(z.alphabet, z.tokens[:-1] + (other,)),)
     counts = count_decoded_tokens(monkeypatch)
-    learned = run_in_thread(lambda: cons_tm(pairs, S))
-    assert learned.table == reference_tape.cons_tm(pairs, S)
-    assert counts["tokens"] == sum(len(z) - 1 for z in records)
+    for recs, order in ((records, list), (records, lambda p: p[::-1]), (conflicting, list)):
+        pairs = order(prefix_expand(CoTDataset(recs, T)).pairs)
+        expected = outcome(reference_tape.cons_tm, pairs, S)
+        assert (expected[0] is NotRealizableError) == (recs is conflicting)
+        counts["tokens"] = 0
+        assert run_in_thread(lambda: outcome(lambda: cons_tm(pairs, S).table)) == expected
+        assert counts["tokens"] == sum(len(r) - 1 for r in recs)
