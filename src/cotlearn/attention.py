@@ -32,6 +32,7 @@ from .turing import (
     _alphabet_states,
     _decode_table,
     _decoded,
+    _read_at,
     _TapeScan,
 )
 
@@ -294,9 +295,9 @@ def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
     cell with no later writer. ``read_tape_attention`` still checks the
     singleton at every position it reads.
     """
-    scan, toks, read = _decoded(_alphabet_states(z.alphabet), z.tokens)
+    scan, toks, key = _decoded(_alphabet_states(z.alphabet), z.tokens)
     scan.check_begin_marker(toks)
-    return read
+    return _read_at(key)
 
 
 class AttentionTMGenerator(TMGenerator):

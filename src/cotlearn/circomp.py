@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import add
 from typing import Sequence
 
-from .seqcore import BINARY, GuardExceededError, TokenSeq
+from .seqcore import BINARY, GuardExceededError, TokenSeq, parse_int
 from .linthresh import IntegerThreshold, LinearThreshold, parse_fraction
 
 VERIFY_MAX_INPUTS = 12
@@ -484,7 +484,7 @@ def parse_circuit(text: str) -> ThresholdCircuit:
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError("header must be 'n s L'")
-    n, s, L = (int(p) for p in head)
+    n, s, L = (parse_int(p, f"circuit header {lines[0]!r}") for p in head)
     gates: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for ln in lines[1:]:
         try:
@@ -493,7 +493,7 @@ def parse_circuit(text: str) -> ThresholdCircuit:
             weights = tuple(parse_fraction(p) for p in rhs.split())
         except ValueError:
             raise ValueError(f"malformed gate line: {ln!r}") from None
-        l, i = int(l_s), int(i_s)
+        l, i = (parse_int(p, f"gate line {ln!r}") for p in (l_s, i_s))
         if not (1 <= l <= L and 1 <= i <= s):
             raise ValueError(f"gate ({l},{i}) outside the declared {L}x{s} grid")
         if (l, i) in gates:

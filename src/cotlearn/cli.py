@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import random
 import statistics
@@ -30,7 +31,7 @@ from .learning import (
     pac_trial,
     trial_seed,
 )
-from .seqcore import BINARY, NotRealizableError, check_horizon, cot
+from .seqcore import BINARY, NotRealizableError, check_horizon, cot, parse_int
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -77,8 +78,6 @@ def cmd_generate(args) -> int:
 
 def _parse_bits(text: str) -> list[int]:
     text = text.strip()
-    if not text:
-        return []
     if any(ch not in "01" for ch in text):
         raise ValueError(f"input must be a bit string, got {text!r}")
     return [int(ch) for ch in text]
@@ -177,7 +176,7 @@ def _load_compiled(path: str) -> tuple[tuple[Fraction, ...], int]:
     if len(lines) < 2 or not lines[1].startswith("T="):
         raise ValueError("compiled file must hold a threshold line and a T= line")
     f = linthresh.parse_threshold(lines[0])
-    return f.weights, int(lines[1][2:])
+    return f.weights, parse_int(lines[1][2:], f"compiled file line {lines[1]!r}")
 
 
 # --------------------------------------------------------------- simulate-tm
@@ -209,8 +208,7 @@ def cmd_simulate_tm(args) -> int:
         print(results["direct"])
         return EXIT_OK
 
-    out = run(args.via)
-    print(out)
+    print(run(args.via))
     if args.trace:
         _, trace = turing.simulate_tm(spec, omega)
         print(f"# s0={trace.s0} p0={trace.p0}")
@@ -223,6 +221,8 @@ def cmd_simulate_tm(args) -> int:
 
 
 def cmd_vcdim(args) -> int:
+    if args.mode == "base" and args.T is not None:
+        raise ValueError("--T does not apply to --mode base; only the e2e dimension has a horizon")
     fam = lbfamilies.parse_family_spec(args.family)
     pool = lbfamilies.default_pool(fam)
     T = _horizon(args, fam) if args.mode == "e2e" else None
@@ -252,29 +252,26 @@ def _parse_config(text: str) -> dict:
     for required in ("family", "mode", "t", "sizes", "trials", "seed", "out"):
         if required not in cfg:
             raise ValueError(f"config is missing {required}=")
-    sizes = [int(p) for p in cfg["sizes"].split(",")]
+    cfg.setdefault("eval_n", "200")
+    cfg.setdefault("input_len", "4")
+    for key in ("t", "trials", "seed", "eval_n", "input_len"):
+        cfg[key] = parse_int(cfg[key], f"config key {key!r}")
+    sizes = cfg["sizes"] = [parse_int(p, "config key 'sizes'") for p in cfg["sizes"].split(",")]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     if sizes[0] < 0:
         raise ValueError("sizes must be nonnegative")
     if sizes[-1] > EXPERIMENT_MAX_M:
         raise ValueError(f"sizes must be at most {EXPERIMENT_MAX_M}")
-    trials = int(cfg["trials"])
-    if not 1 <= trials <= EXPERIMENT_MAX_TRIALS:
+    if not 1 <= cfg["trials"] <= EXPERIMENT_MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {EXPERIMENT_MAX_TRIALS}")
-    if len(sizes) * trials > EXPERIMENT_MAX_JOBS:
+    if len(sizes) * cfg["trials"] > EXPERIMENT_MAX_JOBS:
         raise ValueError(f"sizes times trials must be at most {EXPERIMENT_MAX_JOBS} jobs")
-    check_horizon(int(cfg["t"]))
+    check_horizon(cfg["t"])
     if cfg["mode"] not in ("cot", "e2e"):
         raise ValueError("mode must be cot or e2e")
-    cfg["sizes"] = sizes
-    cfg["t"] = int(cfg["t"])
-    cfg["trials"] = trials
-    cfg["seed"] = int(cfg["seed"])
-    cfg["eval_n"] = int(cfg.get("eval_n", 200))
     if not 1 <= cfg["eval_n"] <= EXPERIMENT_MAX_EVAL_N:
         raise ValueError(f"eval_n must be between 1 and {EXPERIMENT_MAX_EVAL_N}")
-    cfg["input_len"] = int(cfg.get("input_len", 4))
     if cfg["input_len"] < 0:
         raise ValueError("input_len must be nonnegative")
     return cfg
@@ -303,21 +300,16 @@ def _run_trial(packed):
     family, f_star, dist, m, T, mode, eval_n, seed = packed
     t0 = time.perf_counter()
     try:
-        result = pac_trial(family, f_star, dist, m, T, mode, eval_n, seed)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        return result.error, wall_ms, "ok"
+        error, status = pac_trial(family, f_star, dist, m, T, mode, eval_n, seed).error, "ok"
     except ValueError as exc:
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        return None, wall_ms, f"failed:{type(exc).__name__}"
+        error, status = None, f"failed:{type(exc).__name__}"
+    return error, (time.perf_counter() - t0) * 1000.0, status
 
 
 def _requested_workers() -> int:
     """COTLEARN_WORKERS as a positive integer; unset means 1, serial."""
     text = os.environ.get("COTLEARN_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
+    workers = parse_int(text, "COTLEARN_WORKERS")
     if workers < 1:
         raise ValueError(f"COTLEARN_WORKERS must be a positive integer, got {text!r}")
     return workers
@@ -334,13 +326,10 @@ def cmd_experiment(args) -> int:
     dist = _experiment_dist(fam, cfg["input_len"])
 
     jobs = []
-    index = 0
-    for m in cfg["sizes"]:
-        for trial in range(cfg["trials"]):
-            seed = trial_seed(cfg["seed"], index)
-            f_star = fam.random_member(random.Random(seed ^ 0xA5A5A5A5))
-            jobs.append((m, trial, seed, (fam, f_star, dist, m, T, cfg["mode"], cfg["eval_n"], seed)))
-            index += 1
+    for index, (m, trial) in enumerate(itertools.product(cfg["sizes"], range(cfg["trials"]))):
+        seed = trial_seed(cfg["seed"], index)
+        f_star = fam.random_member(random.Random(seed ^ 0xA5A5A5A5))
+        jobs.append((m, trial, seed, (fam, f_star, dist, m, T, cfg["mode"], cfg["eval_n"], seed)))
 
     # A fork-based pool starts every worker up front, so never ask for more
     # than there are jobs or CPUs.
@@ -351,24 +340,16 @@ def cmd_experiment(args) -> int:
     else:
         outcomes = [_run_trial(packed) for (_, _, _, packed) in jobs]
 
-    rows = []
-    for (m, trial, seed, _), (error, wall_ms, status) in zip(jobs, outcomes):
-        rows.append(
-            {
-                "family": cfg["family"],
-                "mode": cfg["mode"],
-                "T": T,
-                "m": m,
-                "trial": trial,
-                "seed": seed,
-                "error": f"{float(error):.6f}" if error is not None else "",
-                "error_frac": f"{error.numerator}/{error.denominator}" if error is not None else "",
-                "wall_ms": f"{wall_ms:.3f}",
-                "status": status,
-            }
-        )
-
     fieldnames = ["family", "mode", "T", "m", "trial", "seed", "error", "error_frac", "wall_ms", "status"]
+    rows = [
+        dict(zip(fieldnames, (
+            cfg["family"], cfg["mode"], T, m, trial, seed,
+            f"{float(error):.6f}" if error is not None else "",
+            f"{error.numerator}/{error.denominator}" if error is not None else "",
+            f"{wall_ms:.3f}", status,
+        )))
+        for (m, trial, seed, _), (error, wall_ms, status) in zip(jobs, outcomes)
+    ]
     new_file = not os.path.exists(cfg["out"])
     with open(cfg["out"], "a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)

@@ -32,6 +32,7 @@ from .seqcore import (
     _check_alphabet,
     cot,
     e2e,
+    parse_int,
 )
 from .turing import TMFamily
 
@@ -459,7 +460,7 @@ def parse_family_spec(text: str):
                 raise ValueError(f"family {name!r} takes no argument {key!r}")
             if key in args:
                 raise ValueError(f"family argument {key!r} given twice")
-            args[key] = int(val)
+            args[key] = parse_int(val, f"family {name!r} argument {key!r}")
     try:
         return cls(*(args[key] for key in keys))
     except KeyError as missing:

@@ -10,7 +10,6 @@ member whose T-step answers match.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,8 +188,10 @@ class FiniteUniformPrompts(PromptDist):
 class BitStringPrompts(PromptDist):
     """Uniform over binary strings with lengths in [min_len, max_len].
 
-    A length is drawn uniformly, then bits uniformly; the support is
-    reported only when small enough for exact evaluation.
+    The strings of length n are the integers in [2^n, 2^(n+1)) without
+    their leading 1, so one integer drawn from [2^min_len, 2^(max_len+1))
+    is one uniform string, and the support walks the same range. The
+    support is reported only when small enough for exact evaluation.
     """
 
     min_len: int
@@ -201,18 +202,18 @@ class BitStringPrompts(PromptDist):
             raise ValueError("need 0 <= min_len <= max_len")
 
     def sample(self, rng: random.Random) -> TokenSeq:
-        n = rng.randint(self.min_len, self.max_len)
-        return BINARY.seq(rng.randint(0, 1) for _ in range(n))
+        return _strip_leading_one(rng.randrange(1 << self.min_len, 2 << self.max_len))
 
     def support(self) -> tuple[TokenSeq, ...] | None:
-        total = sum(2 ** n for n in range(self.min_len, self.max_len + 1))
-        if total > EXACT_EVAL_SUPPORT:
+        lo, hi = 1 << self.min_len, 2 << self.max_len
+        if hi - lo > EXACT_EVAL_SUPPORT:
             return None
-        pts = []
-        for n in range(self.min_len, self.max_len + 1):
-            for bits in itertools.product((0, 1), repeat=n):
-                pts.append(BINARY.seq(bits))
-        return tuple(pts)
+        return tuple(map(_strip_leading_one, range(lo, hi)))
+
+
+def _strip_leading_one(k: int) -> TokenSeq:
+    """The bits of ``k`` after its leading 1."""
+    return BINARY.seq(map(int, bin(k)[3:]))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .seqcore import (
     GuardExceededError,
     NotRealizableError,
     TokenSeq,
+    parse_int,
 )
 from .simplex import solve_feasibility
 
@@ -366,7 +367,7 @@ def parse_threshold(text: str) -> LinearThreshold:
     parts = text.split()
     if len(parts) < 2:
         raise ValueError("threshold line needs at least 'd b'")
-    d = int(parts[0])
+    d = parse_int(parts[0], "threshold dimension d")
     if len(parts) != d + 2:
         raise ValueError(f"expected {d} weights, got {len(parts) - 2}")
     bias = parse_fraction(parts[1])

@@ -216,6 +216,14 @@ def check_horizon(T: int) -> None:
         raise GuardExceededError(f"generation length T={T} exceeds the guard {GENERATION_MAX_T}")
 
 
+def parse_int(text: str, what: str) -> int:
+    """``int(text)``, or a ValueError naming ``what`` and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what}: expected an integer, got {text!r}") from None
+
+
 def _checked_generate(f: Generator, tokens: list[int], T: int, ids: frozenset[int]) -> None:
     """``f.generate(tokens, T)``, then one check that it appended exactly
     ``T`` tokens and that each is in ``ids``, the alphabet's indices."""

@@ -24,6 +24,7 @@ from .seqcore import (
     TokenSeq,
     _check_alphabet,
     check_horizon,
+    parse_int,
 )
 
 BLANK = "_"
@@ -107,10 +108,20 @@ class TMSpec:
                 raise ValueError(f"invalid transition entry {(s2, a, b)}")
 
     def step(self, state: int, read) -> tuple[int, int, int]:
-        return self.table[(state - 1) * 3 + _READ_CODE[read]]
+        return self.table[_table_key(state, read)]
 
 
 _READ_CODE = {0: 0, 1: 1, BLANK: 2}
+
+
+def _table_key(state: int, read) -> int:
+    """The transition-table index of reading ``read`` in ``state``."""
+    return (state - 1) * 3 + _READ_CODE[read]
+
+
+def _read_at(key: int) -> tuple[int, object]:
+    """The (state, symbol) read at a transition-table key."""
+    return key // 3 + 1, _SYMBOLS[key % 3]
 
 
 class TMTrace(NamedTuple):
@@ -171,18 +182,14 @@ _NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first to
 
 
 @lru_cache(maxsize=None)
-def _scan_tables(S: int) -> tuple[tuple[TMToken, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...],
-                                  tuple[tuple[int, object], ...]]:
-    """The decode table, each token's head move, transition-table row
-    offset (state - 1) * 3 and read code of its written symbol, and the
-    read (state, symbol) at each table key, for ``_TapeScan``."""
+def _scan_tables(S: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Each token's head move, transition-table row offset (state - 1) * 3
+    and read code of its written symbol, for ``_TapeScan``."""
     decode = _decode_table(S)
     return (
-        decode,
         tuple(t.move for t in decode),
         tuple((t.state - 1) * 3 for t in decode),
         tuple(_READ_CODE[t.symb] for t in decode),
-        tuple((s, symb) for s in range(1, S + 1) for symb in _SYMBOLS),
     )
 
 
@@ -190,48 +197,47 @@ class _TapeScan:
     """Incremental decoder of a token-id history.
 
     Holds the head (the sum of the moves consumed), each written cell's
-    latest writer j (1-based), the read (state, symbol under the head)
-    after each token ``extend`` consumed, and how many leading tokens have
-    passed the begin-marker check. ``extend`` consumes only the tokens it
-    has not yet seen, so a history decoded one token at a time costs one
-    visit per token, and ``reads[N - 1]`` answers every prefix of length N
-    with no visit; ``run`` generates a machine's chain on the same state
-    and records no reads. The caller keeps the token list and changes it
-    only by appending.
+    latest writer j (1-based), the transition-table key of the read
+    (state, symbol under the head) after each token ``extend`` consumed,
+    and how many leading tokens have passed the begin-marker check.
+    ``extend`` consumes only the tokens it has not yet seen, so a history
+    decoded one token at a time costs one visit per token, and
+    ``keys[N - 1]`` answers every prefix of length N with no visit; ``run``
+    generates a machine's chain on the same state and records no keys. The
+    caller keeps the token list and changes it only by appending.
     """
 
-    __slots__ = ("decode", "moves", "rows", "codes", "read_of", "n", "head", "last", "reads", "checked")
+    __slots__ = ("moves", "rows", "codes", "n", "head", "last", "keys", "checked")
 
     def __init__(self, S: int):
-        self.decode, self.moves, self.rows, self.codes, self.read_of = _scan_tables(S)
+        self.moves, self.rows, self.codes = _scan_tables(S)
         self.n = self.head = self.checked = 0
         self.last: dict[int, int] = {}
-        self.reads: list[tuple[int, object]] = []
+        self.keys: list[int] = []
 
     def extend(self, tokens: Sequence[int]) -> None:
-        """Consume the tokens not yet seen, recording the read of each new
-        prefix: the last token's state and the head cell's latest writer's
-        symbol, blank on a cell never written."""
-        n, head, last, append = self.n, self.head, self.last, self.reads.append
-        moves, rows, codes, read_of = self.moves, self.rows, self.codes, self.read_of
+        """Consume the tokens not yet seen, recording the table key each new
+        prefix reads: the last token's state and the head cell's latest
+        writer's symbol, blank on a cell never written."""
+        n, head, last, append = self.n, self.head, self.last, self.keys.append
+        moves, rows, codes = self.moves, self.rows, self.codes
         for n in range(n + 1, len(tokens) + 1):
             t = tokens[n - 1]
             last[head] = n
             head += moves[t]
             j = last.get(head, 0)
-            append(read_of[rows[t] + (codes[tokens[j - 1]] if j else 2)])
+            append(rows[t] + (codes[tokens[j - 1]] if j else 2))
         self.n, self.head = n, head
 
     def run(self, tokens: list[int], T: int, entry_ids: Sequence[int]) -> None:
         """Consume the tokens not yet seen, then append ``T`` machine steps:
-        each appended token is ``entry_ids[(state - 1) * 3 + read code]`` of
-        the read of the list before it, and is consumed in turn, so each
-        token of the chain is visited once."""
+        each appended token is ``entry_ids[key]`` of the table key the list
+        before it reads, and is consumed in turn, so each token of the chain
+        is visited once."""
         if not tokens:
             raise ValueError("cannot read the tape of an empty history")
         self.extend(tokens)
-        state, symb = self.reads[-1]
-        key = (state - 1) * 3 + _READ_CODE[symb]
+        key = self.keys[-1]
         moves, rows, codes = self.moves, self.rows, self.codes
         n, head, last, append = self.n, self.head, self.last, tokens.append
         for _ in range(T):
@@ -250,9 +256,9 @@ class _TapeScan:
         shorter prefix not at all, and a failing one is checked again."""
         if not tokens:
             raise ValueError("empty history")
-        decode = self.decode
+        codes = self.codes
         for i in range(self.checked, len(tokens)):
-            if (decode[tokens[i]].symb == BLANK) != (i == 0):
+            if (codes[tokens[i]] == 2) != (i == 0):  # read code 2 is the blank
                 self.checked = i
                 raise ValueError(_NO_BEGIN_MARKER)
         self.checked = max(self.checked, len(tokens))
@@ -261,13 +267,13 @@ class _TapeScan:
 _last_decoded = threading.local()
 
 
-def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...], tuple[int, object] | None]:
+def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...], int | None]:
     """This thread's decoder holding ``tokens``, their tuple snapshot, and
-    the direct read (None for an empty history).
+    the table key of the direct read (None for an empty history).
 
     Each thread keeps its last decoded history as [S, tuple snapshot,
     decoder]. Tokens that start that history under the same S are
-    answered from the decoder's reads with no visit; tokens that extend it
+    answered from the decoder's keys with no visit; tokens that extend it
     resume the decoder; any other history is decoded from empty. The
     snapshot is a tuple, so a token list changed after a call cannot pass
     for the history decoded then.
@@ -285,10 +291,10 @@ def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...],
         memo[0] = 0  # a decoder interrupted mid-extend is never resumed
         scan.extend(t)
         memo[:] = S, t, scan
-    return scan, t, scan.reads[len(t) - 1] if t else None
+    return scan, t, scan.keys[len(t) - 1] if t else None
 
 
-def _read_tape(S: int, tokens: Sequence[int]) -> tuple[int, object]:
+def _read_key(S: int, tokens: Sequence[int]) -> int:
     if not tokens:
         raise ValueError("cannot read the tape of an empty history")
     return _decoded(S, tokens)[2]
@@ -298,10 +304,10 @@ def read_tape(z: TokenSeq) -> tuple[int, object]:
     """Recover (current state, symbol under the head) from a history.
 
     The head position before each step is the prefix sum of earlier
-    moves; the symbol under the final head position is the one most
-    recently written there, or blank if it was never visited.
+    moves; the symbol under it is the one most recently written there, or
+    blank. The decoder reports this read as its transition-table key.
     """
-    return _read_tape(_alphabet_states(z.alphabet), z.tokens)
+    return _read_at(_read_key(_alphabet_states(z.alphabet), z.tokens))
 
 
 @dataclass(frozen=True)
@@ -320,8 +326,7 @@ class TMGenerator(Generator):
 
     def next_token(self, z: TokenSeq) -> int:
         _check_alphabet(self, z)
-        state, symb = _read_tape(self.S, z.tokens)
-        return self._step_token(state, symb)
+        return self._entry_ids[_read_key(self.S, z.tokens)]
 
     def generate(self, tokens: list[int], T: int) -> None:
         """One ``_TapeScan`` run over the list: the prompt is decoded once
@@ -334,7 +339,7 @@ class TMGenerator(Generator):
 
     def _step_token(self, state: int, read) -> int:
         """The table entry for (state, read), as a token id."""
-        return self._entry_ids[(state - 1) * 3 + _READ_CODE[read]]
+        return self._entry_ids[_table_key(state, read)]
 
 
 def trace_tokens(trace: TMTrace, S: int) -> list[int]:
@@ -348,12 +353,12 @@ DEFAULT_ENTRY = (1, 0, 0)
 def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
     """Memorization learner: fill the transition table from (history, next token) pairs.
 
-    Each pair pins one table entry at the (state, read) recovered by
-    read_tape; conflicting pins mean no table is consistent. Entries the
+    Each pair pins the table entry at the key the tape decoder reports for
+    its history; conflicting pins mean no table is consistent. Entries the
     data never pins are fixed to (1, 0, 0) for reproducibility. The pairs
     are read once, in the given order, through the tape decoder's memo, so
     a record's prefixes share one decode in either order: the longest is
-    decoded and the shorter ones are answered from its reads, or each
+    decoded and the shorter ones are answered from its keys, or each
     resumes the one before.
     """
     learned: dict[int, tuple[int, int, int]] = {}
@@ -368,18 +373,15 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
             raise ValueError(f"label state {token.state} exceeds the {S}-state family")
         if token.symb not in (0, 1):
             raise ValueError("labels must write a bit; blank writes never occur in generation")
-        state, read = _read_tape(S_data, u.tokens)
-        if state > S:
-            raise ValueError(f"history state {state} exceeds the {S}-state family")
-        key = (state - 1) * 3 + _READ_CODE[read]
+        key = _read_key(S_data, u.tokens)
+        if key >= 3 * S:
+            raise ValueError(f"history state {key // 3 + 1} exceeds the {S}-state family")
         entry = (token.state, token.symb, token.move)
         old = learned.get(key)
         if old is None:
             learned[key] = entry
         elif old != entry:
-            raise NotRealizableError(
-                f"conflicting transitions required at state {state}, read {read!r}"
-            )
+            raise NotRealizableError("conflicting transitions required at state %d, read %r" % _read_at(key))
     table = tuple(learned.get(i, DEFAULT_ENTRY) for i in range(3 * S))
     return TMGenerator(S, table)
 
@@ -426,8 +428,7 @@ class TMFamily(GeneratorFamily):
         return TMGenerator(self.S, table)
 
     def random_spec(self, rng, T: int) -> TMSpec:
-        g = self.random_member(rng)
-        return TMSpec(self.S, T, g.table)
+        return TMSpec(self.S, T, self.random_member(rng).table)
 
     def cons_oracle(self):
         return lambda pairs: cons_tm(pairs, self.S)
@@ -451,7 +452,7 @@ def parse_tm(text: str) -> TMSpec:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("header must be 'S T'")
-    S, T = int(head[0]), int(head[1])
+    S, T = (parse_int(p, f"machine header {lines[0]!r}") for p in head)
     entries: dict[int, tuple[int, int, int]] = {}
     for ln in lines[1:]:
         try:
@@ -460,16 +461,17 @@ def parse_tm(text: str) -> TMSpec:
             s2_s, a_s, b_s = rhs.split()
         except ValueError:
             raise ValueError(f"malformed transition line: {ln!r}") from None
-        state = int(state_s)
-        read = BLANK if read_s == BLANK else int(read_s)
+        what = f"transition line {ln!r}"
+        state = parse_int(state_s, what)
+        read = BLANK if read_s == BLANK else parse_int(read_s, what)
         if read not in _SYMBOLS:
             raise ValueError(f"bad read symbol in line: {ln!r}")
         if not 1 <= state <= S:
             raise ValueError(f"state out of range in line: {ln!r}")
-        key = (state - 1) * 3 + _READ_CODE[read]
+        key = _table_key(state, read)
         if key in entries:
             raise ValueError(f"duplicate transition for state {state}, read {read_s}")
-        entries[key] = (int(s2_s), int(a_s), int(b_s))
+        entries[key] = tuple(parse_int(p, what) for p in (s2_s, a_s, b_s))
     if len(entries) != 3 * S:
         raise ValueError(f"expected {3 * S} transitions, got {len(entries)}")
     return TMSpec(S, T, tuple(entries[i] for i in range(3 * S)))

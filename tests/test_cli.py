@@ -18,12 +18,12 @@ from cotlearn.turing import TMFamily, TMGenerator, TMSpec, format_tm, pre
 ALWAYS_ONE = TMSpec(1, 2, ((1, 1, 1),) * 3)
 
 
-def assert_one_error_line(capsys, names: str = "") -> str:
-    """Check stderr holds exactly one "error:" line, naming ``names`` when
-    given; return what went to stdout."""
+def assert_one_error_line(capsys, *names: str) -> str:
+    """Check stderr holds exactly one "error:" line, naming each of
+    ``names``; return what went to stdout."""
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and names in err[0], err
+    assert len(err) == 1 and err[0].startswith("error:") and all(n in err[0] for n in names), err
     return captured.out
 
 
@@ -275,6 +275,17 @@ class TestSimulateTm:
         assert main(["simulate-tm", str(p), "--input", "0"]) == 2
 
 
+def _named_in_refusal(override: dict) -> list[str]:
+    """What the refusal of a config override names: input_len when it is
+    given, and the key and the text of each number that is no integer."""
+    names = ["input_len"] if "input_len" in override else []
+    for key, value in override.items():
+        bad = [p for p in str(value).split(",") if not p.lstrip("-").isdigit()]
+        if key != "family" and bad:
+            names += [f"config key {key!r}", repr(bad[0])]
+    return names
+
+
 class TestVcdim:
     def test_e1_e2e(self, capsys):
         assert main(["vcdim", "--family", "e1:D=2,T=2", "--mode", "e2e"]) == 0
@@ -295,6 +306,19 @@ class TestVcdim:
     def test_family_without_point_pool_is_input_error(self, spec, capsys):
         assert main(["vcdim", "--family", spec]) == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("spec, names", [
+        ("e1:D=x,T=2", ("family 'e1' argument 'd'", "'x'")),
+        ("ldim:D=2.5", ("family 'ldim' argument 'd'", "'2.5'")),
+    ])
+    def test_non_integer_family_argument_is_named(self, spec, names, capsys):
+        assert main(["vcdim", "--family", spec]) == 2
+        assert_one_error_line(capsys, *names)
+
+    def test_horizon_does_not_apply_to_base_mode(self, capsys):
+        # ignoring it would print the base dimension as if --T had been used
+        assert main(["vcdim", "--family", "ldim:D=3", "--mode", "base", "--T", "5"]) == 2
+        assert assert_one_error_line(capsys, "--T does not apply to --mode base") == ""
 
 
 def _write_config(path, **overrides):
@@ -404,6 +428,9 @@ class TestExperiment:
         {"t": 100000000},
         # Threshold prompts hold 1 to input_len bits, so 0 leaves none.
         {"family": "linthresh:d=2", "input_len": 0}, {"family": "sparse:d=2,k=1", "input_len": 0},
+        # Numbers that are no integers: the error names the key and the text.
+        {"sizes": "1,x"}, {"t": "two"}, {"eval_n": "1.5"}, {"trials": "3 trials"}, {"seed": "0x5"},
+        {"input_len": "4.0"},
     ])
     def test_rejects_unusable_config_values(self, tmp_path, capsys, monkeypatch, override):
         from cotlearn import cli
@@ -415,7 +442,7 @@ class TestExperiment:
         cfg = tmp_path / "exp.cfg"
         _write_config(cfg, **override)
         assert main(["experiment", str(cfg)]) == 2
-        assert_one_error_line(capsys, "input_len" if "input_len" in override else "")
+        assert_one_error_line(capsys, *_named_in_refusal(override))
         assert not (tmp_path / "rows.csv").exists()
 
     @given(st.one_of(
@@ -700,3 +727,33 @@ def test_malformed_input_file_exits_two_with_one_error_line(tmp_path, capsys, co
         lines = err.strip().splitlines()
         assert proc.returncode == 2, (name, proc.returncode, err)
         assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err, (name, err)
+
+
+# A number that is no integer in a file-reading command's input, as
+# (command, good text, its replacement, what the error names).
+_NON_INTEGER_FIELDS = [
+    ("generate-tm", "1 2\n", "1 x\n", ("machine header '1 x'", "got 'x'")),
+    ("generate-tm", "1 _ -> 1 1 +1", "1 _ -> 1 1 x", ("transition line '1 _ -> 1 1 x'", "got 'x'")),
+    ("generate-tm", "1 0 -> 1 1", "one 0 -> 1 1", ("transition line 'one 0 -> 1 1 +1'", "got 'one'")),
+    ("generate-threshold", "2 -2", "x -2", ("threshold dimension d", "got 'x'")),
+    ("compile-circuit", "2 2 1\n", "2 2 one\n", ("circuit header '2 2 one'", "got 'one'")),
+    ("compile-circuit", "1 2 :", "1 two :", ("gate line '1 two : -2 0'", "got 'two'")),
+    ("compile-circuit-compiled", "T=", "T=x", ("compiled file line 'T=x", "got 'x")),
+]
+
+
+@pytest.mark.parametrize("command, good, bad, names", _NON_INTEGER_FIELDS)
+def test_non_integer_in_a_file_is_named(tmp_path, capsys, command, good, bad, names):
+    """Exit 2 and one "error:" line that names the file line and the text."""
+    argv, text = _CONTRACT[command]
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(_CONTRACT["compile-circuit"][1])
+    path = tmp_path / "input.txt"
+    if command == "compile-circuit-compiled":
+        assert main(["compile-circuit", str(circuit), "--out", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+    assert text.count(good) == 1
+    path.write_text(text.replace(good, bad))
+    assert main([str(path) if a == "{}" else str(circuit) if a == "{circuit}" else a for a in argv]) == 2
+    assert_one_error_line(capsys, *names)

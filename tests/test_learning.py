@@ -56,10 +56,13 @@ class TestDatasets:
         assert cot(learned, seq(), 2) == seq([1, 0])
 
     def test_cot_trial_on_empty_prompts(self):
-        # BitStringPrompts(0, 1) draws the empty prompt, whose record has length T
+        # the trial's six seed-1 draws include the empty prompt, whose record has length T
+        dist = BitStringPrompts(0, 1)
+        rng = random.Random(1)
+        assert seq() in [dist.sample(rng) for _ in range(6)]
         f = make_threshold([1, -1], 0)
         assert cot(f, seq(), 3) == seq([1, 0, 1])
-        r = pac_trial(ThresholdFamily(2), f, BitStringPrompts(0, 1), 6, 3, "cot", 50, 1)
+        r = pac_trial(ThresholdFamily(2), f, dist, 6, 3, "cot", 50, 1)
         assert r.error == 0 and r.exact_eval
 
     @pytest.mark.parametrize("build", [
@@ -353,6 +356,29 @@ class TestPacTrial:
         r = pac_trial(ThresholdFamily(2), f_star, dist, 8, 3, "cot", eval_n=64, seed=14)
         assert not r.exact_eval
         assert r.error.denominator <= 64
+
+    @pytest.mark.parametrize("min_len, max_len", [(0, 0), (0, 3), (1, 4), (3, 5)])
+    def test_bit_strings_sample_the_support_uniformly(self, min_len, max_len):
+        """Every integer the sampler can draw gives one prompt, and together
+        they are the support, each prompt once: a draw is uniform over the
+        prompts that exact evaluation weights equally."""
+
+        class EachOnce:
+            """An rng whose randrange returns each integer of the range in turn."""
+
+            def __init__(self):
+                self.drawn, self.width = 0, None
+
+            def randrange(self, lo, hi):
+                self.width = hi - lo
+                self.drawn += 1
+                return lo + self.drawn - 1
+
+        dist = BitStringPrompts(min_len, max_len)
+        rng = EachOnce()
+        support = dist.support()
+        assert [dist.sample(rng) for _ in support] == list(support)
+        assert rng.width == len(support) == len(set(support))
 
     def test_error_monotone_in_m_on_average(self):
         fam = E1Family(2, 2)

@@ -604,8 +604,8 @@ def test_one_generate_call_per_chain(monkeypatch):
     scan_tables = turing._scan_tables
 
     def counting_tables(S):
-        decode, moves, *rest = scan_tables(S)
-        return decode, CountingMoves(moves), *rest
+        moves, *rest = scan_tables(S)
+        return CountingMoves(moves), *rest
 
     monkeypatch.setattr(turing, "_scan_tables", counting_tables)
     table = TMFamily(3).random_member(random.Random(3)).table

@@ -79,6 +79,19 @@ def test_sweeps_match_rescans_on_corpus(tm_corpus):
             check_calls(calls)
 
 
+def test_keys_are_the_table_keys_of_the_rescans_reads(tm_corpus):
+    """The decoder reports transition-table keys: after ``extend`` grows
+    through every prefix of a history, ``keys[N - 1]`` is the key of the
+    rescan's (state, symbol) read of the length-N prefix."""
+    for run in tm_corpus[::CORPUS_STRIDE]:
+        z = run.generated
+        scan = turing._TapeScan(run.spec.S)
+        for N in range(1, len(z) + 1):
+            scan.extend(z.tokens[:N])
+        prefixes = (TokenSeq(z.alphabet, z.tokens[:N]) for N in range(1, len(z) + 1))
+        assert scan.keys == [turing._table_key(*reference_tape.read_tape(p)) for p in prefixes], z.tokens
+
+
 def any_history(S):
     """Up to 30 tokens of any state, symbol and move: the begin marker may
     be missing or repeated, as read_tape allows."""
