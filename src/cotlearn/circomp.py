@@ -441,29 +441,6 @@ def random_normalized_circuit(rng, n: int, s: int, L: int) -> ThresholdCircuit:
     return ThresholdCircuit(n, tuple(layers))
 
 
-def fold_bias(n: int, layers_with_bias) -> ThresholdCircuit:
-    """Build a circuit whose gates carry a bias, folded onto an extra always-one input.
-
-    ``layers_with_bias`` holds (weights, bias) pairs per gate; the result
-    has n + 1 inputs and must be evaluated on x extended with a 1.
-    """
-    new_layers = []
-    for layer in layers_with_bias:
-        new_layer = []
-        for weights, bias in layer:
-            weights = [Fraction(w) for w in weights]
-            pred_inputs = weights[:n]
-            rest = weights[n:]
-            new_layer.append(tuple(pred_inputs + [Fraction(bias)] + rest))
-        new_layers.append(tuple(new_layer))
-    return ThresholdCircuit(n + 1, tuple(new_layers))
-
-
-def eval_with_bias(circuit: ThresholdCircuit, x: Sequence[int]) -> int:
-    """Evaluate a bias-folded circuit on the original n-bit input."""
-    return eval_circuit(circuit, list(x) + [1])
-
-
 def format_circuit(circuit: ThresholdCircuit) -> str:
     """Serialize a uniform-width circuit: "n s L" header, then one gate per line."""
     widths = set(circuit.widths)

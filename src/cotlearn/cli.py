@@ -425,6 +425,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotRealizableError as exc:
         return _fail(f"not realizable: {exc}", EXIT_FAIL)
+    except RuntimeError as exc:
+        return _fail(f"internal fault: {exc}", EXIT_FAIL)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 

@@ -354,16 +354,20 @@ def default_pool(family: LookupFamily) -> PointPool:
     return PointPool(tuple(BINARY.seq(p) for p in extended[:POOL_GUARD]))
 
 
-def _behavior_masks(family: GeneratorFamily, points: Sequence[TokenSeq], mode: str, T: int | None) -> set[int]:
-    family.check_enumerable()
+def _mode_label(mode: str, T: int | None):
+    """The label a brute-force dimension reads from member f at point x."""
     if mode == "base":
-        label = lambda f, x: f.next_token(x)
-    elif mode == "e2e":
+        return lambda f, x: f.next_token(x)
+    if mode == "e2e":
         if T is None:
             raise ValueError("e2e mode needs a generation length T")
-        label = lambda f, x: e2e(f, x, T)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return lambda f, x: e2e(f, x, T)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _behavior_masks(family: GeneratorFamily, points: Sequence[TokenSeq], label) -> set[int]:
+    """Each member's behaviour as a mask whose bit j is ``label(f, points[j])``."""
+    family.check_enumerable()
     masks = set()
     for f in family.members():
         mask = 0
@@ -385,7 +389,7 @@ def vcdim_bruteforce(family: GeneratorFamily, pool: PointPool, mode: str = "base
     """
     if len(pool) > POOL_GUARD:
         raise GuardExceededError(f"pool of {len(pool)} exceeds the guard {POOL_GUARD}")
-    masks = _behavior_masks(family, pool.points, mode, T)
+    masks = _behavior_masks(family, pool.points, _mode_label(mode, T))
     npoints = len(pool)
     dim = 0
     for k in range(1, npoints + 1):
@@ -407,24 +411,16 @@ def vcdim_bruteforce(family: GeneratorFamily, pool: PointPool, mode: str = "base
 
 def growth_count(family: GeneratorFamily, points: Sequence[TokenSeq], mode: str = "base", T: int | None = None) -> int:
     """Number of distinct behavior vectors the family induces on the points."""
-    return len(_behavior_masks(family, points, mode, T))
+    return len(_behavior_masks(family, points, _mode_label(mode, T)))
 
 
 def loss_class_behavior_count(family: GeneratorFamily, seqs: Sequence[TokenSeq], T: int) -> int:
     """Behaviors of the full-generation 0/1 loss on given generation records.
 
     For each member, the vector over records z of "does the member's
-    T-step generation from z's prompt reproduce z exactly".
+    T-step generation from z's prompt fail to reproduce z".
     """
-    family.check_enumerable()
-    behaviors = set()
-    for f in family.members():
-        vec = []
-        for z in seqs:
-            prompt = z[:-(T + 1)]
-            vec.append(0 if cot(f, prompt, T).tokens == z.tokens else 1)
-        behaviors.add(tuple(vec))
-    return len(behaviors)
+    return len(_behavior_masks(family, seqs, lambda f, z: cot(f, z[:-(T + 1)], T).tokens != z.tokens))
 
 
 _FAMILY_SPECS = {

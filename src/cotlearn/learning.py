@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .seqcore import (
     BINARY,
@@ -309,30 +309,43 @@ def pac_trial(
     return PacTrialResult(error=err, m=m, mode=mode, learned=learned, exact_eval=exact)
 
 
+def _dataset_lines(path: str) -> Iterator[tuple[str, str]]:
+    """Each nonblank line of a dataset file, after the "file, line n" that names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                yield f"{path}, line {number}", line.rstrip("\n")
+
+
+def _parse_at(where: str, parse, text: str):
+    """``parse(text)``, or its ValueError led by ``where``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_cot_dataset(path: str, alphabet: Alphabet, T: int) -> CoTDataset:
     """One comma-separated record per line."""
     seqs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                seqs.append(alphabet.parse_seq(line))
+    for where, line in _dataset_lines(path):
+        z = _parse_at(where, alphabet.parse_seq, line)
+        if len(z) < T:
+            raise ValueError(f"{where}: record of length {len(z)} cannot carry {T} generated tokens")
+        seqs.append(z)
     return CoTDataset(tuple(seqs), T)
 
 
 def load_e2e_dataset(path: str, alphabet: Alphabet, T: int) -> E2EDataset:
     """One "sequence<TAB>label" pair per line."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                seq_text, label_text = line.split("\t")
-            except ValueError:
-                raise ValueError(f"expected 'sequence<TAB>label', got {line!r}") from None
-            pairs.append((alphabet.parse_seq(seq_text), alphabet.index(label_text.strip())))
+    for where, line in _dataset_lines(path):
+        try:
+            seq_text, label_text = line.split("\t")
+        except ValueError:
+            raise ValueError(f"{where}: expected 'sequence<TAB>label', got {line!r}") from None
+        x = _parse_at(where, alphabet.parse_seq, seq_text)
+        pairs.append((x, _parse_at(f"{where}, label", alphabet.index, label_text.strip())))
     return E2EDataset(tuple(pairs), T)
 
 

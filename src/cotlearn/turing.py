@@ -46,7 +46,7 @@ class TMToken(NamedTuple):
         return f"{self.state}:{self.symb}:{m}"
 
 
-def _token_id(S: int, state: int, symb, move: int) -> int:
+def _token_id(state: int, symb, move: int) -> int:
     return (state - 1) * 9 + _SYMBOLS.index(symb) * 3 + _MOVES.index(move)
 
 
@@ -69,7 +69,9 @@ def tm_alphabet(S: int) -> Alphabet:
 
 
 def encode_token(S: int, token: TMToken) -> int:
-    return _token_id(S, token.state, token.symb, token.move)
+    if not 1 <= token.state <= S:
+        raise ValueError(f"state {token.state} is outside 1..{S}")
+    return _token_id(token.state, token.symb, token.move)
 
 
 def decode_token(S: int, token_id: int) -> TMToken:
@@ -166,8 +168,8 @@ def pre(omega: Sequence[int], S: int) -> TokenSeq:
     if any(bit not in (0, 1) for bit in omega):
         raise ValueError("machine input must be bits")
     alphabet = tm_alphabet(S)
-    ids = [_token_id(S, 1, BLANK, 1)]
-    ids.extend(_token_id(S, 1, bit, 1) for bit in omega)
+    ids = [_token_id(1, BLANK, 1)]
+    ids.extend(_token_id(1, bit, 1) for bit in omega)
     return TokenSeq(alphabet, tuple(ids))
 
 
@@ -335,7 +337,7 @@ class TMGenerator(Generator):
 
     @cached_property
     def _entry_ids(self) -> tuple[int, ...]:
-        return tuple(_token_id(self.S, s2, a, b) for s2, a, b in self.table)
+        return tuple(_token_id(s2, a, b) for s2, a, b in self.table)
 
     def _step_token(self, state: int, read) -> int:
         """The table entry for (state, read), as a token id."""
@@ -344,7 +346,7 @@ class TMGenerator(Generator):
 
 def trace_tokens(trace: TMTrace, S: int) -> list[int]:
     """The per-step (state, write, move) records as token ids."""
-    return [_token_id(S, s, a, b) for s, a, b, _, _ in trace.steps]
+    return [_token_id(s, a, b) for s, a, b, _, _ in trace.steps]
 
 
 DEFAULT_ENTRY = (1, 0, 0)

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,36 +303,6 @@ class TestPostVerification:
         for path in paths:
             tree = ast.parse(path.read_text(), str(path))
             assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
-
-    def test_library_uses_every_private_name(self):
-        """A private function, class or module-level name that nothing in the
-        library reads outside its own definition is a leftover: a removal
-        left it behind, or only tests still call it."""
-
-        def reads(node):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-                    yield sub.id
-                elif isinstance(sub, ast.Attribute):
-                    yield sub.attr
-
-        paths = sorted((Path(__file__).resolve().parents[1] / "src" / "cotlearn").glob("*.py"))
-        trees = [ast.parse(path.read_text(), str(path)) for path in paths]
-        total = Counter(name for tree in trees for name in reads(tree))
-        definitions = []
-        for tree in trees:
-            for node in tree.body:
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    definitions += [(sub.id, node) for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
-            definitions += [
-                (node.name, node) for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            ]
-        private = [(name, node) for name, node in definitions if name.startswith("_") and not name.startswith("__")]
-        assert len(private) > 50
-        unread = sorted({name for name, node in private if total[name] == Counter(reads(node))[name]})
-        assert not unread, unread
 
 
 def marker_led_histories(S):

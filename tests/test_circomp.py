@@ -15,9 +15,7 @@ from cotlearn.circomp import (
     compile_circuit,
     eval_circuit,
     eval_circuit_values,
-    eval_with_bias,
     feature_map,
-    fold_bias,
     format_circuit,
     is_normalized,
     make_circuit,
@@ -26,6 +24,10 @@ from cotlearn.circomp import (
     random_normalized_circuit,
     verify_compilation,
 )
+
+# AND of two bits with each gate's bias folded onto a third, always-1 input:
+# layer 1 is a + b - 3/2 >= 0, layer 2 the identity on it (g - 1/2 >= 0).
+_FOLDED_AND = make_circuit(3, [[[1, 1, Fraction(-3, 2)]], [[0, 0, Fraction(-1, 2), 1]]])
 
 
 @st.composite
@@ -87,12 +89,8 @@ class TestEval:
         assert eval_circuit(c, [1]) == 0
 
     def test_and_via_bias_fold_two_layers(self):
-        c = fold_bias(2, [
-            [([1, 1], Fraction(-3, 2))],
-            [([0, 0, 1], Fraction(-1, 2))],  # identity on the layer-1 gate
-        ])
         for a, b in itertools.product((0, 1), repeat=2):
-            assert eval_with_bias(c, [a, b]) == (a & b)
+            assert eval_circuit(_FOLDED_AND, [a, b, 1]) == (a & b)
 
     def test_size_mismatch(self):
         c = make_circuit(2, [[[1, 1]]])
@@ -290,11 +288,7 @@ class TestVerify:
             assert comp.d <= 2 * (s + 2) ** L * (n + 1)
 
     def test_bias_fold_compiles_and_verifies(self):
-        with_bias = fold_bias(2, [
-            [([1, 1], Fraction(-3, 2))],
-            [([0, 0, 1], Fraction(-1, 2))],
-        ])
-        norm = normalize_circuit(with_bias)
+        norm = normalize_circuit(_FOLDED_AND)
         comp = compile_circuit(norm)
         report = verify_compilation(norm, comp)
         assert report.ok

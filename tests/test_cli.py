@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -757,3 +758,66 @@ def test_non_integer_in_a_file_is_named(tmp_path, capsys, command, good, bad, na
     path.write_text(text.replace(good, bad))
     assert main([str(path) if a == "{}" else str(circuit) if a == "{circuit}" else a for a in argv]) == 2
     assert_one_error_line(capsys, *names)
+
+
+def test_library_fault_exits_one_with_one_error_line(tmp_path, capsys, monkeypatch):
+    """A result that fails the library's own post-verification is an
+    internal fault: exit 1 and one "error:" line, not a traceback."""
+    from cotlearn import linthresh
+
+    path = tmp_path / "cots.txt"
+    path.write_text("1,0\n")
+    monkeypatch.setattr(linthresh, "solve_feasibility", lambda constraints, num_vars: (Fraction(0),) * num_vars)
+    assert main(["learn", "--family", "linthresh:d=2", "--mode", "cot", "--T", "1", "--data", str(path)]) == 1
+    assert assert_one_error_line(capsys, "internal fault", "LP solution failed post-verification") == ""
+
+
+# A bad line in a dataset file, as (mode, text, what the error names
+# after the file and line).
+_BAD_DATASET_LINES = [
+    ("cot", "0,1,1\n0,x,1\n", ("line 2: ", "unknown token 'x'")),
+    ("cot", "0,1,1\n\n1\n", ("line 3: ", "record of length 1 cannot carry 2 generated tokens")),
+    ("e2e", "0,1\t1\n0\t2\n", ("line 2, label: ", "unknown token '2'")),
+    ("e2e", "0,1\t1\n0,y\t1\n", ("line 2: ", "unknown token 'y'")),
+    ("e2e", "0,1 1\n", ("line 1: ", "expected 'sequence<TAB>label'")),
+]
+
+
+@pytest.mark.parametrize("mode, text, names", _BAD_DATASET_LINES)
+def test_bad_dataset_line_is_named(tmp_path, capsys, mode, text, names):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    assert main(["learn", "--family", "linthresh:d=2", "--mode", mode, "--T", "2", "--data", str(path)]) == 2
+    assert_one_error_line(capsys, f"{path}, ", *names)
+
+
+@pytest.mark.parametrize("command", ["generate-tm", "generate-threshold", "simulate-tm"])
+def test_mutated_input_file_exits_with_a_code(tmp_path, capsys, command):
+    """Seeded mutations of a good input file (characters deleted, inserted
+    or copied): no exception escapes ``main``, every run exits 0, 1 or 2,
+    and exit 2 prints exactly one "error:" line."""
+    argv, good = _CONTRACT[command]
+    path = tmp_path / "input.txt"
+    argv = [str(path) if a == "{}" else a for a in argv]
+    rng = random.Random(command)
+    codes = set()
+    for _ in range(200):
+        text = list(good)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                del text[i:i + rng.randint(1, 3)]
+            elif op == 1:
+                text.insert(i, rng.choice("0123456789_+-:>x/. \t\n"))
+            else:
+                j = rng.randrange(len(text) + 1)
+                text[i:i] = text[j:j + rng.randint(1, 6)]
+        path.write_text("".join(text))
+        code = main(argv)
+        codes.add(code)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code in (0, 1, 2), ("".join(text), code)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error:"), ("".join(text), err)
+    assert {0, 2} <= codes

@@ -175,6 +175,15 @@ class TestPrePost:
         with pytest.raises(ValueError):
             post(TMToken(1, BLANK, 1))
 
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_encode_token_inverts_decode_token_and_refuses_a_state_outside_S(self, S):
+        for token_id in range(9 * S):
+            assert encode_token(S, decode_token(S, token_id)) == token_id
+        # unchecked, these gave 9S and 9S + 5 (past the alphabet) and -5
+        for token in (TMToken(S + 1, 0, -1), TMToken(S + 1, 1, 1), TMToken(0, 1, 0)):
+            with pytest.raises(ValueError, match=f"outside 1..{S}"):
+                encode_token(S, token)
+
 
 class TestConsTm:
     def _dataset(self, spec, omegas, rng=None):
