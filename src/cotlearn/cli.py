@@ -317,8 +317,6 @@ def _requested_workers() -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _parse_config(_read(args.config))
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     _check_out_path(cfg["out"])
     requested = _requested_workers()
     fam = lbfamilies.parse_family_spec(cfg["family"])
@@ -412,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a learning-curve grid from a key=value config")
     p.add_argument("config")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -342,15 +342,9 @@ def default_pool(family: LookupFamily) -> PointPool:
     """Canonical points plus their one-token continuations, capped at the guard."""
     if not isinstance(family, LookupFamily):
         raise ValueError(f"{type(family).__name__} has no canonical point pool")
-    pts = [p.tokens for p in family.canonical_points()]
-    extended = list(pts)
-    for p in pts:
-        for bit in (0, 1):
-            if len(extended) >= POOL_GUARD:
-                break
-            cand = p + (bit,)
-            if cand not in extended:
-                extended.append(cand)
+    # points share one length, so no continuation repeats a point
+    pts = family._points[:POOL_GUARD]
+    extended = pts + tuple(p + (bit,) for p in pts for bit in (0, 1))
     return PointPool(tuple(BINARY.seq(p) for p in extended[:POOL_GUARD]))
 
 

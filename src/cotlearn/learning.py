@@ -3,9 +3,9 @@
 Two supervision regimes share one evaluation target, the T-step answer.
 Full-generation supervision reduces to a single next-token consistency
 call: each length-(|x|+T) record expands into T (prefix, next token)
-pairs, and any generator consistent with all of them reproduces every
-record end to end. Answer-only supervision searches the family for a
-member whose T-step answers match.
+pairs, the answer pairs at horizon 1, and any generator consistent with
+all of them reproduces every record end to end. Answer-only supervision
+searches the family for a member whose T-step answers match.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class E2EDataset:
         alphabet = self.alphabet
         size = len(alphabet)
         for x, y in self.pairs:
-            if x.alphabet != alphabet:
+            if x.alphabet is not alphabet and x.alphabet != alphabet:
                 raise ValueError("all prompts must share one alphabet")
             if not 0 <= y < size:
                 raise ValueError("label outside the alphabet")
@@ -86,21 +86,8 @@ class CoTDataset:
         return self.seqs[i][:-(self.T + 1)]
 
 
-@dataclass(frozen=True)
-class PrefixDataset:
-    """(prefix, next token) supervision pairs."""
-
-    pairs: tuple[tuple[TokenSeq, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def prefix_expand(dataset: CoTDataset) -> PrefixDataset:
-    """Expand each record into its T (prefix, next token) pairs.
+def prefix_expand(dataset: CoTDataset) -> E2EDataset:
+    """Expand each record into its T (prefix, next token) pairs: answer pairs at horizon 1.
 
     For a record z and each t = 1..T the pair is (z without its last t
     tokens, the t-th token from the end), that is ``(z[:-(t + 1)], z[-t])``
@@ -113,7 +100,7 @@ def prefix_expand(dataset: CoTDataset) -> PrefixDataset:
         n = len(toks)
         for t in range(1, dataset.T + 1):
             pairs.append((TokenSeq(alphabet, toks[:n - t]), toks[n - t]))
-    return PrefixDataset(tuple(pairs))
+    return E2EDataset(tuple(pairs), 1)
 
 
 ConsistencyOracle = Callable[[Sequence[tuple[TokenSeq, int]]], Generator]

@@ -26,6 +26,7 @@ from .seqcore import (
     GuardExceededError,
     NotRealizableError,
     TokenSeq,
+    _check_alphabet,
     parse_int,
 )
 from .simplex import solve_feasibility
@@ -141,8 +142,7 @@ class LinearThreshold(Generator):
         return IntegerThreshold.of(((d - j, w) for j, w in enumerate(self.weights)), self.bias)
 
     def next_token(self, x: TokenSeq) -> int:
-        if x.alphabet != BINARY:
-            raise ValueError("linear thresholds are defined over the binary alphabet")
+        _check_alphabet(self, x)
         return 1 if self.integer_form.total(x.tokens) >= 0 else 0
 
     def generate(self, tokens: list[int], T: int) -> None:

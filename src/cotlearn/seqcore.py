@@ -141,8 +141,6 @@ class TokenSeq:
         return TokenSeq(self.alphabet, self.tokens[start - 1:stop])
 
     def append(self, token: int) -> "TokenSeq":
-        if not 0 <= token < len(self.alphabet):
-            raise ValueError("token index out of range for the alphabet")
         return TokenSeq(self.alphabet, self.tokens + (token,))
 
     def render(self) -> str:
@@ -193,6 +191,7 @@ class ConstantGenerator(Generator):
     token: int
 
     def next_token(self, x: TokenSeq) -> int:
+        _check_alphabet(self, x)
         return self.token
 
 

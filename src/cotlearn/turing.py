@@ -345,8 +345,8 @@ class TMGenerator(Generator):
 
 
 def trace_tokens(trace: TMTrace, S: int) -> list[int]:
-    """The per-step (state, write, move) records as token ids."""
-    return [_token_id(s, a, b) for s, a, b, _, _ in trace.steps]
+    """The per-step (state, write, move) records as token ids of the S-state alphabet."""
+    return [encode_token(S, TMToken(s, a, b)) for s, a, b, _, _ in trace.steps]
 
 
 DEFAULT_ENTRY = (1, 0, 0)

@@ -230,7 +230,7 @@ def test_criterion_6_tm_cot_learning():
         gen = TMGenerator(spec.S, spec.table)
         prompts = [support[rng.randrange(len(support))] for _ in range(m)]
         data = CoTDataset(tuple(cot(gen, x, T) for x in prompts), T)
-        pinned = {read_tape(u) for u, _ in prefix_expand(data)}
+        pinned = {read_tape(u) for u, _ in prefix_expand(data).pairs}
         reachable = set()
         for x in support:
             z = cot(gen, x, T)
@@ -249,7 +249,7 @@ def test_criterion_6_tm_cot_learning():
     for scale in (40, 80, 160, 320, 640):
         prompts = [support[rng.randrange(len(support))] for _ in range(scale)]
         data = CoTDataset(tuple(cot(gen, x, T) for x in prompts), T)
-        total_len = sum(len(u) for u, _ in prefix_expand(data))
+        total_len = sum(len(u) for u, _ in prefix_expand(data).pairs)
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
@@ -302,7 +302,7 @@ def test_criterion_7_lp_consistency():
         except NotRealizableError:
             failures += 1
             continue
-        if any(learned.next_token(u) != v for u, v in prefix_expand(data)):
+        if any(learned.next_token(u) != v for u, v in prefix_expand(data).pairs):
             failures += 1
 
     xor_pairs = [(BINARY.seq([a, b]), a ^ b) for a in (0, 1) for b in (0, 1)]
@@ -329,7 +329,7 @@ def test_criterion_8_growth_sanity():
         f_star = fam.random_member(rng)
         prompts = [pts[rng.randrange(len(pts))] for _ in range(3)]
         records = CoTDataset(tuple(cot(f_star, x, 2) for x in prompts), 2)
-        prefixes = [u for u, _ in prefix_expand(records)]
+        prefixes = [u for u, _ in prefix_expand(records).pairs]
         lhs = loss_class_behavior_count(fam, records.seqs, 2)
         rhs = growth_count(fam, prefixes, "base")
         if lhs > rhs:

@@ -153,6 +153,13 @@ class TestLearn:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
+    @pytest.mark.parametrize("mode", ["cot", "e2e"])
+    def test_dataset_without_examples_is_input_error(self, tmp_path, capsys, mode):
+        path = tmp_path / "data.txt"
+        path.write_text("\n  \n")
+        assert main(["learn", "--family", "e1:D=1,T=2", "--mode", mode, "--data", str(path)]) == 2
+        assert assert_one_error_line(capsys, f"dataset {path} holds no examples") == ""
+
     def test_unrealizable_is_failure_exit(self, tmp_path):
         data_path = tmp_path / "bad.txt"
         data_path.write_text("1,0,1,1\n1,0,0,0\n")  # same prompt, different generations
@@ -173,6 +180,44 @@ class TestCompileCircuit:
         text = capsys.readouterr().out
         assert "OK 4/4 inputs" in text
         assert out.read_text().splitlines()[1].startswith("T=")
+
+    def test_failed_verification_prints_at_most_ten_failures(self, tmp_path, capsys, monkeypatch):
+        """A compile whose off-schedule sentinel is zeroed fails on every
+        input: exit 1, the FAILED summary, then the first ten failures."""
+        from test_circomp import zero_off_schedule_sentinel
+
+        from cotlearn import circomp
+
+        compile_circuit = circomp.compile_circuit
+        monkeypatch.setattr(circomp, "compile_circuit", lambda c: zero_off_schedule_sentinel(compile_circuit(c)))
+        p = tmp_path / "circ.txt"
+        p.write_text(format_circuit(random_normalized_circuit(random.Random(10), 4, 2, 2)))
+        assert main(["compile-circuit", str(p), "--verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("compiled: T=")
+        summary = lines[1].split()
+        assert summary[0] == "FAILED" and int(summary[1]) > 10 and summary[3:6] == ["over", "16", "inputs"]
+        assert len(lines) == 12 and all(line.startswith("  x=") for line in lines[2:])
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1 1\n1 1 : 1 1\n2 1 : 1 1 1\n", "gate (2,1) outside the declared 1x1 grid"),
+        ("2 1 1\n1 1 : 1 1\n1 1 : 1 -1\n", "duplicate gate (1,1)"),
+    ])
+    def test_gate_file_error_is_input_error(self, tmp_path, capsys, text, message):
+        p = tmp_path / "circ.txt"
+        p.write_text(text)
+        assert main(["compile-circuit", str(p)]) == 2
+        assert assert_one_error_line(capsys, message) == ""
+
+    def test_compiled_file_without_horizon_line_is_input_error(self, tmp_path, capsys):
+        circuit = tmp_path / "circ.txt"
+        circuit.write_text(format_circuit(random_normalized_circuit(random.Random(1), 2, 2, 1)))
+        compiled = tmp_path / "compiled.txt"
+        assert main(["compile-circuit", str(circuit), "--out", str(compiled)]) == 0
+        capsys.readouterr()
+        compiled.write_text(compiled.read_text().splitlines()[0] + "\n")
+        assert main(["compile-circuit", str(circuit), "--compiled", str(compiled)]) == 2
+        assert assert_one_error_line(capsys, "compiled file must hold a threshold line and a T= line") == ""
 
     def test_corrupted_compiled_file_detected(self, tmp_path):
         import random
@@ -265,6 +310,16 @@ class TestSimulateTm:
             assert main(["simulate-tm", str(p), "--input", bits, "--check"]) == 0
             capsys.readouterr()
 
+    def test_check_reports_a_disagreement(self, tm_file, capsys, monkeypatch):
+        from cotlearn import turing
+
+        simulate = turing.simulate_tm
+        monkeypatch.setattr(turing, "simulate_tm", lambda spec, omega: (1 - simulate(spec, omega)[0], None))
+        assert main(["simulate-tm", tm_file, "--input", "0", "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["disagreement: {'direct': 0, 'autoregressive': 1, 'attention': 1}"]
+
     def test_trace_shown(self, tm_file, capsys):
         assert main(["simulate-tm", tm_file, "--input", "1", "--trace"]) == 0
         out = capsys.readouterr().out
@@ -274,6 +329,12 @@ class TestSimulateTm:
         p = tmp_path / "bad.tm"
         p.write_text("1 1\n1 0 -> nope\n")
         assert main(["simulate-tm", str(p), "--input", "0"]) == 2
+
+    def test_duplicate_transition_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.tm"
+        p.write_text(format_tm(ALWAYS_ONE) + "1 0 -> 1 0 0\n")
+        assert main(["simulate-tm", str(p), "--input", "0"]) == 2
+        assert assert_one_error_line(capsys, "duplicate transition for state 1, read 0") == ""
 
 
 def _named_in_refusal(override: dict) -> list[str]:
@@ -315,6 +376,10 @@ class TestVcdim:
     def test_non_integer_family_argument_is_named(self, spec, names, capsys):
         assert main(["vcdim", "--family", spec]) == 2
         assert_one_error_line(capsys, *names)
+
+    def test_e2e_mode_needs_a_horizon_the_family_lacks(self, capsys):
+        assert main(["vcdim", "--family", "ldim:D=3", "--mode", "e2e"]) == 2
+        assert assert_one_error_line(capsys, "this family needs an explicit --T") == ""
 
     def test_horizon_does_not_apply_to_base_mode(self, capsys):
         # ignoring it would print the base dimension as if --T had been used
@@ -397,6 +462,10 @@ class TestExperiment:
         cfg.write_text("family=e1:D=2,T=2\n")
         assert main(["experiment", str(cfg)]) == 2
 
+    def test_comment_and_blank_lines_are_skipped(self):
+        text = "# a grid\n\nfamily=e1:D=2,T=2\n  # indented\nmode=cot\nt=2\nsizes=1\ntrials=1\nseed=5\nout=r.csv\n"
+        assert _parse_config(text)["family"] == "e1:D=2,T=2"
+
     def test_repeated_key_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         _write_config(cfg, t=2)
@@ -471,6 +540,50 @@ class TestExperiment:
         with open(tmp_path / "rows.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5 and rows[-1]["status"] == "ok"
+
+    def test_seed_option_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", str(cfg), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_guard_refused_trials_are_failed_rows(self, tmp_path, capsys):
+        """Answer-only learning on tm:S=2 would scan 2,985,984 tables: every
+        trial is refused by the member guard and written as a failed row."""
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg, family="tm:S=2", mode="e2e", t=2, sizes="1,2", trials=2, input_len=1)
+        assert main(["experiment", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["m=1: no successful trials", "m=2: no successful trials"]
+        rows = _timeless_rows(tmp_path / "rows.csv")
+        assert len(rows) == 4
+        assert all((r["status"], r["error"], r["error_frac"]) == ("failed:GuardExceededError", "", "") for r in rows)
+
+    @pytest.mark.parametrize("family", ["linthresh:d=2", "sparse:d=3,k=1"])
+    def test_threshold_rows_are_direct_trials(self, tmp_path, capsys, family):
+        """Each row of a threshold grid is ``pac_trial`` on prompts of 1 to
+        input_len bits, with the row's seed and its seeded target."""
+        from cotlearn.learning import BitStringPrompts, pac_trial, trial_seed
+        from cotlearn.lbfamilies import parse_family_spec
+
+        cfg = tmp_path / "exp.cfg"
+        _write_config(cfg, family=family, t=3, sizes="0,2", trials=2, input_len=3)
+        assert main(["experiment", str(cfg)]) == 0
+        rows = _timeless_rows(tmp_path / "rows.csv")
+        fam = parse_family_spec(family)
+        expected = []
+        for index, (m, trial) in enumerate([(0, 0), (0, 1), (2, 0), (2, 1)]):
+            seed = trial_seed(5, index)
+            f_star = fam.random_member(random.Random(seed ^ 0xA5A5A5A5))
+            error = pac_trial(fam, f_star, BitStringPrompts(1, 3), m, 3, "cot", 50, seed).error
+            expected.append({
+                "family": family, "mode": "cot", "T": "3", "m": str(m), "trial": str(trial), "seed": str(seed),
+                "error": f"{float(error):.6f}", "error_frac": f"{error.numerator}/{error.denominator}", "status": "ok",
+            })
+        assert rows == expected
+        assert any(r["error"] != "0.000000" for r in rows)
 
     def test_worker_pool_matches_serial(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "exp.cfg"

@@ -115,6 +115,19 @@ class TestDimensions:
         assert vcdim_bruteforce(fam, pool, "base") == 1
         assert vcdim_bruteforce(fam, pool, "e2e", D + 1) == D
 
+    def test_default_pool_matches_the_deduplicating_loop(self):
+        """The pool as it was built before: points, then each point's
+        continuations by 0 and 1 unless already present, stopping at the guard."""
+        families = [E1Family(D, T) for D in range(1, 6) for T in range(1, 6)] + [E1Family(256, 256)]
+        families += [LdimFamily(D) for D in range(1, 9)] + [CollapseFamily(D) for D in range(1, 11)]
+        for fam in families:
+            extended = [p.tokens for p in fam.canonical_points()]
+            for p in list(extended):
+                for bit in (0, 1):
+                    if len(extended) < lbfamilies.POOL_GUARD and p + (bit,) not in extended:
+                        extended.append(p + (bit,))
+            assert [p.tokens for p in default_pool(fam).points] == extended[:lbfamilies.POOL_GUARD], fam
+
     def test_singleton_family_is_dimension_zero(self):
         class One(E1Family):
             def members(self):
@@ -210,7 +223,7 @@ class TestGrowth:
         pts = fam.canonical_points()
         prompts = [pts[rng.randrange(len(pts))] for _ in range(3)]
         records = CoTDataset(tuple(cot(f_star, x, 2) for x in prompts), 2)
-        prefixes = [u for u, _ in prefix_expand(records)]
+        prefixes = [u for u, _ in prefix_expand(records).pairs]
         lhs = loss_class_behavior_count(fam, records.seqs, 2)
         rhs = growth_count(fam, prefixes, "base")
         assert lhs <= rhs
@@ -226,7 +239,7 @@ class TestOracles:
         data = CoTDataset(tuple(cot(f_star, x, 8) for x in prompts), 8)
         oracle = fam.cons_oracle()
         learned = oracle(prefix_expand(data).pairs)
-        for u, v in prefix_expand(data):
+        for u, v in prefix_expand(data).pairs:
             assert learned.next_token(u) == v
 
     def test_e1_oracle_matches_enumeration_on_small_instances(self):

@@ -104,7 +104,12 @@ class TestPrefixExpand:
     def test_slice_arithmetic(self):
         z = seq([1, 0, 1])  # stands for [a, b, c]
         out = prefix_expand(CoTDataset((z,), 2))
-        assert [(u.tokens, v) for u, v in out] == [((1, 0), 1), ((1,), 0)]
+        assert [(u.tokens, v) for u, v in out.pairs] == [((1, 0), 1), ((1,), 0)]
+
+    def test_pairs_are_answer_pairs_at_horizon_one(self):
+        out = prefix_expand(CoTDataset((seq([1, 0, 1]), seq([0, 1, 1])), 2))
+        assert isinstance(out, E2EDataset) and out.T == 1 and out.alphabet == BINARY
+        assert prefix_expand(CoTDataset((), 3)) == E2EDataset((), 1)
 
     def test_cardinality_law(self):
         f = make_threshold([1, -1], 0)
@@ -115,7 +120,7 @@ class TestPrefixExpand:
     def test_pairs_satisfy_the_generating_rule(self):
         f = make_threshold([2, -1], Fraction(-1, 2))
         data = CoTDataset(tuple(cot(f, seq(x), 3) for x in ([1], [0, 1], [1, 1, 0])), 3)
-        for u, v in prefix_expand(data):
+        for u, v in prefix_expand(data).pairs:
             assert f.next_token(u) == v
 
     @settings(max_examples=150, deadline=None)
@@ -173,6 +178,12 @@ class TestConsCot:
         fam = E1Family(2, 2)
         learned = cons_cot(CoTDataset((), 2), fam.cons_oracle())
         assert learned == fam.default_member()
+
+    def test_oracle_output_that_misses_a_record_is_refused(self):
+        # the constant 0 reproduces record 0 and misses record 1, which generates 1s
+        data = CoTDataset((seq([1, 0, 0]), seq([0, 1, 1])), 2)
+        with pytest.raises(NotRealizableError, match="fails to reproduce record 1"):
+            cons_cot(data, lambda pairs: ConstantGenerator(BINARY, 0))
 
     def test_unrealizable_surfaces(self):
         z = seq([1, 0, 1, 1])
@@ -318,6 +329,12 @@ class TestPacTrial:
         assert 0 <= r.error <= 1
         assert r.learned == fam.default_member()
 
+    def test_zero_samples_learns_the_sparse_default_member(self):
+        fam = SparseThresholdFamily(3, 1)
+        f_star = fam.random_member(random.Random(5))
+        r = pac_trial(fam, f_star, BitStringPrompts(1, 3), 0, 2, "e2e", eval_n=50, seed=12)
+        assert r.learned == fam.default_member() and r.exact_eval
+
     def test_reproducible(self):
         fam = E1Family(2, 2)
         dist = FiniteUniformPrompts(fam.canonical_points())
@@ -345,6 +362,8 @@ class TestPacTrial:
         with pytest.raises(ValueError, match="family offers no next-token consistency oracle"):
             pac_trial(fam, f_star, dist, 3, 2, "cot", eval_n=8, seed=15)
         assert pac_trial(fam, f_star, dist, 3, 2, "e2e", eval_n=8, seed=15).error == 0
+        # with no sample, the first member, by the family's default
+        assert pac_trial(fam, f_star, dist, 0, 2, "e2e", eval_n=8, seed=15).learned == ConstantGenerator(BINARY, 0)
 
     def test_monte_carlo_path(self):
         # a support too large for exact evaluation falls back to sampling

@@ -35,7 +35,7 @@ class TestAlphabet:
     def test_parse_render_round_trip(self):
         s = BINARY.parse_seq("0,1,1,0")
         assert s.tokens == (0, 1, 1, 0)
-        assert s.render() == "0,1,1,0"
+        assert s.render() == str(s) == "0,1,1,0"
         assert BINARY.parse_seq("").tokens == ()
 
 
@@ -84,6 +84,11 @@ class TestIndexing:
         with pytest.raises(ValueError):
             s.append(7)
 
+    @pytest.mark.parametrize("token", [7, -1, 0.5, "a", None])
+    def test_append_refuses_what_the_constructor_refuses(self, token):
+        with pytest.raises(ValueError, match="token index out of range for the alphabet"):
+            seq([0]).append(token)
+
     @pytest.mark.parametrize("tokens", [(0.5,), (-1,), (2,), (1, 0, 2), (0, -1, 1)])
     def test_rejects_tokens_outside_the_alphabet(self, tokens):
         """0.5 lies between 0 and 2 but is no token index; render() would die on it."""
@@ -100,7 +105,7 @@ class TestGeneration:
     def test_apply_and_append_constant(self):
         f = ConstantGenerator(BINARY, 1)
         out = apply_and_append(f, seq([0]))
-        assert out.tokens == (0, 1)
+        assert out.tokens == (0, 1) and f(seq([0])) == 1
 
     def test_apply_and_append_threshold(self):
         f = make_threshold([1], 0)  # outputs 1 on every binary input

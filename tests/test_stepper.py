@@ -23,6 +23,7 @@ from cotlearn.linthresh import LinearThreshold, SparseLinearThreshold, make_thre
 from cotlearn.seqcore import (
     BINARY,
     Alphabet,
+    AlphabetMismatchError,
     ConstantGenerator,
     Generator,
     TokenSeq,
@@ -628,3 +629,21 @@ def test_one_generate_call_per_chain(monkeypatch):
         calls.clear()
         cot_time_dependent([f] * 4, x)
         assert calls == [1] * 4, f
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        make_threshold([1, -1], 0),
+        SparseLinearThreshold(3, 1, (2,), (Fraction(1),), Fraction(-1, 2)),
+        ConstantGenerator(BINARY, 1),
+    ],
+    ids=lambda f: type(f).__name__,
+)
+def test_next_token_refuses_another_alphabet(f):
+    """A ternary history read by a binary generator, as ``cot`` refuses it."""
+    z = Alphabet(("0", "1", "2")).seq((1, 0, 2))
+    with pytest.raises(AlphabetMismatchError):
+        f.next_token(z)
+    with pytest.raises(AlphabetMismatchError):
+        cot(f, z, 1)

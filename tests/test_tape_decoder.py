@@ -295,7 +295,7 @@ def test_cons_tm_matches_reading_in_order(data):
     pairs = []
     for S_run, seed, T in runs:
         z = machine_run(S_run, T, seed)
-        pairs.extend(prefix_expand(CoTDataset((z,), T)))
+        pairs.extend(prefix_expand(CoTDataset((z,), T)).pairs)
     extra = data.draw(st.lists(st.tuples(st.integers(1, 3).flatmap(any_history), st.integers(0, 8)),
                                max_size=3), label="extra")
     pairs.extend((TokenSeq(u.alphabet, u.tokens[:data.draw(st.integers(0, len(u)))]), v) for u, v in extra)

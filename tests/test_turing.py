@@ -184,6 +184,17 @@ class TestPrePost:
             with pytest.raises(ValueError, match=f"outside 1..{S}"):
                 encode_token(S, token)
 
+    def test_trace_tokens_decode_to_the_steps_and_refuse_a_state_outside_S(self):
+        # states 1 -> 2 -> 3 -> 3; unchecked, S = 1 gave ids 14, 20 and 22, past the 9-token alphabet
+        spec = TMSpec(3, 3, ((2, 1, 1),) * 3 + ((3, 0, 1),) * 3 + ((3, 1, 0),) * 3)
+        _, trace = simulate_tm(spec, [1, 0])
+        ids = trace_tokens(trace, 3)
+        assert [tuple(decode_token(3, t)) for t in ids] == [step[:3] for step in trace.steps]
+        assert trace_tokens(trace, 4) == ids
+        for S in (1, 2):
+            with pytest.raises(ValueError, match=f"state {S + 1} is outside 1..{S}"):
+                trace_tokens(trace, S)
+
 
 class TestConsTm:
     def _dataset(self, spec, omegas, rng=None):
@@ -200,7 +211,7 @@ class TestConsTm:
             data = self._dataset(spec, omegas)
             learned = cons_cot(data, fam.cons_oracle())
             # consistency with every training prefix, re-evaluated through the generator
-            for u, v in prefix_expand(data):
+            for u, v in prefix_expand(data).pairs:
                 assert learned.next_token(u) == v
 
     def test_full_coverage_recovers_exactly(self):
@@ -208,7 +219,7 @@ class TestConsTm:
         spec = TMSpec(1, 6, ((1, 1, 1), (1, 0, 1), (1, 1, -1)))
         data = self._dataset(spec, [[0, 1], [1, 1], [], [0], [1], [0, 0], [1, 0]])
         learned = cons_cot(data, TMFamily(1).cons_oracle())
-        pinned = {read_tape(u) for u, _ in prefix_expand(data)}
+        pinned = {read_tape(u) for u, _ in prefix_expand(data).pairs}
         assert len(pinned) == 3, f"expected full coverage, pinned only {pinned}"
         assert learned.table == spec.table
 
