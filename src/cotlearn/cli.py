@@ -16,7 +16,6 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import circomp, lbfamilies, linthresh, turing
 from .learning import (
@@ -104,7 +103,7 @@ def _serialize_generator(f, T: int) -> str:
         return turing.format_tm(turing.TMSpec(f.S, T, f.table))
     if isinstance(f, lbfamilies.LookupGenerator):
         return "b=" + "".join(str(bit) for bit in f.b) + "\n"
-    return repr(f) + "\n"
+    raise RuntimeError(f"no file format for a {type(f).__name__}")
 
 
 def _horizon(args, fam) -> int:
@@ -147,8 +146,7 @@ def cmd_compile_circuit(args) -> int:
     compiled = circomp.compile_circuit(normalized)
 
     if args.compiled:
-        loaded_w, loaded_T = _load_compiled(args.compiled)
-        if loaded_w != compiled.w or loaded_T != compiled.T:
+        if linthresh.parse_threshold(_read(args.compiled).strip()) != compiled.generator():
             print("compiled file does not match this circuit", file=sys.stderr)
             return EXIT_FAIL
 
@@ -158,7 +156,6 @@ def cmd_compile_circuit(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(linthresh.format_threshold(compiled.generator()) + "\n")
-            fh.write(f"T={compiled.T}\n")
 
     print(f"compiled: T={compiled.T} d={compiled.d} (from n={normalized.n}, s={normalized.width}, L={normalized.depth})")
 
@@ -171,18 +168,14 @@ def cmd_compile_circuit(args) -> int:
     return EXIT_OK
 
 
-def _load_compiled(path: str) -> tuple[tuple[Fraction, ...], int]:
-    lines = [ln for ln in _read(path).splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[1].startswith("T="):
-        raise ValueError("compiled file must hold a threshold line and a T= line")
-    f = linthresh.parse_threshold(lines[0])
-    return f.weights, parse_int(lines[1][2:], f"compiled file line {lines[1]!r}")
-
-
 # --------------------------------------------------------------- simulate-tm
 
 
 def cmd_simulate_tm(args) -> int:
+    if args.check and args.via is not None:
+        raise ValueError("--via does not apply to --check, which runs all three routes")
+    if args.check and args.trace:
+        raise ValueError("--trace does not apply to --check, which prints only the agreed answer")
     spec = turing.parse_tm(_read(args.machine))
     omega = _parse_bits(args.input if args.input is not None else "")
 
@@ -208,7 +201,7 @@ def cmd_simulate_tm(args) -> int:
         print(results["direct"])
         return EXIT_OK
 
-    print(run(args.via))
+    print(run(args.via or "direct"))
     if args.trace:
         _, trace = turing.simulate_tm(spec, omega)
         print(f"# s0={trace.s0} p0={trace.p0}")
@@ -253,9 +246,9 @@ def _parse_config(text: str) -> dict:
         if required not in cfg:
             raise ValueError(f"config is missing {required}=")
     cfg.setdefault("eval_n", "200")
-    cfg.setdefault("input_len", "4")
     for key in ("t", "trials", "seed", "eval_n", "input_len"):
-        cfg[key] = parse_int(cfg[key], f"config key {key!r}")
+        if key in cfg:
+            cfg[key] = parse_int(cfg[key], f"config key {key!r}")
     sizes = cfg["sizes"] = [parse_int(p, "config key 'sizes'") for p in cfg["sizes"].split(",")]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
@@ -272,14 +265,20 @@ def _parse_config(text: str) -> dict:
         raise ValueError("mode must be cot or e2e")
     if not 1 <= cfg["eval_n"] <= EXPERIMENT_MAX_EVAL_N:
         raise ValueError(f"eval_n must be between 1 and {EXPERIMENT_MAX_EVAL_N}")
-    if cfg["input_len"] < 0:
+    if cfg.get("input_len", 0) < 0:
         raise ValueError("input_len must be nonnegative")
     return cfg
 
 
-def _experiment_dist(fam, input_len: int) -> PromptDist:
+def _experiment_dist(fam, input_len: int | None) -> PromptDist:
+    """The prompts of a trial: a lookup family's canonical points, else the
+    inputs of up to ``input_len`` bits (default 4)."""
     if isinstance(fam, lbfamilies.LookupFamily):
+        if input_len is not None:
+            raise ValueError("input_len does not apply to a lookup family: its prompts are its canonical points")
         return FiniteUniformPrompts(fam.canonical_points())
+    if input_len is None:
+        input_len = 4
     if input_len > MAX_PROMPT_BITS:
         raise ValueError(f"input_len must be at most {MAX_PROMPT_BITS}")
     if isinstance(fam, turing.TMFamily):
@@ -321,7 +320,7 @@ def cmd_experiment(args) -> int:
     requested = _requested_workers()
     fam = lbfamilies.parse_family_spec(cfg["family"])
     T = cfg["t"]
-    dist = _experiment_dist(fam, cfg["input_len"])
+    dist = _experiment_dist(fam, cfg.get("input_len"))
 
     jobs = []
     for index, (m, trial) in enumerate(itertools.product(cfg["sizes"], range(cfg["trials"]))):
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-tm", help="run a machine directly, autoregressively, or via attention")
     p.add_argument("machine")
     p.add_argument("--input", required=True)
-    p.add_argument("--via", choices=("direct", "autoregressive", "attention"), default="direct")
+    p.add_argument("--via", choices=("direct", "autoregressive", "attention"), help="route to run (default: direct)")
     p.add_argument("--check", action="store_true", help="run all three routes and compare")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_simulate_tm)

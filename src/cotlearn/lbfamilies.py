@@ -320,32 +320,14 @@ class CollapseFamily(LookupFamily):
         return k - 1 if r == 0 else None
 
 
-@dataclass(frozen=True)
-class PointPool:
-    """The finite search domain a brute-force dimension estimate ran over."""
-
-    points: tuple[TokenSeq, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for p in self.points:
-            key = p.tokens
-            if key in seen:
-                raise ValueError("pool points must be distinct")
-            seen.add(key)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def default_pool(family: LookupFamily) -> PointPool:
+def default_pool(family: LookupFamily) -> tuple[TokenSeq, ...]:
     """Canonical points plus their one-token continuations, capped at the guard."""
     if not isinstance(family, LookupFamily):
         raise ValueError(f"{type(family).__name__} has no canonical point pool")
     # points share one length, so no continuation repeats a point
     pts = family._points[:POOL_GUARD]
     extended = pts + tuple(p + (bit,) for p in pts for bit in (0, 1))
-    return PointPool(tuple(BINARY.seq(p) for p in extended[:POOL_GUARD]))
+    return tuple(BINARY.seq(p) for p in extended[:POOL_GUARD])
 
 
 def _mode_label(mode: str, T: int | None):
@@ -374,17 +356,18 @@ def _behavior_masks(family: GeneratorFamily, points: Sequence[TokenSeq], label) 
     return masks
 
 
-def vcdim_bruteforce(family: GeneratorFamily, pool: PointPool, mode: str = "base", T: int | None = None) -> int:
-    """Largest pool subset on which the family realizes all labelings.
+def vcdim_bruteforce(family: GeneratorFamily, points: Sequence[TokenSeq], mode: str = "base", T: int | None = None) -> int:
+    """Largest subset of the points on which the family realizes all labelings.
 
     Searches subset sizes in increasing order and stops at the first size
     with no shattered subset, which is valid because shattering is
-    monotone under taking subsets.
+    monotone under taking subsets. A repeated point changes nothing: its
+    copies get equal bits, so no subset holding both is shattered.
     """
-    if len(pool) > POOL_GUARD:
-        raise GuardExceededError(f"pool of {len(pool)} exceeds the guard {POOL_GUARD}")
-    masks = _behavior_masks(family, pool.points, _mode_label(mode, T))
-    npoints = len(pool)
+    npoints = len(points)
+    if npoints > POOL_GUARD:
+        raise GuardExceededError(f"pool of {npoints} exceeds the guard {POOL_GUARD}")
+    masks = _behavior_masks(family, points, _mode_label(mode, T))
     dim = 0
     for k in range(1, npoints + 1):
         if len(masks) < (1 << k):

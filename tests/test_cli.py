@@ -1,5 +1,7 @@
 import csv
+import itertools
 import os
+import re
 import random
 import subprocess
 import sys
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cotlearn.cli import _CONFIG_KEYS, _parse_config, main
-from cotlearn.circomp import format_circuit, random_normalized_circuit
-from cotlearn.learning import CoTDataset, save_cot_dataset, save_e2e_dataset, E2EDataset
-from cotlearn.lbfamilies import E1Family
-from cotlearn.seqcore import cot, e2e
+from cotlearn.circomp import compile_circuit, eval_circuit, feature_map, format_circuit, random_normalized_circuit
+from cotlearn.learning import CoTDataset, cons_cot, load_cot_dataset, save_cot_dataset, save_e2e_dataset, E2EDataset
+from cotlearn.lbfamilies import E1Family, parse_family_spec
+from cotlearn.linthresh import parse_threshold
+from cotlearn.seqcore import BINARY, ConstantGenerator, cot, e2e
 from cotlearn.turing import TMFamily, TMGenerator, TMSpec, format_tm, pre
 
 ALWAYS_ONE = TMSpec(1, 2, ((1, 1, 1),) * 3)
@@ -105,6 +108,41 @@ class TestLearn:
         assert code == 0
         assert out_path.read_text().startswith("2 6\n")
 
+    @pytest.mark.parametrize("family", ["tm:S=2", "linthresh:d=3", "sparse:d=4,k=1"])
+    def test_learned_file_generates_the_learned_chains(self, tmp_path, capsys, family):
+        """``generate`` reads what ``learn --out`` writes, and each chain it
+        prints is the learned generator's chain on the same prompt."""
+        fam, T = parse_family_spec(family), 5
+        inputs = [bits for k in range(1, 5) for bits in itertools.product((0, 1), repeat=k)]
+        if family.startswith("tm"):
+            kind, option, prompts = "tm", "--input", [pre(bits, fam.S) for bits in inputs]
+        else:
+            kind, option, prompts = "threshold", "--prompt", [BINARY.seq(bits) for bits in inputs]
+        f_star = fam.random_member(random.Random(3))
+        data_path, out_path = tmp_path / "cots.txt", tmp_path / "learned.txt"
+        save_cot_dataset(data_path, CoTDataset(tuple(cot(f_star, x, T) for x in prompts[::2]), T))
+        assert main(["learn", "--family", family, "--mode", "cot", "--T", str(T),
+                     "--data", str(data_path), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        learned = cons_cot(load_cot_dataset(data_path, fam.alphabet, T), fam.cons_oracle())
+        for bits, x in zip(inputs, prompts):
+            value = "".join(map(str, bits)) if kind == "tm" else x.render()
+            assert main(["generate", str(out_path), "--kind", kind, option, value, "--T", str(T)]) == 0
+            assert capsys.readouterr().out.strip() == cot(learned, x, T).render(), (family, bits)
+
+    def test_generator_without_a_file_format_is_internal_fault(self, tmp_path, capsys, monkeypatch):
+        """A learner result of no known kind exits 1 with one "error:" line,
+        and ``learn --out`` writes no file."""
+        from cotlearn import cli
+
+        monkeypatch.setattr(cli, "cons_cot", lambda data, oracle: ConstantGenerator(BINARY, 1))
+        data_path, out_path = tmp_path / "cots.txt", tmp_path / "learned.txt"
+        data_path.write_text("1,1\n")
+        assert main(["learn", "--family", "linthresh:d=2", "--mode", "cot", "--T", "1",
+                     "--data", str(data_path), "--out", str(out_path)]) == 1
+        assert assert_one_error_line(capsys, "internal fault", "ConstantGenerator") == ""
+        assert not out_path.exists()
+
     def test_learn_cot_record_with_empty_prompt(self, tmp_path, capsys):
         # a record of length T is T tokens generated from the empty prompt
         data = tmp_path / "records.txt"
@@ -179,7 +217,8 @@ class TestCompileCircuit:
         assert main(["compile-circuit", str(p), "--out", str(out), "--verify"]) == 0
         text = capsys.readouterr().out
         assert "OK 4/4 inputs" in text
-        assert out.read_text().splitlines()[1].startswith("T=")
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 and parse_threshold(lines[0]) == compile_circuit(c).generator()
 
     def test_failed_verification_prints_at_most_ten_failures(self, tmp_path, capsys, monkeypatch):
         """A compile whose off-schedule sentinel is zeroed fails on every
@@ -209,15 +248,41 @@ class TestCompileCircuit:
         assert main(["compile-circuit", str(p)]) == 2
         assert assert_one_error_line(capsys, message) == ""
 
-    def test_compiled_file_without_horizon_line_is_input_error(self, tmp_path, capsys):
+    def test_compiled_file_in_the_old_format_is_input_error(self, tmp_path, capsys):
+        """A threshold line followed by a "T=" line is one weight too many."""
         circuit = tmp_path / "circ.txt"
         circuit.write_text(format_circuit(random_normalized_circuit(random.Random(1), 2, 2, 1)))
         compiled = tmp_path / "compiled.txt"
         assert main(["compile-circuit", str(circuit), "--out", str(compiled)]) == 0
         capsys.readouterr()
-        compiled.write_text(compiled.read_text().splitlines()[0] + "\n")
+        compiled.write_text(compiled.read_text() + "T=4\n")
         assert main(["compile-circuit", str(circuit), "--compiled", str(compiled)]) == 2
-        assert assert_one_error_line(capsys, "compiled file must hold a threshold line and a T= line") == ""
+        assert assert_one_error_line(capsys, "expected 9 weights, got 10") == ""
+
+    def test_compiled_circuit_is_generated_and_learned_back(self, tmp_path, capsys):
+        """compile -> generate -> learn -> generate at the CLI: the chains of
+        the compiled file on every input are learned back as a threshold of
+        the same dimension, whose last token is the circuit's output."""
+        c = random_normalized_circuit(random.Random(4), 3, 2, 1)
+        circuit, compiled = tmp_path / "circ.txt", tmp_path / "compiled.txt"
+        circuit.write_text(format_circuit(c))
+        assert main(["compile-circuit", str(circuit), "--out", str(compiled)]) == 0
+        T, d, n = map(int, re.match(r"compiled: T=(\d+) d=(\d+) \(from n=(\d+),", capsys.readouterr().out).groups())
+        assert n == c.n >= 2 and 2 * T == d - n + 1
+        inputs = list(itertools.product((0, 1), repeat=n))
+
+        def generate(path, x):
+            prompt = feature_map(x, T).render()
+            assert main(["generate", str(path), "--kind", "threshold", "--prompt", prompt, "--T", str(T)]) == 0
+            return capsys.readouterr().out.strip()
+
+        data, learned = tmp_path / "chains.txt", tmp_path / "learned.txt"
+        data.write_text("".join(generate(compiled, x) + "\n" for x in inputs))
+        assert main(["learn", "--family", f"linthresh:d={d}", "--mode", "cot", "--T", str(T),
+                     "--data", str(data), "--out", str(learned)]) == 0
+        capsys.readouterr()
+        for x in inputs:
+            assert int(generate(learned, x).split(",")[-1]) == eval_circuit(c, x), x
 
     def test_corrupted_compiled_file_detected(self, tmp_path):
         import random
@@ -227,10 +292,9 @@ class TestCompileCircuit:
         p.write_text(format_circuit(c))
         out = tmp_path / "compiled.txt"
         assert main(["compile-circuit", str(p), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        parts = lines[0].split()
+        parts = out.read_text().split()
         parts[2] = "9999"  # clobber one weight
-        out.write_text(" ".join(parts) + "\n" + lines[1] + "\n")
+        out.write_text(" ".join(parts) + "\n")
         assert main(["compile-circuit", str(p), "--compiled", str(out)]) == 1
 
     def test_guard_refusal(self, tmp_path):
@@ -296,6 +360,14 @@ class TestSimulateTm:
     def test_check_mode(self, tm_file, capsys):
         assert main(["simulate-tm", tm_file, "--input", "0", "--check"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize("option", [["--trace"], ["--via", "direct"], ["--via", "attention"]],
+                             ids=["trace", "via-direct", "via-attention"])
+    def test_check_refuses_a_route_option(self, tm_file, capsys, option):
+        """--check runs every route and prints one answer, so a route or a
+        trace asked for beside it would be dropped."""
+        assert main(["simulate-tm", tm_file, "--input", "01", "--check", *option]) == 2
+        assert assert_one_error_line(capsys, f"{option[0]} does not apply to --check") == ""
 
     def test_check_is_the_standing_regression_gate(self, tmp_path, capsys):
         # 200 random machines through all three routes; zero disagreements
@@ -501,6 +573,8 @@ class TestExperiment:
         # Numbers that are no integers: the error names the key and the text.
         {"sizes": "1,x"}, {"t": "two"}, {"eval_n": "1.5"}, {"trials": "3 trials"}, {"seed": "0x5"},
         {"input_len": "4.0"},
+        # A lookup family's prompts are its canonical points.
+        {"family": "e1:D=2,T=2", "input_len": 30}, {"family": "collapse:D=2", "input_len": 4},
     ])
     def test_rejects_unusable_config_values(self, tmp_path, capsys, monkeypatch, override):
         from cotlearn import cli
@@ -526,6 +600,16 @@ class TestExperiment:
             _parse_config(text)
         except ValueError:
             pass
+
+    def test_input_len_defaults_to_four(self):
+        """A config without input_len gives a non-lookup family the prompts of input_len=4."""
+        from cotlearn.cli import _experiment_dist
+        from cotlearn.learning import BitStringPrompts
+
+        for family in ("tm:S=2", "linthresh:d=2", "sparse:d=3,k=1"):
+            fam = parse_family_spec(family)
+            assert _experiment_dist(fam, None) == _experiment_dist(fam, 4), family
+        assert _experiment_dist(parse_family_spec("linthresh:d=2"), None) == BitStringPrompts(1, 4)
 
     def test_tm_family_grid(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -852,7 +936,7 @@ _NON_INTEGER_FIELDS = [
     ("generate-threshold", "2 -2", "x -2", ("threshold dimension d", "got 'x'")),
     ("compile-circuit", "2 2 1\n", "2 2 one\n", ("circuit header '2 2 one'", "got 'one'")),
     ("compile-circuit", "1 2 :", "1 two :", ("gate line '1 two : -2 0'", "got 'two'")),
-    ("compile-circuit-compiled", "T=", "T=x", ("compiled file line 'T=x", "got 'x")),
+    ("compile-circuit-compiled", "9 0 0", "nine 0 0", ("threshold dimension d", "got 'nine'")),
 ]
 
 

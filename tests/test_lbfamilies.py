@@ -21,7 +21,6 @@ from cotlearn.lbfamilies import (
     E1Family,
     LdimFamily,
     LookupFamily,
-    PointPool,
     default_pool,
     growth_count,
     loss_class_behavior_count,
@@ -126,7 +125,7 @@ class TestDimensions:
                 for bit in (0, 1):
                     if len(extended) < lbfamilies.POOL_GUARD and p + (bit,) not in extended:
                         extended.append(p + (bit,))
-            assert [p.tokens for p in default_pool(fam).points] == extended[:lbfamilies.POOL_GUARD], fam
+            assert [p.tokens for p in default_pool(fam)] == extended[:lbfamilies.POOL_GUARD], fam
 
     def test_singleton_family_is_dimension_zero(self):
         class One(E1Family):
@@ -142,8 +141,8 @@ class TestDimensions:
     def test_monotone_in_pool(self):
         fam = E1Family(2, 2)
         pts = fam.canonical_points()
-        small = PointPool(pts[:2])
-        large = PointPool(pts)
+        small = pts[:2]
+        large = pts
         assert vcdim_bruteforce(fam, small, "base") <= vcdim_bruteforce(fam, large, "base")
 
     @settings(max_examples=300, deadline=None)
@@ -152,7 +151,7 @@ class TestDimensions:
     ))
     def test_masked_subset_test_matches_packed_projection(self, drawn):
         npoints, masks = drawn
-        pool = PointPool(tuple(seq([1] + [0] * k) for k in range(npoints)))
+        pool = tuple(seq([1] + [0] * k) for k in range(npoints))
         with mock.patch.object(lbfamilies, "_behavior_masks", return_value=masks):
             assert vcdim_bruteforce(E1Family(2, 2), pool) == reference_lookup.shattered_dimension(masks, npoints)
 
@@ -160,7 +159,7 @@ class TestDimensions:
         fam = E1Family(2, 2)
         pts = [seq([1] + [0] * k) for k in range(21)]
         with pytest.raises(GuardExceededError):
-            vcdim_bruteforce(fam, PointPool(tuple(pts)), "base")
+            vcdim_bruteforce(fam, tuple(pts), "base")
 
 
 class TestCollapse:
@@ -214,7 +213,7 @@ class TestGrowth:
         assert growth_count(fam, pts, "base") <= 2 ** len(pts)
         # equality on a shattered subset
         assert growth_count(fam, pts[:2], "base") == 4
-        assert vcdim_bruteforce(fam, PointPool(pts[:2]), "base") == 2
+        assert vcdim_bruteforce(fam, pts[:2], "base") == 2
 
     def test_loss_class_bounded_by_prefix_growth(self):
         fam = E1Family(2, 2)
@@ -352,10 +351,15 @@ def test_members_have_no_duplicates():
     assert len({f.b for f in members}) == len(members) == fam.size()
 
 
-def test_pool_rejects_duplicates():
-    p = seq([1, 0])
-    with pytest.raises(ValueError):
-        PointPool((p, seq([1, 0])))
+def test_repeated_points_change_no_dimension_or_growth_count():
+    """Copies of a point get equal bits in every behaviour mask, so the
+    dimension and the growth count are those of the points without them."""
+    for fam, T in ((E1Family(2, 2), 2), (LdimFamily(3), 4), (CollapseFamily(3), 2)):
+        distinct = default_pool(fam)[:12]
+        repeated = distinct + distinct[:4] + distinct[2:3]
+        for mode, horizon in (("base", None), ("e2e", T)):
+            assert vcdim_bruteforce(fam, repeated, mode, horizon) == vcdim_bruteforce(fam, distinct, mode, horizon)
+            assert growth_count(fam, repeated, mode, horizon) == growth_count(fam, distinct, mode, horizon)
 
 
 class TestSpecStrings:
