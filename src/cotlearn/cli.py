@@ -147,8 +147,7 @@ def cmd_compile_circuit(args) -> int:
 
     if args.compiled:
         if linthresh.parse_threshold(_read(args.compiled).strip()) != compiled.generator():
-            print("compiled file does not match this circuit", file=sys.stderr)
-            return EXIT_FAIL
+            return _fail("compiled file does not match this circuit", EXIT_FAIL)
 
     # Verify before writing or printing anything, so a refused verification leaves no output.
     report = circomp.verify_compilation(normalized, compiled) if args.verify else None
@@ -196,8 +195,7 @@ def cmd_simulate_tm(args) -> int:
     if args.check:
         results = {via: run(via) for via in ("direct", "autoregressive", "attention")}
         if len(set(results.values())) != 1:
-            print(f"disagreement: {results}", file=sys.stderr)
-            return EXIT_FAIL
+            return _fail(f"disagreement: {results}", EXIT_FAIL)
         print(results["direct"])
         return EXIT_OK
 

@@ -397,7 +397,9 @@ def loss_class_behavior_count(family: GeneratorFamily, seqs: Sequence[TokenSeq],
     For each member, the vector over records z of "does the member's
     T-step generation from z's prompt fail to reproduce z".
     """
-    return len(_behavior_masks(family, seqs, lambda f, z: cot(f, z[:-(T + 1)], T).tokens != z.tokens))
+    def fails(f: Generator, z: TokenSeq) -> bool:
+        return cot(f, TokenSeq(z.alphabet, z.tokens[:len(z.tokens) - T]), T).tokens != z.tokens
+    return len(_behavior_masks(family, seqs, fails))
 
 
 _FAMILY_SPECS = {

@@ -83,15 +83,15 @@ class CoTDataset:
         return len(self.seqs)
 
     def prompt(self, i: int) -> TokenSeq:
-        return self.seqs[i][:-(self.T + 1)]
+        z = self.seqs[i]
+        return TokenSeq(z.alphabet, z.tokens[:len(z.tokens) - self.T])
 
 
 def prefix_expand(dataset: CoTDataset) -> E2EDataset:
     """Expand each record into its T (prefix, next token) pairs: answer pairs at horizon 1.
 
     For a record z and each t = 1..T the pair is (z without its last t
-    tokens, the t-th token from the end), that is ``(z[:-(t + 1)], z[-t])``
-    in the inclusive 1-based convention, so the output has exactly
+    tokens, the t-th token from the end), so the output has exactly
     len(dataset) * T pairs.
     """
     pairs = []

@@ -235,8 +235,6 @@ def cons_lp(pairs: Sequence[tuple[TokenSeq, int]], d: int) -> LinearThreshold:
     """
     if d < 0:
         raise ValueError("window length must be nonnegative")
-    if not pairs:
-        return LinearThreshold(tuple(Fraction(0) for _ in range(d)), Fraction(0))
     offsets = list(range(1, d + 1))
     solution = solve_feasibility(_threshold_constraints(pairs, offsets), d + 1)
     if solution is None:

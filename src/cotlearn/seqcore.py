@@ -1,12 +1,7 @@
 """Alphabets, token sequences, and autoregressive generation.
 
-Token sequences use 1-based positions with inclusive slices, and negative
-positions count from the end (``seq[-1]`` is the last token, ``seq[i:j]``
-keeps both endpoints). ``CoTDataset.prompt``, ``loss_class_behavior_count``
-and the tests use this notation. ``lbfamilies``, ``turing``, ``linthresh``,
-``learning`` and ``attention`` mostly read the ``tokens`` tuple instead,
-with Python's 0-based, end-exclusive indices. All types are immutable;
-generation operators return new sequences.
+A ``TokenSeq`` is read through its ``tokens`` tuple, with Python indices.
+All types are immutable; generation operators return new sequences.
 """
 
 from __future__ import annotations
@@ -84,14 +79,10 @@ BINARY = Alphabet(("0", "1"))
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Immutable sequence of alphabet indices.
+    """Immutable sequence of alphabet indices, read through ``tokens``.
 
-    Indexing is 1-based and slices are inclusive on both endpoints:
-    ``s[1]`` is the first token, ``s[-t]`` the t-th from the end, and
-    ``s[:-k]`` keeps everything up to and including position ``-k``.
-    This intentionally differs from Python list slicing. Construction
-    checks that every token is an index of the alphabet, in one C-level
-    subset test against ``Alphabet._ids``.
+    Construction checks that every token is an index of the alphabet, in
+    one C-level subset test against ``Alphabet._ids``.
     """
 
     alphabet: Alphabet
@@ -106,39 +97,6 @@ class TokenSeq:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.tokens)
-
-    def _pos(self, i: int) -> int:
-        """Resolve a nonzero 1-based position to a 0-based offset."""
-        n = len(self.tokens)
-        if i > 0:
-            j = i - 1
-        elif i < 0:
-            j = n + i
-        else:
-            raise IndexError("positions are 1-based; 0 is not a position")
-        if not 0 <= j < n:
-            raise IndexError(f"position {i} out of range for length {n}")
-        return j
-
-    def __getitem__(self, key):
-        if not isinstance(key, slice):
-            return self.tokens[self._pos(key)]
-        if key.step is not None:
-            raise IndexError("step slices are not supported")
-        n = len(self.tokens)
-
-        def resolve(endpoint: int) -> int:
-            if endpoint == 0:
-                raise IndexError("positions are 1-based; 0 is not a position")
-            return endpoint if endpoint > 0 else n + endpoint + 1
-
-        start = 1 if key.start is None else resolve(key.start)
-        stop = n if key.stop is None else resolve(key.stop)
-        if stop == start - 1 and 0 <= stop <= n:
-            return TokenSeq(self.alphabet, ())
-        if not (1 <= start and stop >= start and stop <= n):
-            raise IndexError(f"slice [{key.start}:{key.stop}] out of range for length {n}")
-        return TokenSeq(self.alphabet, self.tokens[start - 1:stop])
 
     def append(self, token: int) -> "TokenSeq":
         return TokenSeq(self.alphabet, self.tokens + (token,))
@@ -179,9 +137,6 @@ class Generator(ABC):
         for _ in range(T):
             append(next_token(TokenSeq(alphabet, tuple(tokens))))
 
-    def __call__(self, x: TokenSeq) -> int:
-        return self.next_token(x)
-
 
 @dataclass(frozen=True)
 class ConstantGenerator(Generator):
@@ -202,7 +157,7 @@ def _check_alphabet(f: Generator, x: TokenSeq) -> None:
 
 
 def apply_and_append(f: Generator, x: TokenSeq) -> TokenSeq:
-    """Return ``x`` with ``f(x)`` appended; ``x`` itself is unchanged."""
+    """Return ``x`` with ``f.next_token(x)`` appended; ``x`` itself is unchanged."""
     _check_alphabet(f, x)
     return x.append(f.next_token(x))
 

@@ -284,7 +284,7 @@ class TestCompileCircuit:
         for x in inputs:
             assert int(generate(learned, x).split(",")[-1]) == eval_circuit(c, x), x
 
-    def test_corrupted_compiled_file_detected(self, tmp_path):
+    def test_corrupted_compiled_file_detected(self, tmp_path, capsys):
         import random
 
         c = random_normalized_circuit(random.Random(2), 2, 2, 1)
@@ -292,10 +292,12 @@ class TestCompileCircuit:
         p.write_text(format_circuit(c))
         out = tmp_path / "compiled.txt"
         assert main(["compile-circuit", str(p), "--out", str(out)]) == 0
+        capsys.readouterr()
         parts = out.read_text().split()
         parts[2] = "9999"  # clobber one weight
         out.write_text(" ".join(parts) + "\n")
         assert main(["compile-circuit", str(p), "--compiled", str(out)]) == 1
+        assert assert_one_error_line(capsys, "compiled file does not match this circuit") == ""
 
     def test_guard_refusal(self, tmp_path):
         import random
@@ -390,7 +392,7 @@ class TestSimulateTm:
         assert main(["simulate-tm", tm_file, "--input", "0", "--check"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["disagreement: {'direct': 0, 'autoregressive': 1, 'attention': 1}"]
+        assert captured.err.splitlines() == ["error: disagreement: {'direct': 0, 'autoregressive': 1, 'attention': 1}"]
 
     def test_trace_shown(self, tm_file, capsys):
         assert main(["simulate-tm", tm_file, "--input", "1", "--trace"]) == 0

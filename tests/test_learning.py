@@ -133,7 +133,9 @@ class TestPrefixExpand:
             alphabet.seq(data.draw(st.lists(token, min_size=T + 1, max_size=T + 1 + extra)))
             for extra in data.draw(st.lists(st.sampled_from([0, 0, 4]), max_size=4), label="extras")
         )
-        expected = tuple((z[:-(t + 1)], z[-t]) for z in seqs for t in range(1, T + 1))
+        expected = tuple(
+            (alphabet.seq(z.tokens[:len(z) - t]), z.tokens[-t]) for z in seqs for t in range(1, T + 1)
+        )
         assert prefix_expand(CoTDataset(seqs, T)).pairs == expected
 
     @settings(max_examples=25, deadline=None)

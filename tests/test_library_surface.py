@@ -2,6 +2,7 @@
 
 A function, class or module-level name in ``src/cotlearn`` that nothing
 reads is a leftover: a removal left it behind, or only tests still call it.
+The README's example runs, so the API it documents cannot drift from it.
 """
 
 import ast
@@ -70,3 +71,11 @@ def test_every_public_name_has_a_reader():
     named = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
     missing = unread(trees, public) - imported(trees) - imported(bench) - {n for tree in bench for n in reads(tree)} - named
     assert not missing, sorted(missing)
+
+
+def test_readme_example_runs(capsys):
+    """The README's one ```python block runs as written and prints what its comment says."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1,1,1,1,1,1\n"

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from cotlearn.seqcore import (
     BINARY,
@@ -40,42 +39,17 @@ class TestAlphabet:
 
 
 class TestIndexing:
-    """One-based inclusive indexing, shared by every module."""
+    """Token sequences: construction, range checks and persistence."""
 
-    def test_scalar_positions(self):
-        s = seq([1, 0, 1, 1])
-        assert s[1] == 1 and s[2] == 0
-        assert s[-1] == 1 and s[-3] == 0
-        with pytest.raises(IndexError):
-            s[0]
-        with pytest.raises(IndexError):
-            s[5]
-
-    def test_inclusive_slices(self):
-        s = seq([1, 0, 1, 1, 0])
-        assert s[2:4].tokens == (0, 1, 1)
-        assert s[:-2].tokens == (1, 0, 1, 1)
-        assert s[-3:].tokens == (1, 1, 0)
-        assert s[:3].tokens == (1, 0, 1)
-
-    def test_prompt_slice_convention(self):
-        # dropping the last t tokens is s[:-(t+1)]
+    def test_no_item_access_or_call_alias(self):
+        """A sequence is read through ``tokens``, a generator through ``next_token``."""
         s = seq([1, 0, 1])
-        assert s[:-2].tokens == (1, 0)
-        assert s[:-3].tokens == (1,)
-        assert s[:-4].tokens == ()
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.data())
-    def test_matches_python_reference(self, bits, data):
-        s = seq(bits)
-        n = len(bits)
-        i = data.draw(st.integers(1, n))
-        j = data.draw(st.integers(i, n))
-        expected = tuple(bits[i - 1:j])
-        assert s[i:j].tokens == expected
-        t = data.draw(st.integers(1, n))
-        assert s[-t] == bits[n - t]
-        assert s[:-t].tokens == tuple(bits[:n - t + 1])
+        with pytest.raises(TypeError):
+            s[1]
+        with pytest.raises(TypeError):
+            s[:-1]
+        with pytest.raises(TypeError):
+            ConstantGenerator(BINARY, 1)(s)
 
     def test_append_is_persistent(self):
         s = seq([0])
@@ -105,7 +79,7 @@ class TestGeneration:
     def test_apply_and_append_constant(self):
         f = ConstantGenerator(BINARY, 1)
         out = apply_and_append(f, seq([0]))
-        assert out.tokens == (0, 1) and f(seq([0])) == 1
+        assert out.tokens == (0, 1) and f.next_token(seq([0])) == 1
 
     def test_apply_and_append_threshold(self):
         f = make_threshold([1], 0)  # outputs 1 on every binary input
