@@ -324,8 +324,9 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     For every input: (a) the step-T answer equals the circuit output,
     (b) the token at each scheduled step equals that gate's value,
     (c) every off-schedule token is 0 with pre-threshold sum <= -1.
-    Failures are reported, not raised. A circuit whose (n, s, L) differs
-    from the compiled one is refused with ``ValueError``.
+    Failures are reported, not raised. A circuit whose n differs from the
+    compiled one, or whose layers are not L layers of width s each, is
+    refused with ``ValueError``.
 
     The off-schedule argument is proved once per circuit, before any
     input: a step reads the leading 1 at a fixed offset and can see a set
@@ -339,19 +340,28 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
 
     Per input, each summed step's scaled pre-threshold sum is its fixed
     part (the leading 1 with the bias, plus a row per set input bit) plus
-    a row per 1 emitted at an earlier summed step. Inputs come in
-    ``itertools.product`` order, so entry j of a stack of partial lists
-    holds the fixed parts with the first j bits placed, and only the
-    entries below the first changed bit are rebuilt. The walk over the
-    summed steps records each failed check as it meets it; a step is off
-    schedule when no gate is due at it. An input's report is its
-    gate-step failures, then its off-schedule failures in time order,
-    then the final-answer check. Proved steps pass every check on every
-    input, so they never enter a report.
+    a row per 1 emitted at an earlier summed step. Each gate's sum, scaled
+    by its own integer form, is built the same way: its bias plus its
+    weight on each set input bit, plus its weight on each earlier gate
+    at 1. Inputs come in ``itertools.product`` order, so entry j of a
+    stack of partial lists holds the fixed parts of the steps and the
+    gates with the first j bits placed, and only the entries below the
+    first changed bit are rebuilt. Then a walk over the gates in layer
+    order sets a gate to 1 iff its sum is >= 0, and a 1 adds that gate's
+    row to the later gates (a gate no later gate reads is skipped, its
+    value being the sign of its sum), so no gate is evaluated from
+    scratch and no threshold is generated. The walk over the summed steps
+    compares against those values and records each failed check as it
+    meets it; a step is off schedule when no gate is due at it. An
+    input's report is its gate-step failures, then its off-schedule
+    failures in time order, then the final-answer check. Proved steps
+    pass every check on every input, so they never enter a report.
     """
-    shape, compiled_shape = (circuit.n, circuit.width, circuit.depth), (compiled.n, compiled.s, compiled.L)
-    if shape != compiled_shape:
-        raise ValueError(f"circuit shape (n, s, L) = {shape} does not match the compiled shape {compiled_shape}")
+    s = compiled.s
+    if circuit.n != compiled.n or circuit.widths != (s,) * compiled.L:
+        shape, compiled_shape = (circuit.n, circuit.width, circuit.depth), (compiled.n, s, compiled.L)
+        raise ValueError(f"circuit shape (n, s, L) = {shape} with widths {circuit.widths} "
+                         f"does not match the compiled shape {compiled_shape}")
     n = circuit.n
     if n > VERIFY_MAX_INPUTS:
         raise GuardExceededError(f"refusing to enumerate 2^{n} inputs (guard is {VERIFY_MAX_INPUTS})")
@@ -360,21 +370,39 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
     scale = compiled.generator().integer_form.scale
     weight_at, lead, steps = _step_plan(compiled)
     gate_at = {
-        t - 1: (l, i) for l, times in enumerate(compiled.gate_times) for i, t in enumerate(times)
+        t - 1: l * s + i for l, times in enumerate(compiled.gate_times) for i, t in enumerate(times)
     }
     checks = [(t + 1, gate_at.get(t)) for t in steps]
-    rows = [[weight_at[n - j + t] for t in steps] for j in range(n)]
+    # gate_w[k][j]: the scaled weight of gate k (in layer order) on
+    # predecessor j (input j, or gate j - n); gate k reads p = n + (k // s) * s
+    # predecessors, predecessor j at offset p - j of its integer form.
+    forms = [form for layer in circuit.integer_layers for form in layer]
+    gate_w = []
+    for k, form in enumerate(forms):
+        p = n + k // s * s
+        at = form.weight_at + (0,) * (p + 1 - len(form.weight_at))
+        gate_w.append([at[p - j] for j in range(p)] + [0] * (n + len(forms) - p))
+    rows = [[weight_at[n - j + t] for t in steps] + [w[j] for w in gate_w] for j in range(n)]
     emits = [[weight_at[u - t] for u in steps[i + 1:]] for i, t in enumerate(steps)]  # a 1 at steps[i], read later
+    reads = []  # (k, the later gates' weights on gate k) for each gate some later gate reads
+    for k in range(len(forms)):
+        row = [w[n + k] for w in gate_w[k + 1:]]
+        if any(row):
+            reads.append((k, row))
+    n_steps = len(steps)
 
     failures: list[VerificationFailure] = []
-    stack: list[list[int]] = [[lead[t] for t in steps]] * (n + 1)  # right for the all-zero input
+    base = [lead[t] for t in steps] + [form.bias for form in forms]
+    stack: list[list[int]] = [base] * (n + 1)  # right for the all-zero input
     for count, x in enumerate(itertools.product((0, 1), repeat=n)):
         # From input count-1 to count, the trailing bits of count flip.
         for j in range(n - (count & -count).bit_length(), n):
             stack[j + 1] = list(map(add, stack[j], rows[j])) if x[j] else stack[j]
 
-        values = eval_circuit_values(circuit, x)
-        sums = stack[n][:]
+        sums, gate_sums = stack[n][:n_steps], stack[n][n_steps:]
+        for k, row in reads:
+            if gate_sums[k] >= 0:
+                gate_sums[k + 1:] = map(add, gate_sums[k + 1:], row)
         off_failures: list[VerificationFailure] = []
         for i, (t, gate) in enumerate(checks):
             acc = sums[i]
@@ -383,17 +411,18 @@ def verify_compilation(circuit: ThresholdCircuit, compiled: CompiledThreshold) -
                     off_failures.append(VerificationFailure(x, t, "off-schedule-token", "got 1"))
                 if acc > -scale:
                     off_failures.append(VerificationFailure(x, t, "off-schedule-sum", f"sum {Fraction(acc, scale)} > -1"))
-            elif (acc >= 0) != values[gate[0]][gate[1]]:
-                l, g = gate
+            elif (acc >= 0) != (gate_sums[gate] >= 0):
+                l, g = divmod(gate, s)
                 failures.append(VerificationFailure(
-                    x, t, "gate-step", f"gate ({l + 1},{g + 1}) expected {values[l][g]} got {int(acc >= 0)}"
+                    x, t, "gate-step", f"gate ({l + 1},{g + 1}) expected {int(gate_sums[gate] >= 0)} got {int(acc >= 0)}"
                 ))
             if acc >= 0:
                 sums[i + 1:] = map(add, sums[i + 1:], emits[i])
         failures.extend(off_failures)
-        answer = values[-1][-1]
-        if (acc >= 0) != answer:  # the last summed step is step T
-            failures.append(VerificationFailure(x, 0, "final-answer", f"expected {answer} got {int(acc >= 0)}"))
+        if (acc >= 0) != (gate_sums[-1] >= 0):  # the last summed step is step T
+            failures.append(VerificationFailure(
+                x, 0, "final-answer", f"expected {int(gate_sums[-1] >= 0)} got {int(acc >= 0)}"
+            ))
 
     return VerificationReport(
         ok=not failures,

@@ -51,9 +51,13 @@ class IntegerThreshold:
 
     @classmethod
     def of(cls, terms: Iterable[tuple[int, Fraction]], bias: Fraction) -> "IntegerThreshold":
-        nz = [(i, w) for i, w in terms if w != 0]
+        nz = [(i, w) for i, w in terms if w]
         scale = math.lcm(bias.denominator, *(w.denominator for _, w in nz))
-        return cls(tuple((i, int(w * scale)) for i, w in nz), int(bias * scale), scale)
+        return cls(
+            tuple((i, w.numerator * (scale // w.denominator)) for i, w in nz),
+            bias.numerator * (scale // bias.denominator),
+            scale,
+        )
 
     def total(self, tokens: Sequence[int]) -> int:
         """Scaled pre-threshold sum on a bit sequence; bits before its start count as 0."""

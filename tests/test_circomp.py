@@ -408,34 +408,69 @@ class TestVerify:
         with pytest.raises(ValueError, match=r"\(2, 1, 1\).*\(2, 2, 2\)"):
             verify_compilation(small, comp)
 
-    def test_one_circuit_evaluation_per_input_by_count(self, monkeypatch):
-        """Deterministic twin of the verifier's speed: one circuit
-        evaluation per input, and no threshold generation. With every
-        off-schedule sentinel entry zeroed, all 256 inputs fail, and their
-        reports come from the same walk."""
-        counts = {"eval": 0, "generate": 0}
-        evaluate = circomp.eval_circuit_values
-        generate = IntegerThreshold.generate
+    def test_refuses_ragged_circuit_of_the_compiled_shape(self):
+        """A circuit of non-uniform widths whose (n, max width, depth)
+        matches the compile has no gate at some scheduled step."""
+        ragged = make_circuit(3, [[[1, 0, -1]], [[1, 1, 0, 1], [0, 1, 1, -1]]])
+        comp = compile_circuit(random_normalized_circuit(random.Random(3), 3, 2, 2))
+        assert (ragged.n, ragged.width, ragged.depth) == (comp.n, comp.s, comp.L)
+        with pytest.raises(ValueError, match=r"widths \(1, 2\)"):
+            verify_compilation(ragged, comp)
 
-        def counting_eval(circuit, x):
-            counts["eval"] += 1
-            return evaluate(circuit, x)
+    def test_reports_match_oracle_on_another_circuit(self):
+        """A compile checked against a different circuit of its shape, so
+        the gate-step and final-answer failures come from that circuit's
+        own sums. Every other pair has its gates over halves and thirds,
+        each gate over its own denominator, so each gate has its own scale."""
+        rng = random.Random(3003)
 
-        def counting_generate(self, tokens, T):
-            counts["generate"] += 1
-            return generate(self, tokens, T)
+        def over(c):
+            return ThresholdCircuit(c.n, tuple(
+                tuple(tuple(w / d for w in gate) for gate, d in zip(layer, itertools.cycle((3, 2, 1))))
+                for layer in c.layers
+            ))
 
-        monkeypatch.setattr(circomp, "eval_circuit_values", counting_eval)
-        monkeypatch.setattr(IntegerThreshold, "generate", counting_generate)
+        kinds = set()
+        mixed = 0  # pairs whose circuit has gates of different scales
+        for k in range(60):
+            shape = (rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3))
+            c1, c2 = (random_normalized_circuit(rng, *shape) for _ in range(2))
+            if k % 2:
+                c1, c2 = over(c1), over(c2)
+                mixed += len({form.scale for layer in c2.integer_layers for form in layer}) > 1
+            comp = compile_circuit(c1)
+            report = verify_compilation(c2, comp)
+            assert report == reference_circomp.verify_compilation(c2, comp), (k, shape)
+            kinds |= {f.kind for f in report.failures}
+        assert kinds == {"gate-step", "final-answer"}, kinds
+        assert mixed >= 15, mixed
+
+    def test_no_circuit_evaluation_or_threshold_call_by_count(self, monkeypatch):
+        """Deterministic twin of the verifier's speed: the circuit's gate
+        sums ride on the verifier's own stack, so it calls neither
+        ``eval_circuit_values`` nor the integer form's ``total`` or
+        ``generate``. With every off-schedule sentinel entry zeroed, all
+        256 inputs fail, and their reports come from the same walk."""
+        counts = {"eval": 0, "total": 0, "generate": 0}
+
+        def counting(key, call):
+            def counted(*args):
+                counts[key] += 1
+                return call(*args)
+            return counted
+
         c = random_normalized_circuit(random.Random(10), 8, 2, 3)
         comp = compile_circuit(c)
+        zeroed = zero_off_schedule_sentinel(comp)
+        monkeypatch.setattr(circomp, "eval_circuit_values", counting("eval", circomp.eval_circuit_values))
+        monkeypatch.setattr(IntegerThreshold, "total", counting("total", IntegerThreshold.total))
+        monkeypatch.setattr(IntegerThreshold, "generate", counting("generate", IntegerThreshold.generate))
         report = verify_compilation(c, comp)
         assert report.ok and report.inputs_checked == 256
-        assert counts == {"eval": 256, "generate": 0}
-        counts.update(eval=0)
-        report = verify_compilation(c, zero_off_schedule_sentinel(comp))
+        report = verify_compilation(c, zeroed)
+        assert report.inputs_checked == 256
         assert len({f.x for f in report.failures}) == 256
-        assert counts == {"eval": 256, "generate": 0}
+        assert counts == {"eval": 0, "total": 0, "generate": 0}
 
 
 class TestFileFormat:

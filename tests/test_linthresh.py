@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cotlearn import linthresh
 from cotlearn.seqcore import BINARY, GuardExceededError, NotRealizableError
 from cotlearn.linthresh import (
+    IntegerThreshold,
     LinearThreshold,
     SparseLinearThreshold,
     ThresholdFamily,
@@ -82,6 +83,34 @@ class TestEval:
         )
         expected = 1 if sparse_reference >= 0 else 0
         assert sparse.next_token(x) == sparse.to_dense().next_token(x) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_form_matches_fraction_scaling(self, data):
+        """``IntegerThreshold.of`` scales each weight by integer products
+        alone; the ints equal ``int(w * scale)``, on zero, negative and
+        whole weights and on bias-only forms, and so do the dense and the
+        sparse generators' integer forms."""
+
+        def fraction_of(terms, bias):
+            nz = [(i, w) for i, w in terms if w != 0]
+            scale = math.lcm(bias.denominator, *(w.denominator for _, w in nz))
+            return IntegerThreshold(tuple((i, int(w * scale)) for i, w in nz), int(bias * scale), scale)
+
+        weight = st.one_of(
+            st.just(Fraction(0)),
+            st.integers(-9, 9).map(Fraction),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        )
+        d = data.draw(st.integers(0, 6))
+        weights = data.draw(st.lists(weight, min_size=d, max_size=d))
+        bias = data.draw(weight)
+        terms = [(d - j, w) for j, w in enumerate(weights)]
+        assert IntegerThreshold.of(terms, bias) == fraction_of(terms, bias)
+        assert LinearThreshold(tuple(weights), bias).integer_form == fraction_of(terms, bias)
+        support = tuple(sorted(data.draw(st.sets(st.integers(1, d))))) if d else ()
+        sparse = SparseLinearThreshold(d, d, support, tuple(weights[d - i] for i in support), bias)
+        assert sparse.integer_form == fraction_of(zip(support, sparse.weights), bias)
 
 
 def brute_force_realizable(pairs, d, grid=2):
