@@ -8,9 +8,11 @@ bit width is never overflowed), optionally extended by a continuation
 that must replay earlier b-bits. Everything off-pattern maps to 0.
 
 Member evaluation, generation and learning share one reader of histories,
-``LookupFamily._read``. One search learns every family from records (T = 1
-pairs) or answers, ``LookupFamily.find_e2e_consistent``, over forced bits and
-the bits that label-0 pairs after a continuation read; it enumerates no member.
+``LookupFamily._read``, which reads a history up to an end index, so a
+record's cuts are read in place. One search learns every family from records
+(T = 1 pairs, as cuts) or answers, ``LookupFamily.find_e2e_consistent``, over
+forced bits and the bits that label-0 pairs after a continuation read; it
+enumerates no member.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .seqcore import (
     TokenSeq,
     _check_alphabet,
     cot,
+    cuts,
     e2e,
     parse_int,
 )
@@ -63,7 +66,7 @@ class LookupGenerator(Generator):
 
     def next_token(self, x: TokenSeq) -> int:
         _check_alphabet(self, x)
-        return self.family._eval(self.b, x.tokens)
+        return self.family._eval(self.b, x.tokens, len(x.tokens))
 
     def generate(self, tokens: list[int], T: int) -> None:
         """One ``_read`` of the prompt and one check of its continuation;
@@ -75,8 +78,8 @@ class LookupGenerator(Generator):
         """
         family, b = self.family, self.b
         n = len(tokens)
-        read = family._read(tokens)
-        if read is not None and family._replays(b, tokens, *read):
+        read = family._read(tokens, n)
+        if read is not None and family._replays(b, tokens, *read, n):
             k, end = read
             index, append = family._replay_index, tokens.append
             for r in range(n - end, n - end + T):
@@ -114,39 +117,41 @@ class LookupFamily(GeneratorFamily):
     def _point_table(self) -> dict[tuple[int, ...], int]:
         return {p: k for k, p in enumerate(self._points, start=1)}
 
-    def _read(self, tokens: Sequence[int]) -> tuple[int, int] | None:
-        """How every member reads a history: (k, end) or None.
+    def _read(self, tokens: Sequence[int], n: int) -> tuple[int, int] | None:
+        """How every member reads the history ``tokens[:n]``: (k, end) or None.
 
         (k, end) means point k, whose last token sits at list position
-        ``end - 1``, followed by the continuation ``tokens[end:]``. The point
+        ``end - 1``, followed by the continuation ``tokens[end:n]``. The point
         starts at the first nonzero token; a body shorter than a point is
         completed by the zeros every member emits while it is, so ``end``
         may lie past the end of the history. None means every member
         answers 0 at every horizon: the body, completed, is not a point.
         """
-        start, n = 0, len(tokens)
+        start = 0
         while start < n and tokens[start] == 0:
             start += 1
         end = start + self.point_len
-        k = self._point_table.get(tuple(tokens[start:end]) + (0,) * (end - n))
+        body = tuple(tokens[start:end]) if end <= n else tuple(tokens[start:n]) + (0,) * (end - n)
+        k = self._point_table.get(body)
         return None if k is None else (k, end)
 
-    def _replays(self, b: tuple[int, ...], tokens: Sequence[int], k: int, end: int) -> bool:
-        """Whether the continuation ``tokens[end:]`` replays b under point k's rule."""
-        for r in range(len(tokens) - end):
+    def _replays(self, b: tuple[int, ...], tokens: Sequence[int], k: int, end: int, n: int) -> bool:
+        """Whether the continuation ``tokens[end:n]`` replays b under point k's rule."""
+        for r in range(n - end):
             idx = self._replay_index(k, r)
             if idx is None or b[idx] != tokens[end + r]:
                 return False
         return True
 
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int]) -> int:
-        """The reference: read the history, check its continuation against
-        the replay rule, and return the rule's next bit, or 0 off the pattern."""
-        read = self._read(tokens)
-        if read is None or not self._replays(b, tokens, *read):
+    def _eval(self, b: tuple[int, ...], tokens: Sequence[int], n: int) -> int:
+        """The reference: read the history ``tokens[:n]``, check its
+        continuation against the replay rule, and return the rule's next
+        bit, or 0 off the pattern."""
+        read = self._read(tokens, n)
+        if read is None or not self._replays(b, tokens, *read, n):
             return 0
         k, end = read
-        r = len(tokens) - end
+        r = n - end
         idx = self._replay_index(k, r) if r >= 0 else None
         return 0 if idx is None else b[idx]
 
@@ -181,8 +186,9 @@ class LookupFamily(GeneratorFamily):
     def find_e2e_consistent(self, pairs, T: int):
         """First member in canonical order whose T-step answers match every pair, or None.
 
-        Every member reads a prompt x as point k and a continuation c
-        (``_read``), and answers ``b[_replay_index(k, len(x) - end + T - 1)]``
+        The pairs are read as ``cuts``: a prompt x is ``tokens[:cut]``.
+        Every member reads x as point k and a continuation c
+        (``_read``), and answers ``b[_replay_index(k, cut - end + T - 1)]``
         if c replays faithfully, else 0. A read of None, a negative answer
         position or an index of None forces label 0; label 1 forces c's
         replayed bits and the answer bit; an empty c forces the answer bit.
@@ -195,21 +201,21 @@ class LookupFamily(GeneratorFamily):
         """
         assign: dict[int, int] = {}
         forced, loose, read_bits = [], [], set()
-        for x, y in pairs:
-            if x.alphabet != BINARY or y not in (0, 1):
+        for z, cut, y in cuts(pairs):
+            if z.alphabet != BINARY or y not in (0, 1):
                 raise ValueError("family data must be binary")
-            tokens = x.tokens
-            read = self._read(tokens)
+            tokens = z.tokens
+            read = self._read(tokens, cut)
             idx = None
             if read is not None:
                 k, end = read
-                ell = len(tokens) - end
+                ell = cut - end
                 if ell + T - 1 >= 0:
                     idx = self._replay_index(k, ell + T - 1)
             if idx is None:  # every member answers 0
                 if y:
                     return None
-                forced.append((x, y))
+                forced.append((z, cut, y))
             elif y or ell <= 0:
                 for r in range(ell):  # empty unless y: a label 0 reaches here only without c
                     j, bit = self._replay_index(k, r), tokens[end + r]
@@ -217,26 +223,30 @@ class LookupFamily(GeneratorFamily):
                         return None
                 if assign.setdefault(idx, y) != y:
                     return None
-                forced.append((x, y))
+                forced.append((z, cut, y))
             else:
-                loose.append((x, y))
+                loose.append((z, cut, y))
                 read_bits.update([idx, *(self._replay_index(k, r) for r in range(ell))])
         free = sorted(read_bits.difference(assign))
-        # next_token is the T = 1 answer without e2e's generation overhead
-        fits = (lambda f, x, y: f.next_token(x) == y) if T == 1 else (lambda f, x, y: e2e(f, x, T) == y)
+        if T == 1:  # the one-step answer is _eval at the cut, without e2e's generation overhead
+            def fits(f, z, cut, y):
+                return self._eval(f.b, z.tokens, cut) == y
+        else:
+            def fits(f, z, cut, y):
+                return e2e(f, z if cut == len(z.tokens) else TokenSeq(z.alphabet, z.tokens[:cut]), T) == y
         for c in range(1 << len(free)):
             if c == MEMBER_GUARD:
                 raise GuardExceededError(f"lookup search tried {c} candidates over {len(free)} free bits")
             assign.update((j, c >> i & 1) for i, j in enumerate(free))
             f = self.from_bits(tuple(assign.get(j, 0) for j in range(self.index_bits)))
-            if all(fits(f, x, y) for x, y in loose):  # forced pairs hold on every candidate
-                if not all(fits(f, x, y) for x, y in forced):
+            if all(fits(f, z, cut, y) for z, cut, y in loose):  # forced pairs hold on every candidate
+                if not all(fits(f, z, cut, y) for z, cut, y in forced):
                     raise RuntimeError("lookup search result failed post-verification")
                 return f
         return None
 
     def cons_oracle(self):
-        """The search above at T = 1, on (prefix, next token) pairs."""
+        """The search above at T = 1, on (prefix, next token) pairs or a ``PrefixCuts`` view."""
 
         def oracle(pairs):
             f = self.find_e2e_consistent(pairs, 1)

@@ -2,10 +2,12 @@
 
 Two supervision regimes share one evaluation target, the T-step answer.
 Full-generation supervision reduces to a single next-token consistency
-call: each length-(|x|+T) record expands into T (prefix, next token)
-pairs, the answer pairs at horizon 1, and any generator consistent with
-all of them reproduces every record end to end. Answer-only supervision
-searches the family for a member whose T-step answers match.
+call: each length-(|x|+T) record holds T (prefix, next token) pairs, the
+answer pairs at horizon 1, and any generator consistent with all of them
+reproduces every record end to end. The oracle reads them as cuts of the
+records (``PrefixCuts``); ``prefix_expand`` lists the same pairs as copies.
+Answer-only supervision searches the family for a member whose T-step
+answers match.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .seqcore import (
     BINARY,
@@ -21,6 +23,8 @@ from .seqcore import (
     Generator,
     GeneratorFamily,
     NotRealizableError,
+    OraclePairs,
+    PrefixCuts,
     TokenSeq,
     check_horizon,
     cot,
@@ -92,7 +96,9 @@ def prefix_expand(dataset: CoTDataset) -> E2EDataset:
 
     For a record z and each t = 1..T the pair is (z without its last t
     tokens, the t-th token from the end), so the output has exactly
-    len(dataset) * T pairs.
+    len(dataset) * T pairs. The reference expansion: each prefix is its
+    own copy, so a record of length n costs n(n+1)/2 token references;
+    ``cons_cot`` reads the same pairs in place through ``PrefixCuts``.
     """
     pairs = []
     for z in dataset.seqs:
@@ -103,18 +109,19 @@ def prefix_expand(dataset: CoTDataset) -> E2EDataset:
     return E2EDataset(tuple(pairs), 1)
 
 
-ConsistencyOracle = Callable[[Sequence[tuple[TokenSeq, int]]], Generator]
+# An oracle receives cuts, read through ``seqcore.cuts``: ``cons_cot`` passes a ``PrefixCuts`` view.
+ConsistencyOracle = Callable[[OraclePairs], Generator]
 
 
 def cons_cot(dataset: CoTDataset, oracle: ConsistencyOracle) -> Generator:
     """Generator whose full T-step generations reproduce every record.
 
-    Runs the family's next-token consistency procedure on the prefix
-    expansion, then re-verifies the returned generator against each
-    record in full.
+    Runs the family's next-token consistency procedure on the records'
+    cuts, ``PrefixCuts(dataset.seqs, dataset.T)``: the pairs of
+    ``prefix_expand`` in its order, with no prefix copied. Then re-verifies
+    the returned generator against each record in full.
     """
-    pairs = prefix_expand(dataset).pairs
-    f = oracle(pairs)
+    f = oracle(PrefixCuts(dataset.seqs, dataset.T))
     for i, z in enumerate(dataset.seqs):
         if cot(f, dataset.prompt(i), dataset.T).tokens != z.tokens:
             raise NotRealizableError(

@@ -25,8 +25,10 @@ from .seqcore import (
     GeneratorFamily,
     GuardExceededError,
     NotRealizableError,
+    OraclePairs,
     TokenSeq,
     _check_alphabet,
+    cuts,
     parse_int,
 )
 from .simplex import solve_feasibility
@@ -59,9 +61,10 @@ class IntegerThreshold:
             scale,
         )
 
-    def total(self, tokens: Sequence[int]) -> int:
-        """Scaled pre-threshold sum on a bit sequence; bits before its start count as 0."""
-        n = len(tokens)
+    def total(self, tokens: Sequence[int], end: int | None = None) -> int:
+        """Scaled pre-threshold sum on the bits ``tokens[:end]`` (all of them
+        by default); bits before their start count as 0."""
+        n = len(tokens) if end is None else end
         acc = self.bias
         for i, w in self.terms:
             if i <= n and tokens[n - i]:
@@ -198,40 +201,41 @@ class SparseLinearThreshold(Generator):
     generate = LinearThreshold.generate
 
 
-def _window_coeffs(u: TokenSeq, offsets: Sequence[int]) -> list[int]:
-    """Bit of ``u`` at each offset from the end, zero when the input is shorter."""
-    tokens = u.tokens
-    n = len(tokens)
-    return [tokens[n - i] if i <= n else 0 for i in offsets]
-
-
-def _label_rows(u: TokenSeq, offsets: Sequence[int]):
-    """The constraints on (weights at ``offsets``, bias) for labels 0 and 1 of a binary prefix."""
+def _label_rows(u: TokenSeq, offsets: Sequence[int], end: int | None = None):
+    """The constraints on (weights at ``offsets``, bias) for labels 0 and 1
+    of the binary prefix ``u.tokens[:end]`` (all of ``u`` by default): the
+    bit at each offset from the prefix's end, zero before its start."""
     if u.alphabet != BINARY:
         raise ValueError("LP consistency needs binary prefixes and labels")
-    coeffs = _window_coeffs(u, offsets) + [1]  # trailing 1 is the bias column
+    tokens = u.tokens
+    n = len(tokens) if end is None else end
+    coeffs = [tokens[n - i] if i <= n else 0 for i in offsets]
+    coeffs.append(1)  # the bias column
     return (coeffs, "<=", -1), (coeffs, ">=", 0)
 
 
-def _threshold_constraints(pairs: Iterable[tuple[TokenSeq, int]], offsets: Sequence[int]):
+def _threshold_constraints(pairs: OraclePairs, offsets: Sequence[int]):
+    """One row per cut, in order, from the window that ends at the cut."""
     constraints = []
-    for u, v in pairs:
+    for z, cut, v in cuts(pairs):
         if v not in (0, 1):
             raise ValueError("LP consistency needs binary prefixes and labels")
-        constraints.append(_label_rows(u, offsets)[1 if v == 1 else 0])
+        constraints.append(_label_rows(z, offsets, cut)[1 if v == 1 else 0])
     return constraints
 
 
 def _verified(f, pairs):
-    """Return ``f`` after re-checking it on every pair; a miss is a solver fault, not bad input."""
-    for u, v in pairs:
-        if f.next_token(u) != v:
+    """Return ``f`` after re-checking its integer form at every cut; a miss
+    is a solver fault, not bad input (the cuts' alphabet is already checked)."""
+    total = f.integer_form.total
+    for z, cut, v in cuts(pairs):
+        if (1 if total(z.tokens, cut) >= 0 else 0) != v:
             raise RuntimeError("LP solution failed post-verification")
     return f
 
 
-def cons_lp(pairs: Sequence[tuple[TokenSeq, int]], d: int) -> LinearThreshold:
-    """Linear threshold consistent with every (prefix, next-bit) pair.
+def cons_lp(pairs: OraclePairs, d: int) -> LinearThreshold:
+    """Linear threshold consistent with every (prefix, next-bit) pair, read as ``cuts``.
 
     Raises NotRealizableError when the constraint system is infeasible.
     The returned hypothesis is re-checked against all pairs before it is
@@ -247,8 +251,8 @@ def cons_lp(pairs: Sequence[tuple[TokenSeq, int]], d: int) -> LinearThreshold:
     return _verified(LinearThreshold(weights, solution[d]), pairs)
 
 
-def cons_sparse(pairs: Sequence[tuple[TokenSeq, int]], d: int, k: int) -> SparseLinearThreshold:
-    """First sparse threshold (supports in size-then-lexicographic order) fitting the data."""
+def cons_sparse(pairs: OraclePairs, d: int, k: int) -> SparseLinearThreshold:
+    """First sparse threshold (supports in size-then-lexicographic order) fitting the data, read as ``cuts``."""
     if not 0 <= k <= d:
         raise ValueError("need 0 <= k <= d")
     total = sum(math.comb(d, j) for j in range(k + 1))

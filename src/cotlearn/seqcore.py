@@ -108,6 +108,51 @@ class TokenSeq:
         return self.render()
 
 
+@dataclass(frozen=True)
+class PrefixCuts:
+    """Full records' (prefix, next token) pairs as cuts, with no prefix copied.
+
+    Lists ``(record, cut, label)`` record by record, then t = 1..T, with
+    ``cut = len(record) - t``: the prefix is ``record.tokens[:cut]`` and the
+    label is ``record.tokens[cut]``, the pairs and order of
+    ``learning.prefix_expand``. Its length is the pair count.
+    """
+
+    seqs: tuple[TokenSeq, ...]
+    T: int
+
+    def __post_init__(self):
+        check_horizon(self.T)
+        for z in self.seqs:
+            if len(z.tokens) < self.T:
+                raise ValueError(f"record of length {len(z.tokens)} cannot carry {self.T} generated tokens")
+
+    def __len__(self) -> int:
+        return len(self.seqs) * self.T
+
+    def __iter__(self) -> Iterator[tuple[TokenSeq, int, int]]:
+        T = self.T
+        for z in self.seqs:
+            toks = z.tokens
+            n = len(toks)
+            for cut in range(n - 1, n - T - 1, -1):
+                yield z, cut, toks[cut]
+
+
+# What a consistency oracle takes: a ``PrefixCuts`` view or plain (prefix, next token) pairs.
+OraclePairs = PrefixCuts | Sequence[tuple[TokenSeq, int]]
+
+
+def cuts(pairs: OraclePairs) -> Iterable[tuple[TokenSeq, int, int]]:
+    """What a consistency oracle reads: ``(sequence, cut, label)``, whose
+    history is ``sequence.tokens[:cut]``. A ``PrefixCuts`` view lists its
+    own cuts; a plain (prefix, next token) pair is the cut at the prefix's
+    own end."""
+    if isinstance(pairs, PrefixCuts):
+        return pairs
+    return ((u, len(u.tokens), v) for u, v in pairs)
+
+
 class Generator(ABC):
     """Deterministic next-token function over a fixed alphabet.
 
@@ -263,8 +308,9 @@ class GeneratorFamily(ABC):
     def default_member(self) -> Generator:
         return next(iter(self.members()))
 
-    def cons_oracle(self) -> Callable[[Sequence[tuple[TokenSeq, int]]], Generator]:
-        """Family-specific next-token consistency procedure; this default has none."""
+    def cons_oracle(self) -> Callable[[OraclePairs], Generator]:
+        """Family-specific next-token consistency procedure, reading its one
+        argument through ``cuts``; this default has none."""
         raise ValueError("family offers no next-token consistency oracle")
 
     def find_e2e_consistent(self, pairs: Sequence[tuple[TokenSeq, int]], T: int) -> Generator | None:

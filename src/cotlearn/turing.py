@@ -21,9 +21,11 @@ from .seqcore import (
     Generator,
     GeneratorFamily,
     NotRealizableError,
+    OraclePairs,
     TokenSeq,
     _check_alphabet,
     check_horizon,
+    cuts,
     parse_int,
 )
 
@@ -181,6 +183,7 @@ def post(token: TMToken) -> int:
 
 
 _NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first token writes a blank"
+_EMPTY_HISTORY = "cannot read the tape of an empty history"
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +240,7 @@ class _TapeScan:
         before it reads, and is consumed in turn, so each token of the chain
         is visited once."""
         if not tokens:
-            raise ValueError("cannot read the tape of an empty history")
+            raise ValueError(_EMPTY_HISTORY)
         self.extend(tokens)
         key = self.keys[-1]
         moves, rows, codes = self.moves, self.rows, self.codes
@@ -278,14 +281,15 @@ def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...],
     answered from the decoder's keys with no visit; tokens that extend it
     resume the decoder; any other history is decoded from empty. The
     snapshot is a tuple, so a token list changed after a call cannot pass
-    for the history decoded then.
+    for the history decoded then, and a tuple that is the snapshot itself
+    is answered without comparing its tokens.
     """
     t = tuple(tokens)
     memo = getattr(_last_decoded, "memo", None)
     if memo is None:
         memo = _last_decoded.memo = [0, (), None]
     held = memo[1]
-    if memo[0] != S or t[:len(held)] != held[:len(t)]:
+    if memo[0] != S or (t is not held and t[:len(held)] != held[:len(t)]):
         held = ()
         memo[:] = S, held, _TapeScan(S)
     scan = memo[2]
@@ -298,7 +302,7 @@ def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...],
 
 def _read_key(S: int, tokens: Sequence[int]) -> int:
     if not tokens:
-        raise ValueError("cannot read the tape of an empty history")
+        raise ValueError(_EMPTY_HISTORY)
     return _decoded(S, tokens)[2]
 
 
@@ -352,22 +356,24 @@ def trace_tokens(trace: TMTrace, S: int) -> list[int]:
 DEFAULT_ENTRY = (1, 0, 0)
 
 
-def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
+def cons_tm(pairs: OraclePairs, S: int) -> TMGenerator:
     """Memorization learner: fill the transition table from (history, next token) pairs.
 
     Each pair pins the table entry at the key the tape decoder reports for
     its history; conflicting pins mean no table is consistent. Entries the
     data never pins are fixed to (1, 0, 0) for reproducibility. The pairs
-    are read once, in the given order, through the tape decoder's memo, so
-    a record's prefixes share one decode in either order: the longest is
-    decoded and the shorter ones are answered from its keys, or each
-    resumes the one before.
+    are read once, in the given order, as ``cuts``, through the tape
+    decoder's memo: a cut of a ``PrefixCuts`` record reads ``keys[cut - 1]``
+    of the record's one decode, held as the same tuple for each of its
+    cuts. Plain pairs that are one record's prefixes also share one decode,
+    in either order: the longest is decoded and the shorter ones are
+    answered from its keys, or each resumes the one before.
     """
     learned: dict[int, tuple[int, int, int]] = {}
     alphabet = None
-    for u, v in pairs:
-        if u.alphabet is not alphabet:  # resolved again only when the alphabet object changes
-            alphabet = u.alphabet
+    for z, cut, v in cuts(pairs):
+        if z.alphabet is not alphabet:  # resolved again only when the alphabet object changes
+            alphabet = z.alphabet
             S_data = _alphabet_states(alphabet)
             decode = _decode_table(S_data)
         token = decode[v]
@@ -375,7 +381,9 @@ def cons_tm(pairs: Sequence[tuple[TokenSeq, int]], S: int) -> TMGenerator:
             raise ValueError(f"label state {token.state} exceeds the {S}-state family")
         if token.symb not in (0, 1):
             raise ValueError("labels must write a bit; blank writes never occur in generation")
-        key = _read_key(S_data, u.tokens)
+        if not cut:
+            raise ValueError(_EMPTY_HISTORY)
+        key = _decoded(S_data, z.tokens)[0].keys[cut - 1]
         if key >= 3 * S:
             raise ValueError(f"history state {key // 3 + 1} exceeds the {S}-state family")
         entry = (token.state, token.symb, token.move)

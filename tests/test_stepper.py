@@ -481,16 +481,16 @@ def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
     monkeypatch.setattr(TokenSeq, "__post_init__", counting_post_init)
     reference = LookupFamily._eval
 
-    def counting_eval(self, b, tokens):
+    def counting_eval(self, b, tokens, n):
         counts["eval"] += 1
-        return reference(self, b, tokens)
+        return reference(self, b, tokens, n)
 
     monkeypatch.setattr(LookupFamily, "_eval", counting_eval)
     read = LookupFamily._read
 
-    def counting_read(self, tokens):
+    def counting_read(self, tokens, n):
         counts["read"] += 1
-        return read(self, tokens)
+        return read(self, tokens, n)
 
     monkeypatch.setattr(LookupFamily, "_read", counting_read)
     run(f, x, 4000)

@@ -12,6 +12,7 @@ decoded already.
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 import reference_tape
@@ -19,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from cotlearn import turing
 from cotlearn.attention import read_tape_attention_fast
-from cotlearn.learning import CoTDataset, prefix_expand
-from cotlearn.seqcore import NotRealizableError, TokenSeq
+from cotlearn.learning import CoTDataset, cons_cot, prefix_expand
+from cotlearn.seqcore import NotRealizableError, PrefixCuts, TokenSeq
 from cotlearn.turing import BLANK, TMFamily, TMGenerator, TMToken, cons_tm, decode_token, encode_token, pre, read_tape, tm_alphabet
 
 CORPUS_STRIDE = 11  # each machine has 127 runs, so every machine is checked
@@ -325,3 +326,33 @@ def test_cons_tm_decodes_each_record_once(monkeypatch):
         counts["tokens"] = 0
         assert run_in_thread(lambda: outcome(lambda: cons_tm(pairs, S).table)) == expected
         assert counts["tokens"] == sum(len(r) - 1 for r in recs)
+
+
+def test_cons_cot_reads_long_records_in_linear_work(monkeypatch):
+    """Deterministic twin of full-record learning at a long horizon: two
+    S = 3 records at T = 8,000 are learned through their cuts, so the
+    decoder visits each record token at most once and no prefix is copied
+    (the expansion holds n(n+1)/2 token references per record, some 64
+    million for these two). At T = 500 the table equals the one learned
+    from the reference expansion."""
+    S = 3
+    family = TMFamily(S)
+    spec = family.random_spec(random.Random(5), 8000)
+    gen = TMGenerator(S, spec.table)
+
+    def records(T):
+        return CoTDataset(tuple(machine_run_from(gen, pre(w, S), T) for w in ([1, 0, 1], [0, 1, 1, 0])), T)
+
+    data = records(8000)
+    counts = count_decoded_tokens(monkeypatch)
+    table = run_in_thread(lambda: cons_tm(PrefixCuts(data.seqs, data.T), S).table)
+    assert counts["tokens"] <= sum(len(z) for z in data.seqs)
+    tracemalloc.start()
+    try:
+        assert cons_cot(data, family.cons_oracle()).table == table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    short = records(500)
+    assert cons_cot(short, family.cons_oracle()).table == cons_tm(prefix_expand(short).pairs, S).table
