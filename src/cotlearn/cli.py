@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import os
 import random
@@ -364,6 +365,7 @@ def cmd_experiment(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cotlearn")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="bit string fed through the input map (tm kind)")
     p.add_argument("--prompt", help="comma-separated prompt tokens (threshold kind)")
     p.add_argument("--T", type=int, required=True)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("learn", help="fit a family member to a dataset file")
     p.add_argument("--family", required=True, help="e1:D=2,T=4 | ldim:D=3 | collapse:D=4 | tm:S=3 | linthresh:d=4 | sparse:d=8,k=1")
@@ -382,14 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("compile-circuit", help="embed a circuit into one iterated threshold")
     p.add_argument("circuit")
     p.add_argument("--out")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--compiled", help="verify this existing compiled file against the circuit")
-    p.set_defaults(func=cmd_compile_circuit)
 
     p = sub.add_parser("simulate-tm", help="run a machine directly, autoregressively, or via attention")
     p.add_argument("machine")
@@ -397,17 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", choices=("direct", "autoregressive", "attention"), help="route to run (default: direct)")
     p.add_argument("--check", action="store_true", help="run all three routes and compare")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_simulate_tm)
 
     p = sub.add_parser("vcdim", help="brute-force a family dimension on its default pool")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("base", "e2e"), default="base")
     p.add_argument("--T", type=int)
-    p.set_defaults(func=cmd_vcdim)
 
     p = sub.add_parser("experiment", help="run a learning-curve grid from a key=value config")
     p.add_argument("config")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
@@ -415,8 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the only place that turns exceptions into exit codes."""
     args = build_parser().parse_args(argv)
+    # the parser is built once; looking the command up per call lets a replaced cmd_* function run
+    command = {"generate": cmd_generate, "learn": cmd_learn, "compile-circuit": cmd_compile_circuit,
+               "simulate-tm": cmd_simulate_tm, "vcdim": cmd_vcdim, "experiment": cmd_experiment}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except NotRealizableError as exc:
         return _fail(f"not realizable: {exc}", EXIT_FAIL)
     except RuntimeError as exc:

@@ -7,12 +7,13 @@ representation of the point number" (numbering from zero so the fixed
 bit width is never overflowed), optionally extended by a continuation
 that must replay earlier b-bits. Everything off-pattern maps to 0.
 
-Member evaluation, generation and learning share one reader of histories,
-``LookupFamily._read``, which reads a history up to an end index, so a
-record's cuts are read in place. One search learns every family from records
-(T = 1 pairs, as cuts) or answers, ``LookupFamily.find_e2e_consistent``, over
-forced bits and the bits that label-0 pairs after a continuation read; it
-enumerates no member.
+A member answers at any horizon by one read, ``LookupFamily._answer``:
+``_read`` reads a history up to an end index, so a record's cuts are read
+in place. One search learns every family from records (T = 1 pairs, as
+cuts) or answers, ``LookupFamily.find_e2e_consistent``, over forced bits
+and the bits that label-0 pairs after a continuation read; it generates no
+chain and enumerates no member. The estimators label points by mode:
+"base", "e2e", or "cot" (a record's full-generation loss).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .seqcore import (
     NotRealizableError,
     TokenSeq,
     _check_alphabet,
+    check_record,
     cot,
     cuts,
     e2e,
@@ -66,7 +68,7 @@ class LookupGenerator(Generator):
 
     def next_token(self, x: TokenSeq) -> int:
         _check_alphabet(self, x)
-        return self.family._eval(self.b, x.tokens, len(x.tokens))
+        return self.family._answer(self.b, x.tokens, len(x.tokens), 1)
 
     def generate(self, tokens: list[int], T: int) -> None:
         """One ``_read`` of the prompt and one check of its continuation;
@@ -143,16 +145,19 @@ class LookupFamily(GeneratorFamily):
                 return False
         return True
 
-    def _eval(self, b: tuple[int, ...], tokens: Sequence[int], n: int) -> int:
-        """The reference: read the history ``tokens[:n]``, check its
-        continuation against the replay rule, and return the rule's next
-        bit, or 0 off the pattern."""
+    def _answer_index(self, k: int, end: int, n: int, h: int) -> int | None:
+        """Index into b of a faithful member's answer h steps after point k and
+        ``tokens[end:n]``; None while its zeros complete the point, or past the end."""
+        r = n - end + h - 1
+        return self._replay_index(k, r) if r >= 0 else None
+
+    def _answer(self, b: tuple[int, ...], tokens: Sequence[int], n: int, h: int) -> int:
+        """Member b's answer h steps after the history ``tokens[:n]``, by one
+        read: 0 off the pattern or if the continuation does not replay b."""
         read = self._read(tokens, n)
         if read is None or not self._replays(b, tokens, *read, n):
             return 0
-        k, end = read
-        r = n - end
-        idx = self._replay_index(k, r) if r >= 0 else None
+        idx = self._answer_index(*read, n, h)
         return 0 if idx is None else b[idx]
 
     def size(self) -> int:
@@ -188,9 +193,9 @@ class LookupFamily(GeneratorFamily):
 
         The pairs are read as ``cuts``: a prompt x is ``tokens[:cut]``.
         Every member reads x as point k and a continuation c
-        (``_read``), and answers ``b[_replay_index(k, cut - end + T - 1)]``
-        if c replays faithfully, else 0. A read of None, a negative answer
-        position or an index of None forces label 0; label 1 forces c's
+        (``_read``), and answers ``b[_answer_index(k, end, cut, T)]`` if c
+        replays faithfully, else 0 (``_answer``). A read of None or an
+        answer index of None forces label 0; label 1 forces c's
         replayed bits and the answer bit; an empty c forces the answer bit.
         A loose pair (label 0 after c) reads only c's replayed bits and its
         answer bit. So the candidates keep the forced bits, zero every bit no
@@ -206,17 +211,15 @@ class LookupFamily(GeneratorFamily):
                 raise ValueError("family data must be binary")
             tokens = z.tokens
             read = self._read(tokens, cut)
-            idx = None
-            if read is not None:
-                k, end = read
-                ell = cut - end
-                if ell + T - 1 >= 0:
-                    idx = self._replay_index(k, ell + T - 1)
+            idx = None if read is None else self._answer_index(*read, cut, T)
             if idx is None:  # every member answers 0
                 if y:
                     return None
                 forced.append((z, cut, y))
-            elif y or ell <= 0:
+                continue
+            k, end = read
+            ell = cut - end
+            if y or ell <= 0:
                 for r in range(ell):  # empty unless y: a label 0 reaches here only without c
                     j, bit = self._replay_index(k, r), tokens[end + r]
                     if assign.setdefault(j, bit) != bit:
@@ -228,19 +231,17 @@ class LookupFamily(GeneratorFamily):
                 loose.append((z, cut, y))
                 read_bits.update([idx, *(self._replay_index(k, r) for r in range(ell))])
         free = sorted(read_bits.difference(assign))
-        if T == 1:  # the one-step answer is _eval at the cut, without e2e's generation overhead
-            def fits(f, z, cut, y):
-                return self._eval(f.b, z.tokens, cut) == y
-        else:
-            def fits(f, z, cut, y):
-                return e2e(f, z if cut == len(z.tokens) else TokenSeq(z.alphabet, z.tokens[:cut]), T) == y
+
+        def fits(f, pairs):
+            return all(self._answer(f.b, z.tokens, cut, T) == y for z, cut, y in pairs)
+
         for c in range(1 << len(free)):
             if c == MEMBER_GUARD:
                 raise GuardExceededError(f"lookup search tried {c} candidates over {len(free)} free bits")
             assign.update((j, c >> i & 1) for i, j in enumerate(free))
             f = self.from_bits(tuple(assign.get(j, 0) for j in range(self.index_bits)))
-            if all(fits(f, z, cut, y) for z, cut, y in loose):  # forced pairs hold on every candidate
-                if not all(fits(f, z, cut, y) for z, cut, y in forced):
+            if fits(f, loose):  # forced pairs hold on every candidate
+                if not fits(f, forced):
                     raise RuntimeError("lookup search result failed post-verification")
                 return f
         return None
@@ -341,14 +342,21 @@ def default_pool(family: LookupFamily) -> tuple[TokenSeq, ...]:
 
 
 def _mode_label(mode: str, T: int | None):
-    """The label a brute-force dimension reads from member f at point x."""
+    """The label a brute-force dimension reads from member f at point x: its next token
+    ("base"), its T-step answer ("e2e"), or whether it fails to regenerate record x ("cot")."""
     if mode == "base":
         return lambda f, x: f.next_token(x)
+    if mode not in ("e2e", "cot"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if T is None:
+        raise ValueError(f"{mode} mode needs a generation length T")
     if mode == "e2e":
-        if T is None:
-            raise ValueError("e2e mode needs a generation length T")
         return lambda f, x: e2e(f, x, T)
-    raise ValueError(f"unknown mode {mode!r}")
+
+    def fails(f: Generator, z: TokenSeq) -> bool:
+        check_record(z, T)
+        return cot(f, TokenSeq(z.alphabet, z.tokens[:len(z.tokens) - T]), T).tokens != z.tokens
+    return fails
 
 
 def _behavior_masks(family: GeneratorFamily, points: Sequence[TokenSeq], label) -> set[int]:
@@ -399,17 +407,6 @@ def vcdim_bruteforce(family: GeneratorFamily, points: Sequence[TokenSeq], mode: 
 def growth_count(family: GeneratorFamily, points: Sequence[TokenSeq], mode: str = "base", T: int | None = None) -> int:
     """Number of distinct behavior vectors the family induces on the points."""
     return len(_behavior_masks(family, points, _mode_label(mode, T)))
-
-
-def loss_class_behavior_count(family: GeneratorFamily, seqs: Sequence[TokenSeq], T: int) -> int:
-    """Behaviors of the full-generation 0/1 loss on given generation records.
-
-    For each member, the vector over records z of "does the member's
-    T-step generation from z's prompt fail to reproduce z".
-    """
-    def fails(f: Generator, z: TokenSeq) -> bool:
-        return cot(f, TokenSeq(z.alphabet, z.tokens[:len(z.tokens) - T]), T).tokens != z.tokens
-    return len(_behavior_masks(family, seqs, fails))
 
 
 _FAMILY_SPECS = {

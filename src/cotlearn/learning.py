@@ -27,6 +27,7 @@ from .seqcore import (
     PrefixCuts,
     TokenSeq,
     check_horizon,
+    check_record,
     cot,
     e2e,
 )
@@ -76,10 +77,7 @@ class CoTDataset:
     def __post_init__(self):
         check_horizon(self.T)
         for z in self.seqs:
-            if len(z) < self.T:
-                raise ValueError(
-                    f"record of length {len(z)} cannot carry {self.T} generated tokens"
-                )
+            check_record(z, self.T)
             if z.alphabet != self.seqs[0].alphabet:
                 raise ValueError("all records must share one alphabet")
 

@@ -124,8 +124,7 @@ class PrefixCuts:
     def __post_init__(self):
         check_horizon(self.T)
         for z in self.seqs:
-            if len(z.tokens) < self.T:
-                raise ValueError(f"record of length {len(z.tokens)} cannot carry {self.T} generated tokens")
+            check_record(z, self.T)
 
     def __len__(self) -> int:
         return len(self.seqs) * self.T
@@ -213,6 +212,12 @@ def check_horizon(T: int) -> None:
         raise ValueError("generation length T must be at least 1")
     if T > GENERATION_MAX_T:
         raise GuardExceededError(f"generation length T={T} exceeds the guard {GENERATION_MAX_T}")
+
+
+def check_record(z: TokenSeq, T: int) -> None:
+    """Refuse a record too short to end in T generated tokens."""
+    if len(z.tokens) < T:
+        raise ValueError(f"record of length {len(z.tokens)} cannot carry {T} generated tokens")
 
 
 def parse_int(text: str, what: str) -> int:

@@ -1,6 +1,6 @@
-"""Reference lookup evaluation: the per-family ``_eval`` bodies that
-``cotlearn.lbfamilies`` used before every family shared one ``_eval`` over
-its ``_replay_index`` rule.
+"""Reference lookup evaluation: the per-family next-token bodies that
+``cotlearn.lbfamilies`` used before every family shared one answer rule,
+``LookupFamily._answer``, over its ``_replay_index`` rule.
 
 Kept unchanged as a test oracle, written as plain functions of the family.
 Each body spells out its family's pattern on its own (E1's column replay,

@@ -32,7 +32,6 @@ from cotlearn.learning import (
 from cotlearn.lbfamilies import (
     default_pool,
     growth_count,
-    loss_class_behavior_count,
     CollapseFamily,
     E1Family,
     LdimFamily,
@@ -330,7 +329,7 @@ def test_criterion_8_growth_sanity():
         prompts = [pts[rng.randrange(len(pts))] for _ in range(3)]
         records = CoTDataset(tuple(cot(f_star, x, 2) for x in prompts), 2)
         prefixes = [u for u, _ in prefix_expand(records).pairs]
-        lhs = loss_class_behavior_count(fam, records.seqs, 2)
+        lhs = growth_count(fam, records.seqs, "cot", 2)
         rhs = growth_count(fam, prefixes, "base")
         if lhs > rhs:
             violations += 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import itertools
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from cotlearn import cli
 from cotlearn.cli import _CONFIG_KEYS, _parse_config, main
 from cotlearn.circomp import compile_circuit, eval_circuit, feature_map, format_circuit, random_normalized_circuit
 from cotlearn.learning import CoTDataset, cons_cot, load_cot_dataset, save_cot_dataset, save_e2e_dataset, E2EDataset
@@ -969,6 +971,27 @@ def test_library_fault_exits_one_with_one_error_line(tmp_path, capsys, monkeypat
     monkeypatch.setattr(linthresh, "solve_feasibility", lambda constraints, num_vars: (Fraction(0),) * num_vars)
     assert main(["learn", "--family", "linthresh:d=2", "--mode", "cot", "--T", "1", "--data", str(path)]) == 1
     assert assert_one_error_line(capsys, "internal fault", "LP solution failed post-verification") == ""
+
+
+def test_main_builds_one_parser_and_runs_the_command_patched_between_calls(monkeypatch):
+    """``main`` builds its parser once and looks its command up when it runs,
+    so a ``cmd_experiment`` replaced between two calls is the one that runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_experiment", lambda args: ran.append(("first", args.config)) or 0)
+    assert main(["experiment", "a.cfg"]) == 0
+    monkeypatch.setattr(cli, "cmd_experiment", lambda args: ran.append(("second", args.config)) or 0)
+    assert main(["experiment", "b.cfg"]) == 0
+    assert built.count("cotlearn") == 1, built
+    assert ran == [("first", "a.cfg"), ("second", "b.cfg")]
 
 
 # A bad line in a dataset file, as (mode, text, what the error names

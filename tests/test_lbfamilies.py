@@ -23,7 +23,6 @@ from cotlearn.lbfamilies import (
     LookupFamily,
     default_pool,
     growth_count,
-    loss_class_behavior_count,
     parse_family_spec,
     vcdim_bruteforce,
 )
@@ -223,9 +222,51 @@ class TestGrowth:
         prompts = [pts[rng.randrange(len(pts))] for _ in range(3)]
         records = CoTDataset(tuple(cot(f_star, x, 2) for x in prompts), 2)
         prefixes = [u for u, _ in prefix_expand(records).pairs]
-        lhs = loss_class_behavior_count(fam, records.seqs, 2)
+        lhs = growth_count(fam, records.seqs, "cot", 2)
         rhs = growth_count(fam, prefixes, "base")
         assert lhs <= rhs
+
+
+# each with the length T of the pattern its members replay
+ANSWER_FAMILIES = ((E1Family(2, 3), 3), (E1Family(3, 2), 2), (LdimFamily(4), 4), (CollapseFamily(5), 1))
+
+
+@st.composite
+def _member_and_history(draw):
+    """A member and a history: up to two leading zeros, then a point's first
+    tokens, a whole point with a faithful or a flipped continuation of up to
+    T + 1 tokens, or a point-length head led by 1 that need not be a point;
+    then up to two random bits."""
+    fam, T = draw(st.sampled_from(ANSWER_FAMILIES), label="family")
+    bits = lambda n, label: draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label=label)
+    f = fam.from_bits(bits(fam.index_bits, "b"))
+    point = list(draw(st.sampled_from(fam.canonical_points()), label="point").tokens)
+    kind = draw(st.sampled_from(["partial", "faithful", "flipped", "head"]), label="kind")
+    if kind == "partial":
+        body = point[:draw(st.integers(1, len(point)), label="cut")]
+    elif kind == "head":
+        body = [1] + bits(fam.point_len - 1, "head")
+    else:
+        replay = reference_lookup.generate(f, point, T + 1)[len(point):]
+        cont = list(replay[:draw(st.integers(0, T + 1), label="r")])
+        if cont and kind == "flipped":
+            cont[draw(st.integers(0, len(cont) - 1), label="at")] ^= 1
+        body = point + cont
+    zeros = [0] * draw(st.integers(0, 2), label="zeros")
+    return f, T, tuple(zeros + body + draw(st.lists(st.integers(0, 1), max_size=2), label="suffix"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_member_and_history())
+def test_answer_is_the_generated_token(drawn):
+    """``_answer`` at every cut n and horizon h = 1..T+2 is the last token
+    that the per-family bodies of ``reference_lookup`` generate from
+    ``tokens[:n]``, which share no code with it."""
+    f, T, tokens = drawn
+    for n in range(len(tokens) + 1):
+        for h in range(1, T + 3):
+            want = reference_lookup.generate(f, tokens[:n], h)[-1]
+            assert f.family._answer(f.b, tokens, n, h) == want, (f.family, f.b, tokens, n, h)
 
 
 class TestOracles:

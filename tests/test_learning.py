@@ -6,7 +6,7 @@ import pytest
 import reference_learning
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cotlearn import learning
+from cotlearn import lbfamilies, learning
 from cotlearn.seqcore import (
     BINARY,
     GENERATION_MAX_T,
@@ -16,6 +16,8 @@ from cotlearn.seqcore import (
     GeneratorFamily,
     GuardExceededError,
     NotRealizableError,
+    PrefixCuts,
+    TokenSeq,
     cot,
     e2e,
 )
@@ -279,6 +281,38 @@ class TestConsE2E:
                     prompts = list(fam.canonical_points()) + extra
                     compare(fam, tuple((x, e2e(f_star, x, T)) for x in prompts), T)
         assert loose_misses >= 20, loose_misses
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_search_generates_no_chain_by_count(self, T, monkeypatch):
+        """Deterministic twin of the search's cost at T > 1: it answers each
+        pair by ``_answer`` on the record in place, so on loose pairs (points
+        continued by ``_continued_prompt``) and on a ``PrefixCuts`` view it
+        calls no ``e2e`` and builds no ``TokenSeq``."""
+        rng = random.Random(T)
+        fam = E1Family(2, 3)
+        sets = []
+        for _ in range(40):
+            f_star = fam.random_member(rng)
+            extra = tuple(_continued_prompt(rng, fam, f_star) for _ in range(3))
+            sets.append(tuple((x, e2e(f_star, x, T)) for x in fam.canonical_points() + extra))
+            sets.append(PrefixCuts(extra, T))
+        counts = {"e2e": 0, "seqs": 0, "before the end": 0}
+        post_init, answer = TokenSeq.__post_init__, LookupFamily._answer
+
+        def counting_post_init(self):
+            counts["seqs"] += 1
+            post_init(self)
+
+        def counting_answer(self, b, tokens, n, h):
+            counts["before the end"] += n < len(tokens)
+            return answer(self, b, tokens, n, h)
+
+        monkeypatch.setattr(TokenSeq, "__post_init__", counting_post_init)
+        monkeypatch.setattr(LookupFamily, "_answer", counting_answer)
+        monkeypatch.setattr(lbfamilies, "e2e", lambda *args: counts.update(e2e=counts["e2e"] + 1) or e2e(*args))
+        for pairs in sets:
+            fam.find_e2e_consistent(pairs, T)
+        assert counts["e2e"] == counts["seqs"] == 0 and counts["before the end"] > 0, counts
 
     def test_fast_path_off_its_own_T_needs_no_member_scan(self):
         # 2^24 members: above the enumeration guard, so no scan could answer

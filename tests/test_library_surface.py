@@ -2,12 +2,15 @@
 
 A function, class or module-level name in ``src/cotlearn`` that nothing
 reads is a leftover: a removal left it behind, or only tests still call it.
-The README's example runs, so the API it documents cannot drift from it.
+The README's example runs, and every library name it spells out resolves,
+so the API it documents cannot drift from it.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
+from dataclasses import MISSING
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +74,31 @@ def test_every_public_name_has_a_reader():
     named = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
     missing = unread(trees, public) - imported(trees) - imported(bench) - {n for tree in bench for n in reads(tree)} - named
     assert not missing, sorted(missing)
+
+
+def test_readme_names_resolve():
+    """Every private name (``_x``) and every ``Class.attr`` or ``module.attr``
+    chain that starts at a library module or class, named in backticks in
+    the README, resolves in ``src/cotlearn``: the README cannot keep naming
+    a helper that was removed or renamed."""
+    modules = {p.stem: importlib.import_module(f"cotlearn.{p.stem}") for p in (ROOT / "src/cotlearn").glob("[!_]*.py")}
+    owners = dict(modules)
+    owners.update((n, obj) for m in modules.values() for n, obj in vars(m).items() if isinstance(obj, type))
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    chains = [c.removeprefix("cotlearn.").split(".") for span in spans for c in re.findall(r"[A-Za-z_][\w.]*\w", span)]
+    private = {c[0] for c in chains if c[0].startswith("_") and len(c) == 1}
+    assert len(private) >= 3
+    unresolved = sorted(name for name in private if not any(hasattr(owner, name) for owner in owners.values()))
+    checked = 0
+    for head, *attrs in (c for c in chains if c[0] in owners and len(c) > 1):
+        obj = owners[head]
+        for attr in attrs:  # a dataclass field without a default is no class attribute
+            obj = getattr(obj, attr, getattr(obj, "__dataclass_fields__", {}).get(attr, MISSING))
+        checked += 1
+        if obj is MISSING:
+            unresolved.append(".".join([head, *attrs]))
+    assert checked >= 20
+    assert not unresolved, unresolved
 
 
 def test_readme_example_runs(capsys):

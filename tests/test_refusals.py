@@ -36,6 +36,11 @@ REFUSALS = {
     "collapse-D": (lambda: CollapseFamily(0), "need 1 <= D <= "),
     "e2e-without-T": (lambda: growth_count(E1Family(1, 2), [], "e2e"), "e2e mode needs a generation length T"),
     "unknown-mode": (lambda: growth_count(E1Family(1, 2), [], "both"), "unknown mode 'both'"),
+    "cot-without-T": (lambda: growth_count(E1Family(1, 2), [], "cot"), "cot mode needs a generation length T"),
+    "cot-short-record": (
+        lambda: growth_count(E1Family(1, 2), [BINARY.seq([1])], "cot", 2),
+        "record of length 1 cannot carry 2 generated tokens",
+    ),
     "non-bit-labels": (
         lambda: vcdim_bruteforce(TMFamily(1), [pre([0], 1)]),
         "brute-force dimensions assume binary outputs",

@@ -479,13 +479,13 @@ def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(TokenSeq, "__post_init__", counting_post_init)
-    reference = LookupFamily._eval
+    reference = LookupFamily._answer
 
-    def counting_eval(self, b, tokens, n):
+    def counting_answer(self, b, tokens, n, h):
         counts["eval"] += 1
-        return reference(self, b, tokens, n)
+        return reference(self, b, tokens, n, h)
 
-    monkeypatch.setattr(LookupFamily, "_eval", counting_eval)
+    monkeypatch.setattr(LookupFamily, "_answer", counting_answer)
     read = LookupFamily._read
 
     def counting_read(self, tokens, n):
