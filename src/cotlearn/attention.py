@@ -33,6 +33,7 @@ from .turing import (
     _decode_table,
     _decoded,
     _read_at,
+    _table_key,
     _TapeScan,
 )
 
@@ -281,8 +282,8 @@ def read_tape_attention(z: TokenSeq) -> tuple[int, object]:
 
 
 def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
-    """Integer replica of read_tape_attention: the direct read of the
-    shared tape decoder, once the history passes the begin-marker check.
+    """Integer replica of read_tape_attention: ``keys[n - 1]`` of the shared
+    tape decoder for an n-token history that passes the begin-marker check.
 
     Why the two agree: the argmax is always the head cell's latest writer,
     or the begin marker (j = 1) when that cell was never written after it.
@@ -295,22 +296,21 @@ def read_tape_attention_fast(z: TokenSeq) -> tuple[int, object]:
     cell with no later writer. ``read_tape_attention`` still checks the
     singleton at every position it reads.
     """
-    scan, toks, key = _decoded(_alphabet_states(z.alphabet), z.tokens)
-    scan.check_begin_marker(toks)
-    return _read_at(key)
+    scan = _decoded(_alphabet_states(z.alphabet), z.tokens)
+    scan.check_begin_marker(z.tokens)
+    return _read_at(scan.keys[len(z.tokens) - 1])
 
 
 class AttentionTMGenerator(TMGenerator):
-    """Transition-table generator whose tape read runs through attention.
-
-    Behaviorally identical to the direct generator; exists so machine
-    simulation can be driven end to end over the attention pipeline.
+    """Transition-table generator whose ``next_token`` reads the tape by the
+    exact causal attention pass, with the direct generator's results.
+    ``generate`` is the direct decoder behind a begin-marker check, so it
+    never runs that pass (ROADMAP item 10).
     """
 
     def next_token(self, z: TokenSeq) -> int:
         _check_alphabet(self, z)
-        state, read = read_tape_attention(z)
-        return self._step_token(state, read)
+        return self._entry_ids[_table_key(*read_tape_attention(z))]
 
     def generate(self, tokens: list[int], T: int) -> None:
         """The begin-marker check on the prompt, then the direct generator's

@@ -47,11 +47,11 @@ class E2EDataset:
         if not self.pairs:
             return
         alphabet = self.alphabet
-        size = len(alphabet)
+        ids = alphabet._ids
         for x, y in self.pairs:
             if x.alphabet is not alphabet and x.alphabet != alphabet:
                 raise ValueError("all prompts must share one alphabet")
-            if not 0 <= y < size:
+            if y not in ids:
                 raise ValueError("label outside the alphabet")
 
     @property
@@ -319,12 +319,12 @@ def _parse_at(where: str, parse, text: str):
 
 def load_cot_dataset(path: str, alphabet: Alphabet, T: int) -> CoTDataset:
     """One comma-separated record per line."""
-    seqs = []
-    for where, line in _dataset_lines(path):
-        z = _parse_at(where, alphabet.parse_seq, line)
-        if len(z) < T:
-            raise ValueError(f"{where}: record of length {len(z)} cannot carry {T} generated tokens")
-        seqs.append(z)
+    def record(line: str) -> TokenSeq:
+        z = alphabet.parse_seq(line)
+        check_record(z, T)
+        return z
+
+    seqs = [_parse_at(where, record, line) for where, line in _dataset_lines(path)]
     return CoTDataset(tuple(seqs), T)
 
 

@@ -272,9 +272,9 @@ class _TapeScan:
 _last_decoded = threading.local()
 
 
-def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...], int | None]:
-    """This thread's decoder holding ``tokens``, their tuple snapshot, and
-    the table key of the direct read (None for an empty history).
+def _decoded(S: int, tokens: Sequence[int]) -> _TapeScan:
+    """This thread's decoder holding ``tokens``: its ``keys[end - 1]`` is the
+    table key of the read after the first ``end`` tokens.
 
     Each thread keeps its last decoded history as [S, tuple snapshot,
     decoder]. Tokens that start that history under the same S are
@@ -297,13 +297,15 @@ def _decoded(S: int, tokens: Sequence[int]) -> tuple[_TapeScan, tuple[int, ...],
         memo[0] = 0  # a decoder interrupted mid-extend is never resumed
         scan.extend(t)
         memo[:] = S, t, scan
-    return scan, t, scan.keys[len(t) - 1] if t else None
+    return scan
 
 
-def _read_key(S: int, tokens: Sequence[int]) -> int:
-    if not tokens:
+def _read_key(S: int, tokens: Sequence[int], end: int) -> int:
+    """The table key of the read after ``tokens[:end]``: ``keys[end - 1]``
+    of the memo's decoder. The one refusal of an empty history."""
+    if not end:
         raise ValueError(_EMPTY_HISTORY)
-    return _decoded(S, tokens)[2]
+    return _decoded(S, tokens).keys[end - 1]
 
 
 def read_tape(z: TokenSeq) -> tuple[int, object]:
@@ -313,7 +315,7 @@ def read_tape(z: TokenSeq) -> tuple[int, object]:
     moves; the symbol under it is the one most recently written there, or
     blank. The decoder reports this read as its transition-table key.
     """
-    return _read_at(_read_key(_alphabet_states(z.alphabet), z.tokens))
+    return _read_at(_read_key(_alphabet_states(z.alphabet), z.tokens, len(z.tokens)))
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,7 @@ class TMGenerator(Generator):
 
     def next_token(self, z: TokenSeq) -> int:
         _check_alphabet(self, z)
-        return self._entry_ids[_read_key(self.S, z.tokens)]
+        return self._entry_ids[_read_key(self.S, z.tokens, len(z.tokens))]
 
     def generate(self, tokens: list[int], T: int) -> None:
         """One ``_TapeScan`` run over the list: the prompt is decoded once
@@ -342,10 +344,6 @@ class TMGenerator(Generator):
     @cached_property
     def _entry_ids(self) -> tuple[int, ...]:
         return tuple(_token_id(s2, a, b) for s2, a, b in self.table)
-
-    def _step_token(self, state: int, read) -> int:
-        """The table entry for (state, read), as a token id."""
-        return self._entry_ids[_table_key(state, read)]
 
 
 def trace_tokens(trace: TMTrace, S: int) -> list[int]:
@@ -359,15 +357,16 @@ DEFAULT_ENTRY = (1, 0, 0)
 def cons_tm(pairs: OraclePairs, S: int) -> TMGenerator:
     """Memorization learner: fill the transition table from (history, next token) pairs.
 
-    Each pair pins the table entry at the key the tape decoder reports for
-    its history; conflicting pins mean no table is consistent. Entries the
-    data never pins are fixed to (1, 0, 0) for reproducibility. The pairs
-    are read once, in the given order, as ``cuts``, through the tape
-    decoder's memo: a cut of a ``PrefixCuts`` record reads ``keys[cut - 1]``
-    of the record's one decode, held as the same tuple for each of its
-    cuts. Plain pairs that are one record's prefixes also share one decode,
-    in either order: the longest is decoded and the shorter ones are
-    answered from its keys, or each resumes the one before.
+    Each cut pins the table entry at its read, ``_read_key(S, tokens, cut)``;
+    conflicting pins mean no table is consistent. A label that is not a
+    token of the data's alphabet is refused. Entries the data never pins
+    are fixed to (1, 0, 0) for reproducibility. The pairs are read once, in
+    the given order, as ``cuts``, through the tape decoder's memo: a cut of
+    a ``PrefixCuts`` record reads ``keys[cut - 1]`` of the record's one
+    decode, held as the same tuple for each of its cuts. Plain pairs that
+    are one record's prefixes also share one decode, in either order: the
+    longest is decoded and the shorter ones are answered from its keys, or
+    each resumes the one before.
     """
     learned: dict[int, tuple[int, int, int]] = {}
     alphabet = None
@@ -375,15 +374,15 @@ def cons_tm(pairs: OraclePairs, S: int) -> TMGenerator:
         if z.alphabet is not alphabet:  # resolved again only when the alphabet object changes
             alphabet = z.alphabet
             S_data = _alphabet_states(alphabet)
-            decode = _decode_table(S_data)
+            decode, ids = _decode_table(S_data), alphabet._ids
+        if v not in ids:
+            raise ValueError("label outside the alphabet")
         token = decode[v]
         if token.state > S:
             raise ValueError(f"label state {token.state} exceeds the {S}-state family")
         if token.symb not in (0, 1):
             raise ValueError("labels must write a bit; blank writes never occur in generation")
-        if not cut:
-            raise ValueError(_EMPTY_HISTORY)
-        key = _decoded(S_data, z.tokens)[0].keys[cut - 1]
+        key = _read_key(S_data, z.tokens, cut)
         if key >= 3 * S:
             raise ValueError(f"history state {key // 3 + 1} exceeds the {S}-state family")
         entry = (token.state, token.symb, token.move)

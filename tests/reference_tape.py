@@ -11,7 +11,7 @@ head cell's latest writer.
 """
 
 from cotlearn.seqcore import NotRealizableError, TokenSeq
-from cotlearn.turing import _READ_CODE, BLANK, DEFAULT_ENTRY, _alphabet_states, _decode_table
+from cotlearn.turing import _READ_CODE, BLANK, DEFAULT_ENTRY, TMToken, _alphabet_states, _decode_table, encode_token
 
 NO_BEGIN_MARKER = "history must start at the begin marker: exactly the first token writes a blank"
 
@@ -131,6 +131,11 @@ def cons_tm(pairs, S):
     return tuple(learned.get(i, DEFAULT_ENTRY) for i in range(3 * S))
 
 
+def entry_token(f, state, read):
+    """The token id of f's table entry for reading ``read`` in ``state``."""
+    return encode_token(f.S, TMToken(*f.table[(state - 1) * 3 + _READ_CODE[read]]))
+
+
 def tm_stepper(f, tokens):
     """The direct generator's former stepper: the head and a cell -> last
     written symbol map."""
@@ -147,7 +152,7 @@ def tm_stepper(f, tokens):
             tape[head] = token.symb
             head += token.move
             seen += 1
-        return f._step_token(decode[tokens[-1]].state, tape.get(head, BLANK))
+        return entry_token(f, decode[tokens[-1]].state, tape.get(head, BLANK))
 
     return step
 
@@ -168,7 +173,7 @@ def attention_stepper(f, tokens):
             head += decode[tokens[i - 1]].move
         seen = len(tokens)
         j = lookup_argmax(head, last)
-        return f._step_token(decode[tokens[-1]].state, decode[tokens[j - 1]].symb)
+        return entry_token(f, decode[tokens[-1]].state, decode[tokens[j - 1]].symb)
 
     return step
 

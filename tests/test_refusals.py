@@ -12,11 +12,11 @@ import pytest
 from cotlearn.attention import AttentionBatch
 from cotlearn.circomp import ThresholdCircuit, feature_map
 from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, growth_count, vcdim_bruteforce
-from cotlearn.learning import BitStringPrompts, CoTDataset, FiniteUniformPrompts, pac_trial
+from cotlearn.learning import BitStringPrompts, CoTDataset, E2EDataset, FiniteUniformPrompts, pac_trial
 from cotlearn.linthresh import SparseLinearThreshold, cons_lp, cons_sparse
 from cotlearn.seqcore import BINARY, Alphabet, ConstantGenerator
 from cotlearn.simplex import solve_feasibility
-from cotlearn.turing import TMFamily, TMSpec, pre, simulate_tm, tm_alphabet
+from cotlearn.turing import TMFamily, TMSpec, cons_tm, pre, simulate_tm, tm_alphabet
 
 AB = Alphabet(("a", "b"))
 ONE_STATE = TMSpec(1, 1, ((1, 1, 1),) * 3)
@@ -66,6 +66,9 @@ REFUSALS = {
     "spec-table": (lambda: TMSpec(1, 1, ()), "transition table must have 3 entries"),
     "simulate-input": (lambda: simulate_tm(ONE_STATE, [2]), "machine input must be bits"),
     "prompt-input": (lambda: pre([2], 1), "machine input must be bits"),
+    "tm-label-negative": (lambda: cons_tm([(pre([1], 1), -4)], 1), "label outside the alphabet"),
+    "tm-label-past-end": (lambda: cons_tm([(pre([1], 1), 9)], 1), "label outside the alphabet"),
+    "e2e-label-fraction": (lambda: E2EDataset(((BINARY.seq([1, 0]), 0.5),), 2), "label outside the alphabet"),
 }
 
 
