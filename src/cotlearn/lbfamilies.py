@@ -7,12 +7,13 @@ representation of the point number" (numbering from zero so the fixed
 bit width is never overflowed), optionally extended by a continuation
 that must replay earlier b-bits. Everything off-pattern maps to 0.
 
-A member answers at any horizon by one read, ``LookupFamily._answer``:
-``_read`` reads a history up to an end index, so a record's cuts are read
-in place. One search learns every family from records (T = 1 pairs, as
-cuts) or answers, ``LookupFamily.find_e2e_consistent``, over forced bits
-and the bits that label-0 pairs after a continuation read; it generates no
-chain and enumerates no member. The estimators label points by mode:
+A member answers at any horizon by one read, ``LookupFamily._answer``, so
+its ``e2e`` answer costs one read and no chain: ``_read`` reads a history
+up to an end index, so a record's cuts are read in place. One search
+learns every family from records (T = 1 pairs, as cuts) or answers,
+``LookupFamily.find_e2e_consistent``, over forced bits and the bits that
+label-0 pairs after a continuation read; it generates no chain and
+enumerates no member. The estimators label points by mode:
 "base", "e2e", or "cot" (a record's full-generation loss).
 """
 
@@ -59,16 +60,26 @@ def _numbered_points(count: int, trailing_one: bool = False) -> tuple[tuple[int,
 
 @dataclass(frozen=True)
 class LookupGenerator(Generator):
-    """Member f_b of a lookup family."""
+    """Member f_b of a lookup family: b is a tuple of ``family.index_bits`` bits."""
 
     family: "LookupFamily"
     b: tuple[int, ...]
 
     alphabet = BINARY
 
+    def __post_init__(self):
+        b, n = self.b, self.family.index_bits
+        if type(b) is not tuple or len(b) != n or not BINARY._ids.issuperset(b):
+            raise ValueError(f"{type(self.family).__name__} member needs a tuple of {n} bits")
+
     def next_token(self, x: TokenSeq) -> int:
         _check_alphabet(self, x)
         return self.family._answer(self.b, x.tokens, len(x.tokens), 1)
+
+    def answer(self, tokens: Sequence[int], T: int) -> int:
+        """One read, ``_answer`` at horizon T: no chain is generated. Every
+        token a chain would emit is a bit of b, so none could leave the alphabet."""
+        return self.family._answer(self.b, tokens, len(tokens), T)
 
     def generate(self, tokens: list[int], T: int) -> None:
         """One ``_read`` of the prompt and one check of its continuation;

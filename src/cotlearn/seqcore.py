@@ -156,8 +156,9 @@ class Generator(ABC):
     """Deterministic next-token function over a fixed alphabet.
 
     ``next_token`` is the definition; ``generate`` appends a whole chain of
-    its tokens in one call. Subclasses are immutable value objects: two
-    generators with equal parameters behave identically on every input.
+    its tokens in one call, and ``answer`` gives the chain's last token,
+    which is what ``e2e`` asks for. Subclasses are immutable value objects:
+    two generators with equal parameters behave identically on every input.
     """
 
     alphabet: Alphabet
@@ -180,6 +181,17 @@ class Generator(ABC):
         alphabet, next_token, append = self.alphabet, self.next_token, tokens.append
         for _ in range(T):
             append(next_token(TokenSeq(alphabet, tuple(tokens))))
+
+    def answer(self, tokens: Sequence[int], T: int) -> int:
+        """The token ``T`` steps after the history ``tokens``.
+
+        This default is the reference: the last token of one checked
+        ``generate`` chain on a copy of the history. A generator that can
+        answer without the chain, such as a lookup member, overrides it.
+        """
+        chain = list(tokens)
+        _checked_generate(self, chain, T, self.alphabet._ids)
+        return chain[-1]
 
 
 @dataclass(frozen=True)
@@ -239,31 +251,33 @@ def _checked_generate(f: Generator, tokens: list[int], T: int, ids: frozenset[in
         raise ValueError("token index out of range for the alphabet")
 
 
-def _generate(f: Generator, x: TokenSeq, T: int) -> list[int]:
-    """The prompt's tokens followed by ``T`` generated ones, as one list,
-    from one ``f.generate`` call: the cost per token is the generator's
-    loop step, not the history length."""
+def cot(f: Generator, x: TokenSeq, T: int) -> TokenSeq:
+    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``.
+
+    One ``f.generate`` call appends the chain to one list, so the cost per
+    token is the generator's loop step, not the history length; one
+    sequence is built, at the end.
+    """
     check_horizon(T)
     _check_alphabet(f, x)
     tokens = list(x.tokens)
     _checked_generate(f, tokens, T, x.alphabet._ids)
-    return tokens
-
-
-def cot(f: Generator, x: TokenSeq, T: int) -> TokenSeq:
-    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``.
-
-    One sequence is built, at the end.
-    """
-    return TokenSeq(x.alphabet, tuple(_generate(f, x, T)))
+    return TokenSeq(x.alphabet, tuple(tokens))
 
 
 def e2e(f: Generator, x: TokenSeq, T: int) -> int:
     """Final token of the T-step generation; the prompt-to-answer map.
 
-    Equal to ``cot(f, x, T).tokens[-1]``, without building the sequence.
+    Equal to ``cot(f, x, T).tokens[-1]``, without building the sequence:
+    the generator is asked for its answer, ``f.answer``. By default that is
+    the checked chain's last token; a lookup member answers by one read.
     """
-    return _generate(f, x, T)[-1]
+    check_horizon(T)
+    _check_alphabet(f, x)
+    y = f.answer(x.tokens, T)
+    if y not in x.alphabet._ids:
+        raise ValueError("token index out of range for the alphabet")
+    return y
 
 
 def cot_time_dependent(fs: Sequence[Generator], x: TokenSeq) -> TokenSeq:

@@ -500,6 +500,7 @@ class TestFileFormat:
         assert is_normalized(c)
         assert parse_circuit(format_circuit(c)) == c
 
+    @settings(deadline=None)
     @given(st.one_of(
         st.text(),
         st.lists(

@@ -31,6 +31,7 @@ REFUSALS = {
     "circuit-shape": (lambda: ThresholdCircuit(0, ()), "circuit needs at least one input and one gate per layer"),
     "circuit-input": (lambda: feature_map([2], 1), "inputs are bits"),
     "lookup-label": (lambda: E1Family(1, 2).find_e2e_consistent([(BINARY.seq([0]), 2)], 1), "family data must be binary"),
+    "lookup-bits": (lambda: E1Family(1, 2).from_bits((1, 2)), "E1Family member needs a tuple of 2 bits"),
     "e1-shape": (lambda: E1Family(1, 0), "need D >= 1 and T >= 1"),
     "ldim-D": (lambda: LdimFamily(0), "need 1 <= D <= "),
     "collapse-D": (lambda: CollapseFamily(0), "need 1 <= D <= "),

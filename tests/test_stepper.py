@@ -22,6 +22,7 @@ from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, LookupFami
 from cotlearn.linthresh import LinearThreshold, SparseLinearThreshold, make_threshold
 from cotlearn.seqcore import (
     BINARY,
+    GENERATION_MAX_T,
     Alphabet,
     AlphabetMismatchError,
     ConstantGenerator,
@@ -138,10 +139,21 @@ def _lookup_member_and_prompt(draw):
     return f, BINARY.seq(tokens)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_lookup_member_and_prompt(), st.integers(1, 12))
-def test_lookup_generate_matches_next_token(member_and_prompt, T):
+def _pattern_end(fam):
+    """Continuation length at which a faithful member's replay ends (capped:
+    an Ldim member repeats the point's bit for ever)."""
+    return next((r for r in range(16) if fam._replay_index(1, r) is None), 16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lookup_member_and_prompt(), st.data())
+def test_lookup_generate_matches_next_token(member_and_prompt, data):
+    """The chain against next_token, and the oracle of the one-read answer:
+    a lookup member's ``e2e`` is the reference chain's last token, at T = 1,
+    at the pattern's end and past it."""
     f, x = member_and_prompt
+    end = _pattern_end(f.family)
+    T = data.draw(st.one_of(st.sampled_from([1, end, end + 1, end + 4]), st.integers(1, 20)), label="T")
     z = cot(f, x, T)
     assert z == reference_cot(f, x, T)
     assert e2e(f, x, T) == z.tokens[-1]
@@ -395,6 +407,25 @@ def test_generation_checks_what_generate_appends(run, T):
             run(AppendsWrongCount(extra), x, T)
 
 
+class AnswersOutOfAlphabet(Generator):
+    """Faulty: answers without a chain, with a token that is not a binary index."""
+
+    alphabet = BINARY
+
+    def next_token(self, x):
+        return 0
+
+    def answer(self, tokens, T):
+        return 2
+
+
+def test_e2e_checks_the_answer():
+    """A generator that answers without a chain is checked on its answer, as
+    a chain's appended tokens are."""
+    with pytest.raises(ValueError, match="out of range for the alphabet"):
+        e2e(AnswersOutOfAlphabet(), BINARY.seq([1, 0]), 3)
+
+
 class TestSameErrors:
     TABLE = ((1, 1, 1),) * 3
 
@@ -466,11 +497,11 @@ def test_cot_is_linear_by_count(f, x, monkeypatch):
     ],
     ids=["e1-3-8", "ldim-8"],
 )
-@pytest.mark.parametrize("run, seqs", [(cot, 1), (e2e, 0)], ids=["cot", "e2e"])
-def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
+@pytest.mark.parametrize("run, seqs, answers", [(cot, 1, 0), (e2e, 0, 1)], ids=["cot", "e2e"])
+def test_lookup_generation_is_linear_by_count(f, x, run, seqs, answers, monkeypatch):
     """Deterministic twin of the lookup generators' timing: a long generation
-    never evaluates a member on the whole history and reads the prompt once;
-    cot builds one sequence and e2e builds none."""
+    reads the prompt once. cot builds one sequence and never evaluates a
+    member on the whole history; e2e builds none and is one ``_answer`` read."""
     counts = {"seqs": 0, "eval": 0, "read": 0}
     post_init = TokenSeq.__post_init__
 
@@ -494,7 +525,7 @@ def test_lookup_generation_is_linear_by_count(f, x, run, seqs, monkeypatch):
 
     monkeypatch.setattr(LookupFamily, "_read", counting_read)
     run(f, x, 4000)
-    assert counts == {"seqs": seqs, "eval": 0, "read": 1}
+    assert counts == {"seqs": seqs, "eval": answers, "read": 1}
 
 
 def _generator_and_prompt(data):
@@ -528,10 +559,17 @@ def test_e2e_is_the_last_token_of_cot(data):
         (ConstantGenerator(BINARY, 1), BINARY.seq([1]), -3),
         (ConstantGenerator(Alphabet(("a", "b")), 0), BINARY.seq([1]), 2),
         (ConstantGenerator(BINARY, 2), BINARY.seq([1]), 2),
+        (E1Family(2, 3).member(5), BINARY.seq([1, 0]), 0),
+        (E1Family(2, 3).member(5), BINARY.seq([1, 0]), GENERATION_MAX_T + 1),
+        (E1Family(2, 3).member(5), Alphabet(("0", "1", "2")).seq([1, 0]), 2),
+        (E1Family(2, 3).member(5), Alphabet(("0", "1", "2")).seq([1, 0]), 0),
     ],
-    ids=["T=0", "T<0", "alphabet", "out-of-range"],
+    ids=["T=0", "T<0", "alphabet", "out-of-range", "lookup-T=0", "lookup-T-above-guard", "lookup-alphabet",
+         "lookup-T-before-alphabet"],
 )
 def test_e2e_raises_what_cot_raises(f, x, T):
+    """e2e keeps cot's checks, messages and order (the horizon, then the
+    alphabet), also on a lookup member, which answers without a chain."""
     expected = error_of(lambda: cot(f, x, T))
     assert error_of(lambda: e2e(f, x, T)) == expected
 
@@ -581,8 +619,9 @@ def test_attention_cot_scores_one_key_per_cell(monkeypatch):
 
 
 def test_one_generate_call_per_chain(monkeypatch):
-    """Deterministic twin of whole-chain generation: each cot and e2e makes
-    exactly one ``generate`` call, ``cot_time_dependent`` one per generator,
+    """Deterministic twin of whole-chain generation: each cot makes exactly
+    one ``generate`` call, and so does each e2e except on a lookup member,
+    which answers with none; ``cot_time_dependent`` makes one per generator,
     and a machine chain consumes each prompt token and each generated token
     once (one head-move read per token)."""
     from cotlearn import turing
@@ -623,7 +662,7 @@ def test_one_generate_call_per_chain(monkeypatch):
             calls.clear()
             moves_read = 0
             run(f, x, 300)
-            assert calls == [300], (f, run)
+            assert calls == ([] if run is e2e and isinstance(f, LookupGenerator) else [300]), (f, run)
             if isinstance(f, TMGenerator):
                 assert moves_read == len(x) + 300, (f, run)
         calls.clear()
