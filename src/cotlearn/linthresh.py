@@ -201,34 +201,42 @@ class SparseLinearThreshold(Generator):
     generate = LinearThreshold.generate
 
 
-def _label_rows(u: TokenSeq, offsets: Sequence[int], end: int | None = None):
-    """The constraints on (weights at ``offsets``, bias) for labels 0 and 1
-    of the binary prefix ``u.tokens[:end]`` (all of ``u`` by default): the
-    bit at each offset from the prefix's end, zero before its start."""
-    if u.alphabet != BINARY:
-        raise ValueError("LP consistency needs binary prefixes and labels")
-    tokens = u.tokens
-    n = len(tokens) if end is None else end
-    coeffs = [tokens[n - i] if i <= n else 0 for i in offsets]
-    coeffs.append(1)  # the bias column
+def _label_rows(window: Sequence[int]):
+    """The constraints on (weights at offsets 1..len(window), bias) for
+    labels 0 and 1 of the bits ``window``, oldest first."""
+    coeffs = [*reversed(window), 1]  # offset i's bit, then the bias column
     return (coeffs, "<=", -1), (coeffs, ">=", 0)
 
 
-def _threshold_constraints(pairs: OraclePairs, offsets: Sequence[int]):
-    """One row per cut, in order, from the window that ends at the cut."""
-    constraints = []
+def _distinct_windows(pairs: OraclePairs, d: int, refusal: str) -> dict:
+    """The first cut of each distinct (window, label) pair, read as ``cuts``.
+
+    The window is the last ``d`` bits before the cut, zero-padded at the
+    start; the result maps each (window, label) to its first ``(sequence,
+    cut)``, in cut order. Those are the distinct rows the solver would
+    keep of one row per cut, in its order, so the LP and its vertex are
+    the same. Every cut is checked for binary labels and prefixes first;
+    then a window seen with both labels is refused with ``refusal``,
+    which no threshold can fit.
+    """
+    first = {}
     for z, cut, v in cuts(pairs):
-        if v not in (0, 1):
+        if v not in (0, 1) or (z.alphabet is not BINARY and z.alphabet != BINARY):
             raise ValueError("LP consistency needs binary prefixes and labels")
-        constraints.append(_label_rows(z, offsets, cut)[1 if v == 1 else 0])
-    return constraints
+        tokens = z.tokens
+        window = tokens[cut - d:cut] if cut >= d else (0,) * (d - cut) + tokens[:cut]
+        first.setdefault((window, int(v)), (z, cut))
+    if len({window for window, _ in first}) < len(first):
+        raise NotRealizableError(refusal)
+    return first
 
 
-def _verified(f, pairs):
-    """Return ``f`` after re-checking its integer form at every cut; a miss
-    is a solver fault, not bad input (the cuts' alphabet is already checked)."""
+def _verified(f, windows: dict):
+    """Return ``f`` after re-checking its integer form at the first cut of
+    each distinct window; the other cuts repeat one of them. A miss is a
+    solver fault, not bad input (the cuts' alphabet is already checked)."""
     total = f.integer_form.total
-    for z, cut, v in cuts(pairs):
+    for (_, v), (z, cut) in windows.items():
         if (1 if total(z.tokens, cut) >= 0 else 0) != v:
             raise RuntimeError("LP solution failed post-verification")
     return f
@@ -237,36 +245,46 @@ def _verified(f, pairs):
 def cons_lp(pairs: OraclePairs, d: int) -> LinearThreshold:
     """Linear threshold consistent with every (prefix, next-bit) pair, read as ``cuts``.
 
-    Raises NotRealizableError when the constraint system is infeasible.
-    The returned hypothesis is re-checked against all pairs before it is
-    handed back.
+    The LP has one row per distinct (window, label) pair, in the order of
+    their first cuts (``_distinct_windows``); a window seen with both
+    labels is refused before any LP. Raises NotRealizableError when the
+    constraint system is infeasible. The returned hypothesis is
+    re-checked at every distinct window before it is handed back.
     """
     if d < 0:
         raise ValueError("window length must be nonnegative")
-    offsets = list(range(1, d + 1))
-    solution = solve_feasibility(_threshold_constraints(pairs, offsets), d + 1)
+    refusal = f"no window-{d} linear threshold is consistent with the data"
+    windows = _distinct_windows(pairs, d, refusal)
+    solution = solve_feasibility([_label_rows(w)[v] for w, v in windows], d + 1)
     if solution is None:
-        raise NotRealizableError(f"no window-{d} linear threshold is consistent with the data")
+        raise NotRealizableError(refusal)
     weights = tuple(reversed(solution[:d]))  # solution[j] is the weight at offset j+1
-    return _verified(LinearThreshold(weights, solution[d]), pairs)
+    return _verified(LinearThreshold(weights, solution[d]), windows)
 
 
 def cons_sparse(pairs: OraclePairs, d: int, k: int) -> SparseLinearThreshold:
-    """First sparse threshold (supports in size-then-lexicographic order) fitting the data, read as ``cuts``."""
+    """First sparse threshold (supports in size-then-lexicographic order) fitting the data, read as ``cuts``.
+
+    Each support's LP restricts ``cons_lp``'s distinct-window rows to the
+    support's offsets; a window seen with both labels is refused before
+    any LP.
+    """
     if not 0 <= k <= d:
         raise ValueError("need 0 <= k <= d")
     total = sum(math.comb(d, j) for j in range(k + 1))
     if total > SPARSE_SUPPORT_GUARD:
         raise GuardExceededError(f"{total} candidate supports exceed the enumeration guard")
-    full = _threshold_constraints(pairs, range(1, d + 1))  # coefficient i - 1 is offset i's bit
+    refusal = f"no {k}-sparse window-{d} threshold is consistent with the data"
+    windows = _distinct_windows(pairs, d, refusal)
+    full = [_label_rows(w)[v] for w, v in windows]  # coefficient i - 1 is offset i's bit
     for size in range(k + 1):
         for support in itertools.combinations(range(1, d + 1), size):
             constraints = [([coeffs[i - 1] for i in support] + [1], sense, rhs) for coeffs, sense, rhs in full]
             solution = solve_feasibility(constraints, size + 1)
             if solution is None:
                 continue
-            return _verified(SparseLinearThreshold(d, k, support, solution[:size], solution[size]), pairs)
-    raise NotRealizableError(f"no {k}-sparse window-{d} threshold is consistent with the data")
+            return _verified(SparseLinearThreshold(d, k, support, solution[:size], solution[size]), windows)
+    raise NotRealizableError(refusal)
 
 
 def enumerate_threshold_functions(d: int) -> set[tuple[int, ...]]:
@@ -297,8 +315,7 @@ def _threshold_level(shorter: set[tuple[int, ...]], k: int) -> set[tuple[int, ..
     g + h decides h + g as well: negating the oldest bit (w1 -> -w1,
     b -> b + w1) swaps the two halves.
     """
-    offsets = range(1, k + 1)
-    rows = [_label_rows(BINARY.seq(p), offsets) for p in itertools.product((0, 1), repeat=k)]
+    rows = [_label_rows(p) for p in itertools.product((0, 1), repeat=k)]
     realizable = {g + g for g in shorter}
     ordered = sorted(shorter)  # pointwise g <= h, g != h implies g < h in this order
     for i, g in enumerate(ordered):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from cotlearn.linthresh import ENUMERATION_MAX_D, _label_rows
-from cotlearn.seqcore import BINARY, GuardExceededError
+from cotlearn.seqcore import GuardExceededError
 from cotlearn.simplex import solve_feasibility
 
 
@@ -24,8 +24,7 @@ def enumerate_threshold_functions(d: int) -> set[tuple[int, ...]]:
     """
     if d > ENUMERATION_MAX_D:
         raise GuardExceededError(f"d={d} exceeds the exhaustive-enumeration guard {ENUMERATION_MAX_D}")
-    offsets = range(1, d + 1)
-    rows = [_label_rows(BINARY.seq(p), offsets) for p in itertools.product((0, 1), repeat=d)]
+    rows = [_label_rows(p) for p in itertools.product((0, 1), repeat=d)]
     realizable: set[tuple[int, ...]] = set()
     for labels in itertools.product((0, 1), repeat=len(rows)):
         constraints = [row[v] for row, v in zip(rows, labels)]

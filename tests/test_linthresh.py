@@ -1,12 +1,14 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_simplex
 from cotlearn import linthresh
-from cotlearn.seqcore import BINARY, GuardExceededError, NotRealizableError
+from cotlearn.seqcore import BINARY, Alphabet, GuardExceededError, NotRealizableError
 from cotlearn.linthresh import (
     IntegerThreshold,
     LinearThreshold,
@@ -274,6 +276,51 @@ class TestPostVerification:
     def test_cons_sparse(self):
         with pytest.raises(RuntimeError, match="post-verification"):
             cons_sparse(self.PAIRS, 1, 1)
+
+
+class TestDistinctWindows:
+    """Deterministic twins of the learners' intake: one LP row per distinct (window, label)."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = linthresh.solve_feasibility
+        monkeypatch.setattr(linthresh, "solve_feasibility", lambda constraints, n: calls.append(list(constraints)) or solve(constraints, n))
+        return calls
+
+    def test_fit_reaches_the_solver_as_its_distinct_rows_in_first_cut_order(self, solves):
+        fit, weights = test_simplex.TestPinnedVertices.FITS[0]
+        pairs = test_simplex._fit_pairs(*fit)
+        d = fit[1]
+        per_cut = []  # one row per cut, as the solver's own dedupe would see them
+        for u, v in pairs:
+            n = len(u.tokens)
+            coeffs = [u.tokens[n - i] if i <= n else 0 for i in range(1, d + 1)] + [1]
+            per_cut.append((coeffs, ">=", 0) if v else (coeffs, "<=", -1))
+        distinct = [row for i, row in enumerate(per_cut) if row not in per_cut[:i]]
+        assert format_threshold(cons_lp(pairs, d)) == weights
+        assert (len(pairs), len(distinct)) == (320, 42)
+        assert solves == [distinct]
+
+    # (0, 1) ends both prompts; the second one's window is zero-padded
+    BOTH_LABELS = [(seq([1, 0, 1]), 0), (seq([1]), 1)]
+    LEARNERS = {
+        "cons_lp": (lambda pairs: cons_lp(pairs, 2), "no window-2 linear threshold is consistent with the data"),
+        "cons_sparse": (lambda pairs: cons_sparse(pairs, 2, 1), "no 1-sparse window-2 threshold is consistent with the data"),
+    }
+
+    @pytest.mark.parametrize("learn, message", LEARNERS.values(), ids=LEARNERS.keys())
+    def test_a_window_with_both_labels_is_refused_without_an_lp(self, solves, learn, message):
+        with pytest.raises(NotRealizableError, match=re.escape(message)):
+            learn(self.BOTH_LABELS)
+        assert solves == []
+
+    @pytest.mark.parametrize("learn", [learn for learn, _ in LEARNERS.values()], ids=LEARNERS.keys())
+    @pytest.mark.parametrize("bad", [(seq([1]), 2), (Alphabet(("a", "b")).seq([0]), 1)], ids=["label", "alphabet"])
+    def test_input_refusals_come_before_the_window_refusal(self, solves, learn, bad):
+        with pytest.raises(ValueError, match="LP consistency needs binary prefixes and labels"):
+            learn(self.BOTH_LABELS + [bad])
+        assert solves == []
 
 
 class TestConsSparse:
