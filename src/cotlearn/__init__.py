@@ -1,16 +1,16 @@
 """Time-invariant autoregressive chain-of-thought generation and learning."""
 
+from .attention import read_tape_attention_all, tape_view_table
+from .lbfamilies import growth_count
 from .seqcore import (
     BINARY,
     Alphabet,
     AlphabetMismatchError,
-    ConstantGenerator,
     Generator,
     GeneratorFamily,
     GuardExceededError,
     NotRealizableError,
     TokenSeq,
-    apply_and_append,
     cot,
     cot_time_dependent,
     e2e,
@@ -20,14 +20,15 @@ __all__ = [
     "Alphabet",
     "AlphabetMismatchError",
     "BINARY",
-    "ConstantGenerator",
     "Generator",
     "GeneratorFamily",
     "GuardExceededError",
     "NotRealizableError",
     "TokenSeq",
-    "apply_and_append",
     "cot",
     "cot_time_dependent",
     "e2e",
+    "growth_count",
+    "read_tape_attention_all",
+    "tape_view_table",
 ]

@@ -46,9 +46,8 @@ it is always a whole number, an ``int``."""
 class AttentionBatch:
     """Aligned query/key/value vectors for one sequence of length N.
 
-    Entries are exact rationals. ``make_batch`` makes every entry a
-    ``Fraction``; the tape reader's causal pass holds its whole-number
-    entries as ``int``s.
+    Entries are exact rationals, each a ``Fraction`` or an ``int``; the
+    tape reader's causal pass holds its whole-number entries as ``int``s.
     """
 
     q: tuple[Vec, ...]
@@ -71,15 +70,6 @@ class AttentionBatch:
         return len(self.q)
 
 
-def make_batch(q, k, v) -> AttentionBatch:
-    to_vec = lambda row: tuple(Fraction(x) for x in row)
-    return AttentionBatch(
-        tuple(to_vec(row) for row in q),
-        tuple(to_vec(row) for row in k),
-        tuple(to_vec(row) for row in v),
-    )
-
-
 def _dot(a: Vec, b: Vec) -> Fraction | int:
     """Exact score: an ``int`` when every product is one, else a ``Fraction``."""
     return sum(x * y for x, y in zip(a, b))
@@ -97,34 +87,6 @@ def _argmax(scores: Iterable[Fraction]) -> tuple[list[int], Fraction]:
         elif score == best:
             members.append(j)
     return members, best
-
-
-def aha_argmax(batch: AttentionBatch, i: int) -> tuple[list[int], Fraction]:
-    """Argmax index set (1-based) and best score among keys j <= i, for a
-    position 1 <= i <= len(batch); the best score is a ``Fraction``."""
-    if not 1 <= i <= len(batch):
-        raise IndexError(f"position {i} outside 1..{len(batch)}")
-    members, best = _argmax(_dot(batch.q[i - 1], key) for key in batch.k[:i])
-    return members, Fraction(best)
-
-
-def aha(batch: AttentionBatch) -> list[Vec]:
-    """Average-hard-attention outputs at every position.
-
-    output[i] is the exact average of the values at the argmax score
-    positions.
-    """
-    outputs: list[Vec] = []
-    width = len(batch.v[0]) if batch.v else 0
-    for i in range(1, len(batch) + 1):
-        members, _ = aha_argmax(batch, i)
-        share = Fraction(1, len(members))
-        acc = [Fraction(0)] * width
-        for j in members:
-            for t, val in enumerate(batch.v[j - 1]):
-                acc[t] += val
-        outputs.append(tuple(a * share for a in acc))
-    return outputs
 
 
 @dataclass(frozen=True)
@@ -149,12 +111,13 @@ def _history_parts(z: TokenSeq):
 
 
 def uniform_attention(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """aha output for scalar values under all-zero queries and keys.
+    """Average hard attention's output for scalar values under all-zero
+    queries and keys.
 
     Every prefix score ties, so position i averages all of v[1..i]; this
     computes those prefix averages directly and is tested against the
-    generic aha evaluation. Each average is a ``Fraction``, also when the
-    values are ints.
+    generic definition in ``tests/reference_attention.py``. Each average is
+    a ``Fraction``, also when the values are ints.
     """
     out = []
     acc = 0
@@ -178,11 +141,6 @@ def _tape_view(toks: Sequence[TMToken]) -> TapeView:
     npos = tuple(s / inv for s, inv in zip(scaled_npos, idx_inv))
     pos = tuple(np - t.move for np, t in zip(npos, toks))
     return TapeView(pos, npos, idx_inv)
-
-
-def positions_via_attention(z: TokenSeq) -> TapeView:
-    """Recover positions from moves using uniform attention."""
-    return _tape_view(_history_parts(z))
 
 
 @dataclass(frozen=True)

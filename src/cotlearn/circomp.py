@@ -78,13 +78,6 @@ class ThresholdCircuit:
         )
 
 
-def make_circuit(n: int, layers) -> ThresholdCircuit:
-    return ThresholdCircuit(
-        n,
-        tuple(tuple(tuple(Fraction(w) for w in gate) for gate in layer) for layer in layers),
-    )
-
-
 def eval_circuit_values(circuit: ThresholdCircuit, x: Sequence[int]) -> list[tuple[int, ...]]:
     """Values of every gate, one tuple per layer."""
     if len(x) != circuit.n:
@@ -98,11 +91,6 @@ def eval_circuit_values(circuit: ThresholdCircuit, x: Sequence[int]) -> list[tup
         out.append(vals)
         known.extend(vals)
     return out
-
-
-def eval_circuit(circuit: ThresholdCircuit, x: Sequence[int]) -> int:
-    """Circuit output: the value of the last gate of the last layer."""
-    return eval_circuit_values(circuit, x)[-1][-1]
 
 
 def is_normalized(circuit: ThresholdCircuit) -> bool:
@@ -468,19 +456,6 @@ def random_normalized_circuit(rng, n: int, s: int, L: int) -> ThresholdCircuit:
             layer.append(tuple(gate))
         layers.append(tuple(layer))
     return ThresholdCircuit(n, tuple(layers))
-
-
-def format_circuit(circuit: ThresholdCircuit) -> str:
-    """Serialize a uniform-width circuit: "n s L" header, then one gate per line."""
-    widths = set(circuit.widths)
-    if len(widths) != 1:
-        raise ValueError("only uniform-width circuits have a file form; normalize first")
-    s = widths.pop()
-    lines = [f"{circuit.n} {s} {circuit.depth}"]
-    for l, layer in enumerate(circuit.layers, start=1):
-        for i, gate in enumerate(layer, start=1):
-            lines.append(f"{l} {i} : " + " ".join(str(w) for w in gate))
-    return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> ThresholdCircuit:

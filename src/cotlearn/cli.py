@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import circomp, lbfamilies, linthresh, turing
+from . import attention, circomp, lbfamilies, linthresh, turing
 from .learning import (
     EXACT_EVAL_SUPPORT,
     BitStringPrompts,
@@ -187,9 +187,7 @@ def cmd_simulate_tm(args) -> int:
         if via == "autoregressive":
             f = turing.TMGenerator(spec.S, spec.table)
         else:
-            from .attention import AttentionTMGenerator
-
-            f = AttentionTMGenerator(spec.S, spec.table)
+            f = attention.AttentionTMGenerator(spec.S, spec.table)
         z = cot(f, prompt, spec.T)
         return turing.post(turing.decode_token(spec.S, z.tokens[-1]))
 

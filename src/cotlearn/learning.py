@@ -339,15 +339,3 @@ def load_e2e_dataset(path: str, alphabet: Alphabet, T: int) -> E2EDataset:
         x = _parse_at(where, alphabet.parse_seq, seq_text)
         pairs.append((x, _parse_at(f"{where}, label", alphabet.index, label_text.strip())))
     return E2EDataset(tuple(pairs), T)
-
-
-def save_cot_dataset(path: str, dataset: CoTDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for z in dataset.seqs:
-            fh.write(z.render() + "\n")
-
-
-def save_e2e_dataset(path: str, dataset: E2EDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y in dataset.pairs:
-            fh.write(f"{x.render()}\t{x.alphabet.render(y)}\n")

@@ -98,9 +98,6 @@ class TokenSeq:
     def __iter__(self) -> Iterator[int]:
         return iter(self.tokens)
 
-    def append(self, token: int) -> "TokenSeq":
-        return TokenSeq(self.alphabet, self.tokens + (token,))
-
     def render(self) -> str:
         return ",".join(self.alphabet.render(t) for t in self.tokens)
 
@@ -194,28 +191,10 @@ class Generator(ABC):
         return chain[-1]
 
 
-@dataclass(frozen=True)
-class ConstantGenerator(Generator):
-    """Emits the same token regardless of the input."""
-
-    alphabet: Alphabet
-    token: int
-
-    def next_token(self, x: TokenSeq) -> int:
-        _check_alphabet(self, x)
-        return self.token
-
-
 def _check_alphabet(f: Generator, x: TokenSeq) -> None:
     """Refuse a history over another alphabet; an identity test settles the usual case."""
     if f.alphabet is not x.alphabet and f.alphabet != x.alphabet:
         raise AlphabetMismatchError("generator and sequence use different alphabets")
-
-
-def apply_and_append(f: Generator, x: TokenSeq) -> TokenSeq:
-    """Return ``x`` with ``f.next_token(x)`` appended; ``x`` itself is unchanged."""
-    _check_alphabet(f, x)
-    return x.append(f.next_token(x))
 
 
 def check_horizon(T: int) -> None:
@@ -252,7 +231,7 @@ def _checked_generate(f: Generator, tokens: list[int], T: int, ids: frozenset[in
 
 
 def cot(f: Generator, x: TokenSeq, T: int) -> TokenSeq:
-    """Iterate apply-and-append ``T`` times; the result has length ``len(x) + T``.
+    """Append ``f``'s next token ``T`` times; the result has length ``len(x) + T``.
 
     One ``f.generate`` call appends the chain to one list, so the cost per
     token is the generator's loop step, not the history length; one

@@ -72,8 +72,8 @@ def solve_feasibility(constraints: Iterable[Constraint], num_vars: int) -> tuple
             if b < 0:
                 return None
             continue
-        scale = math.lcm(b.denominator, *map(_denominator, a))  # scaled to integers by it
         if not exact:
+            scale = math.lcm(b.denominator, *map(_denominator, a))  # scaled to integers by it
             a = tuple(c.numerator * (scale // c.denominator) for c in a)
             b = b.numerator * (scale // b.denominator)
         rows.append((a, b))

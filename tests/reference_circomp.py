@@ -7,6 +7,10 @@ Kept as test oracles: the library must return equal gate values and an
 equal ``VerificationReport``, failures included. The verifier reads each
 step's sum with ``IntegerThreshold.total`` on the whole history, since the
 threshold generation appends bits, not sums.
+
+Two fixtures ride along: ``make_circuit`` builds a circuit from nested
+weight lists, and ``format_circuit`` writes the file form that
+``circomp.parse_circuit`` and the CLI read.
 """
 
 from __future__ import annotations
@@ -24,6 +28,27 @@ from cotlearn.circomp import (
     feature_map,
 )
 from cotlearn.seqcore import GuardExceededError
+
+
+def make_circuit(n: int, layers) -> ThresholdCircuit:
+    """A circuit from nested weight lists, each weight made a ``Fraction``."""
+    return ThresholdCircuit(
+        n,
+        tuple(tuple(tuple(Fraction(w) for w in gate) for gate in layer) for layer in layers),
+    )
+
+
+def format_circuit(circuit: ThresholdCircuit) -> str:
+    """Serialize a uniform-width circuit: "n s L" header, then one gate per line."""
+    widths = set(circuit.widths)
+    if len(widths) != 1:
+        raise ValueError("only uniform-width circuits have a file form; normalize first")
+    s = widths.pop()
+    lines = [f"{circuit.n} {s} {circuit.depth}"]
+    for l, layer in enumerate(circuit.layers, start=1):
+        for i, gate in enumerate(layer, start=1):
+            lines.append(f"{l} {i} : " + " ".join(str(w) for w in gate))
+    return "\n".join(lines) + "\n"
 
 
 def eval_circuit_values(circuit: ThresholdCircuit, x: Sequence[int]) -> list[tuple[int, ...]]:

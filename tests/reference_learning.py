@@ -4,6 +4,9 @@ used before a trial learned from each distinct sampled prompt once.
 Kept unchanged as a test oracle. It generates ``cot(f_star, x, T)`` once
 per draw, hands every duplicate record to the learner, and labels the
 evaluation prompts with a fresh ``e2e`` each.
+
+``save_cot_dataset`` and ``save_e2e_dataset`` write the dataset files
+that ``learning.load_cot_dataset``, ``load_e2e_dataset`` and the CLI read.
 """
 
 from __future__ import annotations
@@ -68,3 +71,17 @@ def pac_trial(
         exact = False
     err = zero_one_error(e2e_predictor(learned, T), E2EDataset(eval_pairs, T))
     return PacTrialResult(error=err, m=m, mode=mode, learned=learned, exact_eval=exact)
+
+
+def save_cot_dataset(path: str, dataset: CoTDataset) -> None:
+    """One comma-separated record per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for z in dataset.seqs:
+            fh.write(z.render() + "\n")
+
+
+def save_e2e_dataset(path: str, dataset: E2EDataset) -> None:
+    """One "sequence<TAB>label" pair per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for x, y in dataset.pairs:
+            fh.write(f"{x.render()}\t{x.alphabet.render(y)}\n")

@@ -10,15 +10,14 @@ from pathlib import Path
 import pytest
 import reference_tape
 from hypothesis import given, settings, strategies as st
+from reference_attention import aha, aha_argmax, make_batch
 
 from cotlearn.seqcore import TokenSeq, cot
 from cotlearn.attention import (
     AttentionBatch,
     AttentionTMGenerator,
-    aha,
-    aha_argmax,
-    make_batch,
-    positions_via_attention,
+    _causal_pass,
+    _value_symb,
     read_tape_attention,
     read_tape_attention_all,
     read_tape_attention_fast,
@@ -105,7 +104,7 @@ class TestAha:
 
 class TestPositions:
     def test_pre_positions(self):
-        view = positions_via_attention(pre([0, 1], 1))
+        view = _causal_pass(pre([0, 1], 1)).view
         assert view.npos == (1, 2, 3)
         assert view.pos == (0, 1, 2)
         assert view.idx_inv == (1, Fraction(1, 2), Fraction(1, 3))
@@ -119,7 +118,7 @@ class TestPositions:
             spec = fam.random_spec(rng, rng.randint(1, 15))
             omega = [rng.randint(0, 1) for _ in range(rng.randint(0, 4))]
             z = cot(TMGenerator(spec.S, spec.table), pre(omega, 3), spec.T)
-            view = positions_via_attention(z)
+            view = _causal_pass(z).view
             acc = 0
             for i, t in enumerate(z.tokens):
                 tkn = decode_token(3, t)
@@ -130,12 +129,12 @@ class TestPositions:
     def test_rejects_blank_past_first(self):
         z = history(1, (1, BLANK, 1), (1, BLANK, 1))
         with pytest.raises(ValueError):
-            positions_via_attention(z)
+            _causal_pass(z)
 
     def test_rejects_missing_begin_marker(self):
         z = history(1, (1, 0, 1), (1, 1, 1))
         with pytest.raises(ValueError):
-            positions_via_attention(z)
+            _causal_pass(z)
 
 
 class TestLookup:
@@ -193,7 +192,7 @@ class TestPipeline:
 
     def test_everything_is_exact_rationals(self):
         z = pre([1, 1, 0], 1)
-        view = positions_via_attention(z)
+        view = _causal_pass(z).view
         for field in (view.pos, view.npos, view.idx_inv):
             assert all(isinstance(v, Fraction) for v in field)
 
@@ -354,6 +353,19 @@ def test_lookup_grouping_on_arbitrary_histories(data):
     assert error_of(lambda: read_tape_attention_fast(bad)) == expected
     assert error_of(lambda: reference_tape.read_tape_attention_fast(bad)) == expected
     assert error_of(lambda: cot(AttentionTMGenerator(S, table), bad, T)) == expected
+
+
+def test_lookup_is_generic_attention_on_the_causal_pass():
+    """Generic average hard attention on the causal pass's batch reads, at
+    every position, the symbol the pass reads there."""
+    rng = random.Random(11)
+    histories = [golden_history()] + [
+        cot(TMFamily(S).random_member(rng), pre([rng.randint(0, 1) for _ in range(3)], S), rng.randint(1, 25))
+        for S in (1, 2, 3)
+    ]
+    for z in histories:
+        generic = [_value_symb(out[0]) for out in aha(_causal_pass(z).batch)]
+        assert generic == [symb for _, symb in read_tape_attention_all(z)]
 
 
 def test_exact_pass_scores_by_count(monkeypatch):

@@ -11,14 +11,17 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_circomp import format_circuit
+from reference_learning import save_cot_dataset, save_e2e_dataset
+from reference_seqcore import ConstantGenerator
 
 from cotlearn import cli
 from cotlearn.cli import _CONFIG_KEYS, _parse_config, main
-from cotlearn.circomp import compile_circuit, eval_circuit, feature_map, format_circuit, random_normalized_circuit
-from cotlearn.learning import CoTDataset, cons_cot, load_cot_dataset, save_cot_dataset, save_e2e_dataset, E2EDataset
+from cotlearn.circomp import compile_circuit, eval_circuit_values, feature_map, random_normalized_circuit
+from cotlearn.learning import CoTDataset, cons_cot, load_cot_dataset, E2EDataset
 from cotlearn.lbfamilies import E1Family, parse_family_spec
 from cotlearn.linthresh import parse_threshold
-from cotlearn.seqcore import BINARY, ConstantGenerator, cot, e2e
+from cotlearn.seqcore import BINARY, cot, e2e
 from cotlearn.turing import TMFamily, TMGenerator, TMSpec, format_tm, pre
 
 ALWAYS_ONE = TMSpec(1, 2, ((1, 1, 1),) * 3)
@@ -284,7 +287,7 @@ class TestCompileCircuit:
                      "--data", str(data), "--out", str(learned)]) == 0
         capsys.readouterr()
         for x in inputs:
-            assert int(generate(learned, x).split(",")[-1]) == eval_circuit(c, x), x
+            assert int(generate(learned, x).split(",")[-1]) == eval_circuit_values(c, x)[-1][-1], x
 
     def test_corrupted_compiled_file_detected(self, tmp_path, capsys):
         import random

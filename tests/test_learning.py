@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import reference_learning
+from reference_learning import save_cot_dataset, save_e2e_dataset
+from reference_seqcore import ConstantGenerator
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cotlearn import lbfamilies, learning
@@ -11,7 +13,6 @@ from cotlearn.seqcore import (
     BINARY,
     GENERATION_MAX_T,
     Alphabet,
-    ConstantGenerator,
     Generator,
     GeneratorFamily,
     GuardExceededError,
@@ -34,8 +35,6 @@ from cotlearn.learning import (
     load_e2e_dataset,
     pac_trial,
     prefix_expand,
-    save_cot_dataset,
-    save_e2e_dataset,
     trial_seed,
     zero_one_error,
 )

@@ -2,8 +2,10 @@
 
 A function, class or module-level name in ``src/cotlearn`` that nothing
 reads is a leftover: a removal left it behind, or only tests still call it.
-The README's example runs, and every library name it spells out resolves,
-so the API it documents cannot drift from it.
+A public name without a reader in the library or the benchmark is API only
+when ``cotlearn.__all__`` declares it. The README's example runs, and every
+library name it spells out resolves, so the API it documents cannot drift
+from it.
 """
 
 import ast
@@ -17,8 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def parse_all(folder):
-    return [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / folder).glob("*.py"))]
+def parse_all(folder, skip=()):
+    return [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / folder).glob("*.py")) if path.name not in skip]
 
 
 def reads(node):
@@ -61,18 +63,18 @@ def test_library_uses_every_private_name():
 
 def test_every_public_name_has_a_reader():
     """A public function, class or module-level name is read by the library
-    outside its own definition (an import counts, so ``__init__``'s
-    re-exports do), read by the benchmark in ``perfbench/``, or named in
-    backticks in the README, which declares it API."""
+    outside its own definition (an import counts, except a re-export in
+    ``__init__``), read or imported by the benchmark in ``perfbench/``, or
+    declared API by ``cotlearn.__all__``. README prose declares nothing."""
     trees = parse_all("src/cotlearn")
     definitions = [d for tree in trees for d in module_level_assignments(tree)]
     definitions += [(node.name, node) for tree in trees for node in tree.body if isinstance(node, DEFINITIONS)]
     public = [(name, node) for name, node in definitions if not name.startswith("_")]
     assert len(public) > 100
     bench = parse_all("perfbench")
-    readme = (ROOT / "README.md").read_text()
-    named = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
-    missing = unread(trees, public) - imported(trees) - imported(bench) - {n for tree in bench for n in reads(tree)} - named
+    declared = set(importlib.import_module("cotlearn").__all__)
+    library_imports = imported(parse_all("src/cotlearn", skip={"__init__.py"}))
+    missing = unread(trees, public) - library_imports - imported(bench) - {n for tree in bench for n in reads(tree)} - declared
     assert not missing, sorted(missing)
 
 

@@ -26,10 +26,10 @@ def _body_line(method) -> int:
 
 
 def test_report_names_the_statements_one_test_does_not_reach(tmp_path):
-    """A test that renders a sequence and never appends to one: the report
-    names the body of ``TokenSeq.append``, not that of ``TokenSeq.render``,
-    and lists ``circomp``, which ``seqcore`` does not import, as never
-    imported."""
+    """A test that renders a sequence and never calls ``str`` on one: the
+    report names the body of ``TokenSeq.__str__``, not that of
+    ``TokenSeq.render``, and lists ``circomp``, which ``import cotlearn``
+    does not load, as never imported."""
     (tmp_path / "test_one.py").write_text(ONE_TEST)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
     proc = subprocess.run(
@@ -39,6 +39,6 @@ def test_report_names_the_statements_one_test_does_not_reach(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = proc.stdout.split("statements no test executed (linecov)")[1].splitlines()
     missed = {line.split(": ", 1)[0] for line in report}
-    assert f"src/cotlearn/seqcore.py:{_body_line(TokenSeq.append)}" in missed
+    assert f"src/cotlearn/seqcore.py:{_body_line(TokenSeq.__str__)}" in missed
     assert f"src/cotlearn/seqcore.py:{_body_line(TokenSeq.render)}" not in missed
     assert "src/cotlearn/circomp.py: never imported" in report

@@ -8,18 +8,21 @@ or fires with another message, fails its row.
 import re
 
 import pytest
+from reference_seqcore import ConstantGenerator
 
+from cotlearn import cli
 from cotlearn.attention import AttentionBatch
 from cotlearn.circomp import ThresholdCircuit, feature_map
 from cotlearn.lbfamilies import CollapseFamily, E1Family, LdimFamily, growth_count, vcdim_bruteforce
 from cotlearn.learning import BitStringPrompts, CoTDataset, E2EDataset, FiniteUniformPrompts, pac_trial
 from cotlearn.linthresh import SparseLinearThreshold, cons_lp, cons_sparse
-from cotlearn.seqcore import BINARY, Alphabet, ConstantGenerator
+from cotlearn.seqcore import BINARY, Alphabet
 from cotlearn.simplex import solve_feasibility
 from cotlearn.turing import TMFamily, TMSpec, cons_tm, pre, simulate_tm, tm_alphabet
 
 AB = Alphabet(("a", "b"))
 ONE_STATE = TMSpec(1, 1, ((1, 1, 1),) * 3)
+BOGUS_MODE = "family=e1:D=2,T=2\nmode=bogus\nt=2\nsizes=1\ntrials=1\nseed=0\nout=rows.csv\n"
 
 
 def trial(m=1, mode="cot"):
@@ -70,6 +73,8 @@ REFUSALS = {
     "tm-label-negative": (lambda: cons_tm([(pre([1], 1), -4)], 1), "label outside the alphabet"),
     "tm-label-past-end": (lambda: cons_tm([(pre([1], 1), 9)], 1), "label outside the alphabet"),
     "e2e-label-fraction": (lambda: E2EDataset(((BINARY.seq([1, 0]), 0.5),), 2), "label outside the alphabet"),
+    "cli-input-bits": (lambda: cli._parse_bits("012"), "input must be a bit string, got '012'"),
+    "cli-experiment-mode": (lambda: cli._parse_config(BOGUS_MODE), "mode must be cot or e2e"),
 }
 
 

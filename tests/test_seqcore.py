@@ -1,12 +1,11 @@
 import pytest
+from reference_seqcore import ConstantGenerator
 
 from cotlearn.seqcore import (
     BINARY,
     Alphabet,
     AlphabetMismatchError,
-    ConstantGenerator,
     TokenSeq,
-    apply_and_append,
     cot,
     cot_time_dependent,
     e2e,
@@ -52,16 +51,21 @@ class TestIndexing:
             ConstantGenerator(BINARY, 1)(s)
 
     def test_append_is_persistent(self):
+        """A one-step generation returns a new sequence and leaves the prompt as it was."""
         s = seq([0])
-        s2 = s.append(1)
+        s2 = cot(ConstantGenerator(BINARY, 1), s, 1)
         assert s.tokens == (0,) and s2.tokens == (0, 1)
         with pytest.raises(ValueError):
-            s.append(7)
+            cot(ConstantGenerator(BINARY, 7), s, 1)
+        assert s.tokens == (0,)
 
     @pytest.mark.parametrize("token", [7, -1, 0.5, "a", None])
     def test_append_refuses_what_the_constructor_refuses(self, token):
+        """A generated token is refused with the constructor's message."""
         with pytest.raises(ValueError, match="token index out of range for the alphabet"):
-            seq([0]).append(token)
+            cot(ConstantGenerator(BINARY, token), seq([0]), 1)
+        with pytest.raises(ValueError, match="token index out of range for the alphabet"):
+            TokenSeq(BINARY, (0, token))
 
     @pytest.mark.parametrize("tokens", [(0.5,), (-1,), (2,), (1, 0, 2), (0, -1, 1)])
     def test_rejects_tokens_outside_the_alphabet(self, tokens):
@@ -76,14 +80,14 @@ class TestIndexing:
 
 
 class TestGeneration:
-    def test_apply_and_append_constant(self):
+    def test_one_step_cot_constant(self):
         f = ConstantGenerator(BINARY, 1)
-        out = apply_and_append(f, seq([0]))
+        out = cot(f, seq([0]), 1)
         assert out.tokens == (0, 1) and f.next_token(seq([0])) == 1
 
-    def test_apply_and_append_threshold(self):
+    def test_one_step_cot_threshold(self):
         f = make_threshold([1], 0)  # outputs 1 on every binary input
-        assert apply_and_append(f, seq([0])).tokens == (0, 1)
+        assert cot(f, seq([0]), 1).tokens == (0, 1)
 
     def test_length_law(self):
         f = ConstantGenerator(BINARY, 0)
@@ -94,7 +98,7 @@ class TestGeneration:
         other = Alphabet(("a", "b"))
         f = ConstantGenerator(other, 0)
         with pytest.raises(AlphabetMismatchError):
-            apply_and_append(f, seq([0]))
+            cot(f, seq([0]), 1)
 
     def test_cot_constant(self):
         f = ConstantGenerator(BINARY, 1)
@@ -111,7 +115,7 @@ class TestGeneration:
         for T in range(1, 6):
             z = cot(f, x, T)
             assert z.tokens[:3] == x.tokens
-            assert cot(f, x, T + 1).tokens == apply_and_append(f, z).tokens
+            assert cot(f, x, T + 1).tokens == cot(f, z, 1).tokens
             # every prefix is the shorter generation
             for t in range(1, T + 1):
                 assert z.tokens[:3 + t] == cot(f, x, t).tokens

@@ -1,9 +1,7 @@
 import itertools
-import math
 import operator
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 import reference_threshold
@@ -165,10 +163,11 @@ class TestIntegerIntake:
         spellings = [([1, 0], ">=", 1), ([True, False], ">=", True), ([Fraction(1), 0], ">=", Fraction(1)),
                      ([-1, 0], "<=", -1), ([0, 1], "<=", -1), ([False, Fraction(1)], "<=", -True)]
         expected = solve_feasibility([([1, 0], ">=", 1), ([0, 1], "<=", -1)], 2)
-        tableau_rows = []  # one lcm per row that reaches the tableau
-        monkeypatch.setattr(simplex, "math", SimpleNamespace(lcm=lambda *a: tableau_rows.append(a) or math.lcm(*a)))
+        heights = []  # the tableau's constraint rows at each pivot; the last row is the cost row
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot", lambda tab, *args: heights.append(len(tab) - 1) or pivot(tab, *args))
         assert check(spellings * 20, 2) == expected
-        assert len(tableau_rows) == 2
+        assert heights and set(heights) == {2}
 
 
 class TestAgainstFractionTableau:

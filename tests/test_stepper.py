@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 import reference_lookup
 import reference_tape
+from reference_seqcore import ConstantGenerator
 from hypothesis import given, settings, strategies as st
 
 from cotlearn import circomp, linthresh
@@ -25,7 +26,6 @@ from cotlearn.seqcore import (
     GENERATION_MAX_T,
     Alphabet,
     AlphabetMismatchError,
-    ConstantGenerator,
     Generator,
     TokenSeq,
     cot,
